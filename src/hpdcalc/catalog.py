@@ -12,9 +12,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .dsl import check_requests, parse, run_check, validate
+from .dsl import check_requests, parse, run_check_row, validate
 from .engine import (
-    SUBSET_READING_NOTE,
     join_profile,
     n_join_profile,
     refined_blowup_profile,
@@ -22,7 +21,7 @@ from .engine import (
 )
 from .model import BASE_V, Atom, Join, SodBlock, SodExpr, Workspace
 from .poly import parse_expr
-from .report import build_report, input_digest, normalized, stable_json
+from .report import build_report, check_row, file_report, input_digest, normalized, stable_json
 
 __all__ = ["case_names", "run_case", "compare_case", "write_golden", "run_catalog"]
 
@@ -102,22 +101,15 @@ def _emit_sod(ws: Workspace, directive: tuple) -> dict:
     raise AssertionError(f"unhandled sod directive {kind!r}")
 
 
-def _collect_warnings(ws: Workspace, rows: list[dict]) -> list[str]:
-    warnings = list(ws.warnings)
-    if any(SUBSET_READING_NOTE in row.get("notes", ()) for row in rows):
-        warnings.append(SUBSET_READING_NOTE)
-    return warnings
-
-
 def run_case(name: str) -> dict:
     """Execute one case and assemble its report."""
     case = _case(name)
     source = case_source(name)
     ast = parse(source)
     ws = validate(ast)
-    rows = [run_check(stmt, ws).to_json_dict() for stmt in check_requests(ast)]
+    rows = [run_check_row(stmt, ws) for stmt in check_requests(ast)]
     sods = [_emit_sod(ws, directive) for directive in case.sod_directives]
-    return build_report(input_digest(source), rows, sods, _collect_warnings(ws, rows))
+    return file_report(source, rows, sods, ws.warnings)
 
 
 def _golden_resource(name: str):
@@ -176,16 +168,8 @@ def run_catalog(
             prefixed["name"] = f"{name}:{row['name']}"
             checks.append(prefixed)
             all_ok = all_ok and row["status"] == "pass"
-        checks.append(
-            {
-                "name": f"{name}:golden",
-                "lhs": "",
-                "rhs": "",
-                "status": "pass" if matched else "fail",
-                "witness": None,
-                "notes": notes,
-            }
-        )
+        status = "pass" if matched else "fail"
+        checks.append(check_row(f"{name}:golden", "", "", status, None, notes))
         for sod in case_report["sods"]:
             prefixed = dict(sod)
             prefixed["name"] = f"{name}:{sod['name']}"

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import (
+    duality_total,
     hpd_total,
     join_profile,
     n_hyperplane_sod,
@@ -22,6 +23,7 @@ from .engine import (
 from .errors import JoinNotModerate, MissingDisjointness
 from .model import LefschetzProfile, Workspace, build_profile, same_ambient
 from .poly import InvariantExpr
+from .report import check_row
 
 __all__ = [
     "CheckResult",
@@ -51,14 +53,7 @@ class CheckResult:
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "status": self.status,
-            "witness": self.witness,
-            "notes": list(self.notes),
-        }
+        return check_row(self.name, self.lhs, self.rhs, self.status, self.witness, self.notes)
 
 
 def find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
@@ -93,17 +88,6 @@ def _result(name: str, lhs, rhs, notes: Sequence[str] = ()) -> CheckResult:
     return CheckResult(name, lhs, rhs, "fail", find_witness(lhs, rhs), tuple(notes))
 
 
-def _dual_total_of_components(N: int, components: Sequence[InvariantExpr]) -> InvariantExpr:
-    """The duality total applied to an explicit component list over rank N."""
-    total = InvariantExpr.const(0)
-    higher = InvariantExpr.const(0)
-    for i, comp in enumerate(components):
-        total = total + comp
-        if i >= 1:
-            higher = higher + comp
-    return (N - 1) * total - N * higher
-
-
 def _over_ambient(p: LefschetzProfile, N: int) -> LefschetzProfile:
     """The same Lefschetz data regarded inside a larger projective space."""
     return build_profile(p.name, N, p.primitive_right, p.primitive_left)
@@ -124,7 +108,7 @@ def check_main_theorem(
     same_ambient(p, q)
     N = p.ambient_rank_N
     join = join_profile(p, q, workspace, include_boundary_pairs=include_boundary_pairs)
-    lhs = _dual_total_of_components(N, join.components)
+    lhs = duality_total(N, join.components)
     pair = n_hyperplane_sod([p, q], workspace)
     notes = [
         INVARIANT_LEVEL_NOTE,
@@ -221,7 +205,7 @@ def check_thm_cone_part2(
         )
     subspace = build_profile("L", N, [0] * (N2 - 1) + [1])
     jbar = ruled_join_components(_over_ambient(p, N), subspace)
-    lhs = _dual_total_of_components(N, jbar)
+    lhs = duality_total(N, jbar)
     rhs = hpd_total(p)
     return _result("cone_part2", lhs, rhs, (INVARIANT_LEVEL_NOTE,))
 
@@ -244,7 +228,7 @@ def check_join_linear(
         _over_ambient(p, N).renamed(f"part{k}") for k, p in enumerate(profiles)
     ]
     components = n_join_components(enlarged)
-    lhs = _dual_total_of_components(N, components)
+    lhs = duality_total(N, components)
 
     rhs = InvariantExpr.const(0)
     for k, p in enumerate(profiles):

@@ -3,7 +3,7 @@
 Exit codes partition outcomes: 0 all checks pass, 1 any check fails, 2 the
 input cannot be parsed or validated (or usage is wrong), 3 at least one check
 is underdetermined by the declared data (with no outright failure), 4 file
-I/O failed.
+I/O failed or the input file is not valid UTF-8.
 """
 
 from __future__ import annotations
@@ -12,16 +12,9 @@ import argparse
 import sys
 
 from . import catalog, prop
-from .dsl import check_requests, parse, run_check, validate
-from .engine import SUBSET_READING_NOTE
-from .errors import (
-    HpdcalcError,
-    MissingDisjointness,
-    Underdetermined,
-    UnresolvedBaseLocus,
-    UnresolvedIntersection,
-)
-from .report import build_report, input_digest, stable_json
+from .dsl import check_requests, parse, run_check_row, validate
+from .errors import HpdcalcError
+from .report import build_report, file_report, input_digest, stable_json
 
 __all__ = ["main"]
 
@@ -31,18 +24,8 @@ EXIT_INVALID = 2
 EXIT_UNDERDETERMINED = 3
 EXIT_IO = 4
 
-# Checks that these raise are not decided by the declared data; they report
-# as "underdetermined" rather than as hard errors or refutations.
-_UNDERDETERMINED_KINDS = (
-    Underdetermined,
-    UnresolvedIntersection,
-    MissingDisjointness,
-    UnresolvedBaseLocus,
-)
 
-
-def _print_report(report: dict, out=None) -> None:
-    out = sys.stdout if out is None else out
+def _print_report(report: dict) -> None:
     for row in report["checks"]:
         if row["status"] == "pass":
             detail = f" (lhs = rhs = {row['lhs']})" if row["lhs"] != "" else ""
@@ -50,24 +33,27 @@ def _print_report(report: dict, out=None) -> None:
             detail = f" (lhs = {row['lhs']}, rhs = {row['rhs']}, witness = {row['witness']})"
         else:
             detail = f" ({'; '.join(row['notes'])})" if row["notes"] else ""
-        print(f"check {row['name']}: {row['status']}{detail}", file=out)
+        print(f"check {row['name']}: {row['status']}{detail}")
     for sod in report["sods"]:
         blocks = ", ".join(
             f"{b['term']}({b['twist']}): {b['invariant']}" for b in sod["blocks"]
         )
-        print(f"sod {sod['name']} over {sod['base']}: <{blocks}>", file=out)
+        print(f"sod {sod['name']} over {sod['base']}: <{blocks}>")
     for warning in report["warnings"]:
-        print(f"warning: {warning}", file=out)
+        print(f"warning: {warning}")
 
 
-def _write_json(report: dict, path: str) -> int:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(stable_json(report))
-    except OSError as err:
-        print(f"error: cannot write report: {err}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_PASS
+def _finish(report: dict, json_path: str | None, code: int) -> int:
+    """Print the report, write it as JSON when asked, and return the exit code."""
+    _print_report(report)
+    if json_path:
+        try:
+            with open(json_path, "w", encoding="utf-8") as handle:
+                handle.write(stable_json(report))
+        except OSError as err:
+            print(f"error: cannot write report: {err}", file=sys.stderr)
+            return EXIT_IO
+    return code
 
 
 def _exit_code_for(rows: list[dict]) -> int:
@@ -83,7 +69,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {args.file}: {err}", file=sys.stderr)
         return EXIT_IO
 
@@ -97,32 +83,11 @@ def cmd_check(args) -> int:
     rows: list[dict] = []
     for stmt in check_requests(ast):
         try:
-            rows.append(run_check(stmt, ws).to_json_dict())
-        except _UNDERDETERMINED_KINDS as err:
-            rows.append(
-                {
-                    "name": stmt.check,
-                    "lhs": "",
-                    "rhs": "",
-                    "status": "underdetermined",
-                    "witness": None,
-                    "notes": [str(err)],
-                }
-            )
+            rows.append(run_check_row(stmt, ws))
         except HpdcalcError as err:
             print(f"{args.file}: check {stmt.check}: {err}", file=sys.stderr)
             return EXIT_INVALID
-
-    warnings = list(ws.warnings)
-    if any(SUBSET_READING_NOTE in row["notes"] for row in rows):
-        warnings.append(SUBSET_READING_NOTE)
-    report = build_report(input_digest(source), rows, [], warnings)
-    _print_report(report)
-    if args.json:
-        code = _write_json(report, args.json)
-        if code:
-            return code
-    return _exit_code_for(rows)
+    return _finish(file_report(source, rows, [], ws.warnings), args.json, _exit_code_for(rows))
 
 
 def cmd_catalog(args) -> int:
@@ -133,12 +98,7 @@ def cmd_catalog(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    _print_report(report)
-    if args.json:
-        code = _write_json(report, args.json)
-        if code:
-            return code
-    return EXIT_PASS if ok else EXIT_FAIL
+    return _finish(report, args.json, EXIT_PASS if ok else EXIT_FAIL)
 
 
 def cmd_prop(args) -> int:
@@ -158,12 +118,7 @@ def cmd_prop(args) -> int:
         f"max_rank_v={args.max_rank_v} mutate_join_bound={args.mutate_join_bound}"
     )
     report = build_report(input_digest(parameters), suite.check_rows(), [], [])
-    _print_report(report)
-    if args.json:
-        code = _write_json(report, args.json)
-        if code:
-            return code
-    return EXIT_PASS if suite.all_passed() else EXIT_FAIL
+    return _finish(report, args.json, EXIT_PASS if suite.all_passed() else EXIT_FAIL)
 
 
 def _build_parser() -> argparse.ArgumentParser:

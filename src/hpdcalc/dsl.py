@@ -9,7 +9,7 @@ validation error carries a (line, column) span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .checks import (
     CheckResult,
@@ -25,13 +25,17 @@ from .errors import (
     DslSyntaxError,
     DuplicateDeclaration,
     HpdcalcError,
+    MissingDisjointness,
     Span,
     Underdetermined,
     UnknownCategory,
     UnknownSymbol,
+    UnresolvedBaseLocus,
+    UnresolvedIntersection,
 )
 from .model import LefschetzProfile, Workspace, build_profile
-from .poly import InvariantExpr
+from .poly import InvariantExpr, PolyParser, Token, tokenize
+from .report import check_row
 
 __all__ = [
     "CHECK_NAMES",
@@ -39,6 +43,7 @@ __all__ = [
     "validate",
     "check_requests",
     "run_check",
+    "run_check_row",
     "print_canonical",
     "Ast",
     "SymbolDecl",
@@ -74,61 +79,6 @@ _CHECK_ARITY = {
 _KEYWORDS = frozenset(
     ["symbol", "category", "over", "primitive", "left", "intersect", "disjoint", "dual", "check"]
 )
-
-
-# -- lexing ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | int | punct | end
-    text: str
-    span: Span
-
-
-def _lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        span = (line, col)
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch in ",;[]()=+-*":
-            tokens.append(Token("punct", ch, span))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", span)
-    tokens.append(Token("end", "", (line, col)))
-    return tokens
 
 
 # -- syntax tree -------------------------------------------------------------------
@@ -199,25 +149,8 @@ class Ast:
 # -- parsing ----------------------------------------------------------------------
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
-
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise DslSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
+class _Parser(PolyParser):
+    """The statement grammar on top of the shared polynomial grammar."""
 
     def expect_ident(self, what: str = "identifier") -> Token:
         tok = self.peek()
@@ -232,56 +165,11 @@ class _Parser:
         self.advance()
         return int(tok.text), tok.span
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    # -- polynomial expressions ---------------------------------------------------
-
     def parse_poly(self) -> PolyNode:
         uses: list[tuple[str, Span]] = []
         start = self.peek().span
-        expr = self._poly_sum(uses)
+        expr = self.poly_sum(uses)
         return PolyNode(expr, start, tuple(uses))
-
-    def _poly_sum(self, uses) -> InvariantExpr:
-        expr = self._poly_product(uses)
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            right = self._poly_product(uses)
-            expr = expr + right if op == "+" else expr - right
-        return expr
-
-    def _poly_product(self, uses) -> InvariantExpr:
-        expr = self._poly_factor(uses)
-        while self.at_punct("*"):
-            self.advance()
-            expr = expr * self._poly_factor(uses)
-        return expr
-
-    def _poly_factor(self, uses) -> InvariantExpr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return InvariantExpr.const(int(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            uses.append((tok.text, tok.span))
-            return InvariantExpr.symbol(tok.text)
-        if self.at_punct("("):
-            self.advance()
-            expr = self._poly_sum(uses)
-            self.expect_punct(")")
-            return expr
-        if self.at_punct("-"):
-            self.advance()
-            return -self._poly_factor(uses)
-        if self.at_punct("+"):
-            self.advance()
-            return self._poly_factor(uses)
-        raise DslSyntaxError(
-            f"expected polynomial, found {tok.text or 'end of input'!r}", tok.span
-        )
 
     def parse_poly_list(self) -> tuple[PolyNode, ...]:
         self.expect_punct("[")
@@ -445,7 +333,7 @@ class _Parser:
 
 def parse(text: str) -> Ast:
     """Parse source text into a statement list; raises DslSyntaxError with a span."""
-    return _Parser(_lex(text)).parse_file()
+    return _Parser(tokenize(text)).parse_file()
 
 
 # -- validation ---------------------------------------------------------------------
@@ -605,6 +493,19 @@ def run_check(stmt: CheckStmt, ws: Workspace) -> CheckResult:
     raise AssertionError(f"unhandled check {stmt.check!r}")
 
 
+# Errors that leave a check undecided by the declared data: such a check
+# reports as "underdetermined" rather than as a hard error or a refutation.
+_UNDECIDED = (Underdetermined, UnresolvedIntersection, MissingDisjointness, UnresolvedBaseLocus)
+
+
+def run_check_row(stmt: CheckStmt, ws: Workspace) -> dict:
+    """The report row of one check statement; other errors propagate."""
+    try:
+        return run_check(stmt, ws).to_json_dict()
+    except _UNDECIDED as err:
+        return check_row(stmt.check, "", "", "underdetermined", None, [str(err)])
+
+
 # -- canonical printing ----------------------------------------------------------------
 
 
@@ -626,8 +527,8 @@ def print_canonical(ws: Workspace) -> str:
         if p.primitive_left != p.primitive_right:
             stmt += f" left {_poly_list_text(p.primitive_left)}"
         lines.append(stmt + ";")
-    for a, b, _base in sorted(ws.intersections):
-        value = ws.intersections[(a, b, _base)]
+    for a, b in sorted(ws.intersections):
+        value = ws.intersections[(a, b)]
         rank = ws.categories[a].ambient_rank_N
         lines.append(f"intersect {a}, {b} over P({rank}) = {value};")
     for group in sorted(sorted(g) for g in ws.disjoint_sets):

@@ -42,6 +42,7 @@ __all__ = [
     "blowup_sod",
     "hyperplane_sod",
     "universal_hyperplane_sod",
+    "duality_total",
     "hpd_total",
     "two_hyperplane_rank",
     "NHyperplaneResult",
@@ -54,7 +55,6 @@ __all__ = [
     "n_join_profile",
     "RefinedBlowupResult",
     "refined_blowup_profile",
-    "twist_sod",
     "profile_from_components",
     "SUBSET_READING_NOTE",
 ]
@@ -136,15 +136,22 @@ def hyperplane_sod(
 # -- universal hyperplanes and duality totals ---------------------------------
 
 
+def duality_total(N: int, components: Sequence[InvariantExpr]) -> InvariantExpr:
+    """The duality total over rank N of a component list: the universal-hyperplane
+    total (N - 1) * sum minus the twisted blocks N * sum of components 1, 2, ..."""
+    total = _zero
+    higher = _zero
+    for i, comp in enumerate(components):
+        total = total + comp
+        if i >= 1:
+            higher = higher + comp
+    return (N - 1) * total - N * higher
+
+
 def hpd_total(profile: LefschetzProfile) -> InvariantExpr:
-    """Invariant of the dual category: the universal-hyperplane total minus
-    the twisted higher-component blocks."""
+    """Invariant of the dual category: the duality total of its components."""
     _require_moderate(profile)
-    N = profile.ambient_rank_N
-    removed = _zero
-    for k in range(1, profile.length_m):
-        removed = removed + profile.component_rank(k)
-    return (N - 1) * profile.total_invariant() - N * removed
+    return duality_total(profile.ambient_rank_N, profile.component_ranks())
 
 
 def _component_block(profile: LefschetzProfile, k: int) -> SodBlock:
@@ -378,10 +385,6 @@ class JoinResult:
     components: tuple[InvariantExpr, ...]
     total: InvariantExpr
 
-    @property
-    def pairs(self) -> list[tuple[InvariantExpr, InvariantExpr]]:
-        return [(jp, self.e_invariant) for jp in self.jprime]
-
     def conserved_total(self) -> InvariantExpr:
         """Closed form from the blow-up/removal bookkeeping (in terms of the
         raw intersection invariant); equals `total` under the perp-consistent
@@ -540,15 +543,4 @@ def refined_blowup_profile(
         c_l_invariant=c_l,
         components=components,
         total=total,
-    )
-
-
-# -- twists ---------------------------------------------------------------------
-
-
-def twist_sod(x: SodExpr, t: int) -> SodExpr:
-    """Shift every block's twist by t; invariants are untouched."""
-    return SodExpr(
-        x.base_tag,
-        tuple(SodBlock(b.term, b.twist + t, b.invariant) for b in x.blocks),
     )

@@ -24,8 +24,6 @@ from .poly import Coercible, InvariantExpr
 __all__ = [
     "BASE_V",
     "BASE_V_DUAL",
-    "BASE_V_SUM",
-    "BASE_L",
     "BASE_L_DUAL",
     "LefschetzProfile",
     "CategoryTerm",
@@ -34,20 +32,14 @@ __all__ = [
     "Join",
     "FiberProduct",
     "PullbackImage",
-    "ExceptionalPart",
     "SodBlock",
     "SodExpr",
     "Workspace",
     "build_profile",
-    "component_rank",
-    "total_invariant",
-    "sod_equal",
 ]
 
 BASE_V = "P(V)"
 BASE_V_DUAL = "P(V*)"
-BASE_V_SUM = "P(V+V)"
-BASE_L = "P(L)"
 BASE_L_DUAL = "P(L*)"
 
 
@@ -144,14 +136,6 @@ def build_profile(
     return profile
 
 
-def component_rank(profile: LefschetzProfile, k: int) -> InvariantExpr:
-    return profile.component_rank(k)
-
-
-def total_invariant(profile: LefschetzProfile) -> InvariantExpr:
-    return profile.total_invariant()
-
-
 # -- category terms ----------------------------------------------------------
 
 
@@ -209,14 +193,6 @@ class PullbackImage(CategoryTerm):
         return f"pullback({self.arg.render()}; {self.morphism})"
 
 
-@dataclass(frozen=True)
-class ExceptionalPart(CategoryTerm):
-    arg: CategoryTerm
-
-    def render(self) -> str:
-        return f"excpart({self.arg.render()})"
-
-
 # -- SOD expressions ----------------------------------------------------------
 
 
@@ -257,22 +233,12 @@ class SodExpr:
         return body
 
 
-def sod_equal(x: SodExpr, y: SodExpr) -> bool:
-    """Blockwise equality: same base, same order, equal terms/twists/invariants."""
-    if x.base_tag != y.base_tag or len(x.blocks) != len(y.blocks):
-        return False
-    return all(
-        a.term == b.term and a.twist == b.twist and a.invariant == b.invariant
-        for a, b in zip(x.blocks, y.blocks)
-    )
-
-
 # -- workspace ----------------------------------------------------------------
 
 
-def _pair_key(a: str, b: str, base: str) -> tuple[str, str, str]:
+def _pair_key(a: str, b: str) -> tuple[str, str]:
     lo, hi = sorted((a, b))
-    return (lo, hi, base)
+    return (lo, hi)
 
 
 @dataclass(frozen=True, eq=True)
@@ -285,7 +251,7 @@ class Workspace:
 
     symbols: frozenset[str] = frozenset()
     categories: Mapping[str, LefschetzProfile] = field(default_factory=dict)
-    intersections: Mapping[tuple[str, str, str], InvariantExpr] = field(default_factory=dict)
+    intersections: Mapping[tuple[str, str], InvariantExpr] = field(default_factory=dict)
     disjoint_sets: tuple[frozenset[str], ...] = ()
     dual_profiles: Mapping[str, LefschetzProfile] = field(default_factory=dict)
     warnings: tuple[str, ...] = field(default=(), compare=False)
@@ -311,20 +277,20 @@ class Workspace:
                 if member not in names:
                     raise UnknownCategory(f"disjoint declaration names unknown category {member!r}")
 
-        pairs: dict[tuple[str, str, str], InvariantExpr] = {}
+        pairs: dict[tuple[str, str], InvariantExpr] = {}
         for (a, b), value in (intersections or {}).items():
             if a not in names:
                 raise UnknownCategory(f"intersection names unknown category {a!r}")
             if b not in names:
                 raise UnknownCategory(f"intersection names unknown category {b!r}")
-            pairs[_pair_key(a, b, BASE_V)] = InvariantExpr._coerce(value)
+            pairs[_pair_key(a, b)] = InvariantExpr._coerce(value)
 
         zero = InvariantExpr.const(0)
         for group in groups:
             members = sorted(group)
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
-                    key = _pair_key(a, b, BASE_V)
+                    key = _pair_key(a, b)
                     declared = pairs.get(key)
                     if declared is None or declared == zero:
                         pairs[key] = zero
@@ -361,14 +327,14 @@ class Workspace:
         except KeyError:
             raise UnknownCategory(f"unknown category {name!r}") from None
 
-    def intersection(self, a: str, b: str, base: str = BASE_V) -> InvariantExpr | None:
-        return self.intersections.get(_pair_key(a, b, base))
+    def intersection(self, a: str, b: str) -> InvariantExpr | None:
+        return self.intersections.get(_pair_key(a, b))
 
-    def require_intersection(self, a: str, b: str, base: str = BASE_V) -> InvariantExpr:
-        value = self.intersection(a, b, base)
+    def require_intersection(self, a: str, b: str) -> InvariantExpr:
+        value = self.intersection(a, b)
         if value is None:
             raise UnresolvedIntersection(
-                f"no declared intersection invariant for {a}, {b} over {base}"
+                f"no declared intersection invariant for {a}, {b} over {BASE_V}"
             )
         return value
 
@@ -390,8 +356,8 @@ class Workspace:
                 self.categories[name].to_json_dict() for name in sorted(self.categories)
             ],
             "intersections": [
-                {"left": a, "right": b, "base": base, "value": str(self.intersections[(a, b, base)])}
-                for a, b, base in sorted(self.intersections)
+                {"left": a, "right": b, "base": BASE_V, "value": str(self.intersections[(a, b)])}
+                for a, b in sorted(self.intersections)
             ],
             "disjoint_sets": sorted(sorted(group) for group in self.disjoint_sets),
             "dual_profiles": [

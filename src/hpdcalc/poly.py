@@ -8,7 +8,9 @@ polynomial equality and printing is byte-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
+
+from .errors import DslSyntaxError, Span
 
 __all__ = [
     "Symbol",
@@ -21,6 +23,7 @@ __all__ = [
     "const",
     "sym",
     "parse_expr",
+    "MAX_NESTING",
 ]
 
 # A monomial is the multiset of symbol names it mentions, stored sorted.
@@ -231,14 +234,147 @@ def sym(name: str) -> InvariantExpr:
     return InvariantExpr.symbol(name)
 
 
-ZERO = InvariantExpr.const(0)
-ONE = InvariantExpr.const(1)
-
-
 # -- textual syntax --------------------------------------------------------
 #
-# Shared with the DSL: integers, symbols, +, -, *, parentheses. The canonical
+# One lexer and one polynomial grammar serve both `parse_expr` and the
+# declaration language: integers, symbols, +, -, *, parentheses. The canonical
 # printer above emits a subset of this syntax, so print -> parse round-trips.
+
+# Parentheses nest at most this deep; deeper input is a syntax error rather
+# than a recursion overflow. Chains of unary signs are read in a loop.
+MAX_NESTING = 100
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # ident | int | punct | end
+    text: str
+    span: Span
+
+
+def tokenize(text: str) -> list[Token]:
+    """Declaration-language tokens with (line, column) spans; `#` starts a comment."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        span = (line, col)
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(Token("int", text[i:j], span))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], span))
+            col += j - i
+            i = j
+            continue
+        if ch in ",;[]()=+-*":
+            tokens.append(Token("punct", ch, span))
+            i += 1
+            col += 1
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", span)
+    tokens.append(Token("end", "", (line, col)))
+    return tokens
+
+
+class PolyParser:
+    """Token cursor plus the recursive-descent polynomial grammar.
+
+    Errors are DslSyntaxError with the offending token's span; the
+    declaration parser extends this class with its statements.
+    """
+
+    def __init__(self, tokens: list[Token]) -> None:
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "end":
+            self.pos += 1
+        return tok
+
+    def at_punct(self, text: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "punct" and tok.text == text
+
+    def expect_punct(self, text: str) -> Token:
+        tok = self.peek()
+        if tok.kind != "punct" or tok.text != text:
+            raise DslSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.span)
+        return self.advance()
+
+    def poly_sum(self, uses: list[tuple[str, Span]]) -> InvariantExpr:
+        """sum := product (('+' | '-') product)*; appends each symbol use to `uses`."""
+        expr = self._poly_product(uses)
+        while self.at_punct("+") or self.at_punct("-"):
+            op = self.advance().text
+            right = self._poly_product(uses)
+            expr = expr + right if op == "+" else expr - right
+        return expr
+
+    def _poly_product(self, uses) -> InvariantExpr:
+        expr = self._poly_factor(uses)
+        while self.at_punct("*"):
+            self.advance()
+            expr = expr * self._poly_factor(uses)
+        return expr
+
+    def _poly_factor(self, uses) -> InvariantExpr:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            return InvariantExpr.const(int(tok.text))
+        if tok.kind == "ident":
+            self.advance()
+            uses.append((tok.text, tok.span))
+            return InvariantExpr.symbol(tok.text)
+        if self.at_punct("("):
+            if self.depth == MAX_NESTING:
+                raise DslSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.span
+                )
+            self.advance()
+            self.depth += 1
+            expr = self.poly_sum(uses)
+            self.depth -= 1
+            self.expect_punct(")")
+            return expr
+        if self.at_punct("-") or self.at_punct("+"):
+            negate = False
+            while self.at_punct("-") or self.at_punct("+"):
+                negate ^= self.advance().text == "-"
+            # The next token is not a sign, so this call never re-enters this branch.
+            expr = self._poly_factor(uses)
+            return -expr if negate else expr
+        raise DslSyntaxError(
+            f"expected polynomial, found {tok.text or 'end of input'!r}", tok.span
+        )
 
 
 class PolySyntaxError(ValueError):
@@ -249,93 +385,16 @@ class PolySyntaxError(ValueError):
         self.offset = offset
 
 
-def _tokenize_poly(text: str) -> Iterator[tuple[str, str, int]]:
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*()":
-            yield ("op", ch, i)
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            yield ("int", text[start:i], start)
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            yield ("ident", text[start:i], start)
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", i)
-    yield ("end", "", len(text))
-
-
-class _PolyParser:
-    def __init__(self, text: str) -> None:
-        self._tokens = list(_tokenize_poly(text))
-        self._pos = 0
-
-    def _peek(self) -> tuple[str, str, int]:
-        return self._tokens[self._pos]
-
-    def _next(self) -> tuple[str, str, int]:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
-    def parse(self) -> InvariantExpr:
-        value = self._sum()
-        kind, text, offset = self._peek()
-        if kind != "end":
-            raise PolySyntaxError(f"unexpected trailing {text!r}", offset)
-        return value
-
-    def _sum(self) -> InvariantExpr:
-        value = self._product()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "+-":
-                self._next()
-                rhs = self._product()
-                value = value + rhs if text == "+" else value - rhs
-            else:
-                return value
-
-    def _product(self) -> InvariantExpr:
-        value = self._factor()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text == "*":
-                self._next()
-                value = value * self._factor()
-            else:
-                return value
-
-    def _factor(self) -> InvariantExpr:
-        kind, text, offset = self._next()
-        if kind == "int":
-            return InvariantExpr.const(int(text))
-        if kind == "ident":
-            return InvariantExpr.symbol(text)
-        if kind == "op" and text == "-":
-            return -self._factor()
-        if kind == "op" and text == "+":
-            return self._factor()
-        if kind == "op" and text == "(":
-            value = self._sum()
-            kind, text, offset = self._next()
-            if not (kind == "op" and text == ")"):
-                raise PolySyntaxError("expected ')'", offset)
-            return value
-        raise PolySyntaxError(f"expected a polynomial factor, got {text or 'end of input'!r}", offset)
-
-
 def parse_expr(text: str) -> InvariantExpr:
     """Parse the shared textual polynomial syntax into canonical form."""
-    return _PolyParser(text).parse()
+    try:
+        parser = PolyParser(tokenize(text))
+        value = parser.poly_sum([])
+        tok = parser.peek()
+        if tok.kind != "end":
+            raise DslSyntaxError(f"unexpected trailing {tok.text!r}", tok.span)
+        return value
+    except DslSyntaxError as err:
+        line, col = err.span
+        offset = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + col - 1
+        raise PolySyntaxError(err.args[0], offset) from None

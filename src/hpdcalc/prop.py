@@ -32,6 +32,7 @@ from .engine import (
 )
 from .model import Atom, LefschetzProfile, Workspace, build_profile
 from .poly import InvariantExpr
+from .report import check_row
 
 __all__ = [
     "PROPERTY_NAMES",
@@ -79,26 +80,14 @@ class PropertyOutcome:
 
     def to_json_dict(self) -> dict:
         notes = [f"{self.passes}/{self.cases} cases passed", f"seed={self.seed}"]
+        name = f"prop:{self.name}"
         if self.failure is None:
-            return {
-                "name": f"prop:{self.name}",
-                "lhs": "",
-                "rhs": "",
-                "status": "pass",
-                "witness": None,
-                "notes": notes,
-            }
+            return check_row(name, "", "", "pass", None, notes)
         notes.append(
             f"first counterexample at case {self.failure.case_index}: {self.failure.detail}"
         )
-        return {
-            "name": f"prop:{self.name}",
-            "lhs": str(self.failure.lhs),
-            "rhs": str(self.failure.rhs),
-            "status": "fail",
-            "witness": dict(sorted(self.failure.witness.items())),
-            "notes": notes,
-        }
+        witness = dict(sorted(self.failure.witness.items()))
+        return check_row(name, self.failure.lhs, self.failure.rhs, "fail", witness, notes)
 
 
 @dataclass(frozen=True)

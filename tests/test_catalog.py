@@ -65,6 +65,23 @@ def test_refined_blowup_branches():
     assert long == [(i, "z + 2") for i in range(5)] + [(5, "z")]
 
 
+def test_underdetermined_check_in_a_case_is_a_row(monkeypatch):
+    # Q has no declared intersection with Pt1, so main_theorem is undecided.
+    source = catalog.case_source("points-line") + (
+        "category Q over P(3) primitive [1];\ncheck main_theorem(Pt1, Q);\n"
+    )
+    monkeypatch.setattr(catalog, "case_source", lambda name: source)
+    row = catalog.run_case("points-line")["checks"][-1]
+    assert (row["name"], row["status"], row["lhs"], row["rhs"], row["witness"]) == (
+        "main_theorem",
+        "underdetermined",
+        "",
+        "",
+        None,
+    )
+    assert row["notes"]
+
+
 def test_every_case_matches_its_stored_golden():
     for name in catalog.case_names():
         _, matched, notes = catalog.compare_case(name)

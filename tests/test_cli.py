@@ -3,11 +3,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hpdcalc
+from hpdcalc import catalog
 from hpdcalc.cli import main
+from hpdcalc.poly import MAX_NESTING
+
+CATALOG_FILES = sorted((Path(catalog.__file__).parent / "_catalog").glob("*.hpd"))
 
 PASSING = (
     "symbol e;\n"
@@ -92,6 +97,34 @@ def test_invalid_file_exits_two_with_span(tmp_path, capsys):
 def test_missing_file_exits_four(capsys):
     assert main(["check", "/nonexistent/x.hpd"]) == 4
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_undecodable_file_exits_four_with_one_line(tmp_path, capsys):
+    path = tmp_path / "latin1.hpd"
+    path.write_bytes("symbol \u00e9;\n".encode("latin-1"))
+    assert main(["check", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_deep_nesting_exits_two_with_span(tmp_path, capsys):
+    prefix = "category A over P(3) primitive ["
+    path = write(tmp_path, "deep.hpd", prefix + "(" * 3000 + "1" + ")" * 3000 + "];\n")
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert f"deep.hpd:1:{len(prefix) + MAX_NESTING + 1}: parentheses nested deeper" in err
+
+
+@pytest.mark.parametrize("source", CATALOG_FILES, ids=[p.stem for p in CATALOG_FILES])
+def test_check_reproduces_the_catalog_golden(source, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["check", str(source), "--json", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    golden = catalog.golden_report(source.stem.replace("_", "-"))
+    for key in ("input_digest", "checks", "warnings"):
+        assert report[key] == golden[key]
+    capsys.readouterr()
 
 
 def test_unwritable_report_exits_four(tmp_path, capsys):

@@ -33,7 +33,7 @@ from hpdcalc.errors import (
     UnknownSymbol,
 )
 from hpdcalc.model import Workspace
-from hpdcalc.poly import parse_expr
+from hpdcalc.poly import MAX_NESTING, parse_expr
 
 
 def pos(src, needle, occurrence=1):
@@ -131,11 +131,12 @@ def test_polynomial_grammar_agrees_with_expression_parser():
 
 
 def test_unary_signs_in_polynomials():
-    src = "symbol x; category A over P(4) primitive [-x + 2*x, +3];"
+    src = "symbol x; category A over P(4) primitive [-x + 2*x, +3, " + "-" * 3000 + "x + 2*x];"
     ws = validate(parse(src))
     prims = ws.categories["A"].primitive_right
     assert prims[0] == parse_expr("x")
     assert prims[1] == 3
+    assert prims[2] == parse_expr("3*x")
 
 
 def test_gr25_canonical_text_is_exact_and_stable():
@@ -281,6 +282,12 @@ MALFORMED = [
         "intersect A, B over P(3) = e; intersect B, A over P(3) = e;",
         DuplicateDeclaration,
         ("intersect", 2),
+    ),
+    (
+        "deep-nesting",
+        "category A over P(3) primitive [" + "(" * 3000 + "1" + ")" * 3000 + "];",
+        DslSyntaxError,
+        (1, len("category A over P(3) primitive [") + MAX_NESTING + 1),
     ),
     (
         "positional-after-keyword",

@@ -18,7 +18,6 @@ from hpdcalc.engine import (
     projective_bundle_sod,
     refined_blowup_profile,
     ruled_join_components,
-    twist_sod,
     two_hyperplane_rank,
     universal_hyperplane_sod,
 )
@@ -31,7 +30,7 @@ from hpdcalc.errors import (
     UnresolvedBaseLocus,
     UnresolvedIntersection,
 )
-from hpdcalc.model import Atom, Hpd, Workspace, build_profile, sod_equal
+from hpdcalc.model import Atom, Hpd, Workspace, build_profile
 from hpdcalc.poly import InvariantExpr, const, sym
 
 from support import (
@@ -158,7 +157,7 @@ def test_two_hyperplane_rank():
 def test_n_hyperplane_specializes_to_universal():
     ws = Workspace.build(categories=[gr25()])
     result = n_hyperplane_sod([gr25()], ws)
-    assert sod_equal(result.sod, universal_hyperplane_sod(gr25()))
+    assert result.sod == universal_hyperplane_sod(gr25())
     assert result.c_invariant == hpd_total(gr25())
     assert result.h_total == 90
     assert result.warnings == ()
@@ -425,14 +424,7 @@ def test_refined_blowup_matches_join_internals(pair):
     assert clipped.components == join.components
 
 
-# -- twists and profile reconstruction ------------------------------------------
-
-
-def test_twist_sod_roundtrip():
-    sod = universal_hyperplane_sod(gr25())
-    assert twist_sod(sod, 0) == sod
-    assert twist_sod(twist_sod(sod, 3), -3) == sod
-    assert twist_sod(sod, 2).total() == sod.total()
+# -- profile reconstruction -----------------------------------------------------
 
 
 def test_profile_from_components_reconstructs():

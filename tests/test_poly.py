@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hpdcalc.poly import (
+    MAX_NESTING,
     InvariantExpr,
     PolySyntaxError,
     Symbol,
@@ -227,3 +228,18 @@ def test_parse_offsets_point_at_error():
     with pytest.raises(PolySyntaxError) as err:
         parse_expr("a + $")
     assert err.value.offset == 4
+
+
+def test_parse_nesting_cap():
+    at_cap = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_expr(at_cap) == sym("a")
+    with pytest.raises(PolySyntaxError) as err:
+        parse_expr("(" * 3000 + "a" + ")" * 3000)
+    # the first parenthesis beyond the cap is blamed
+    assert err.value.offset == MAX_NESTING
+
+
+def test_parse_long_unary_sign_chains():
+    assert parse_expr("-" * 3000 + "a") == sym("a")
+    assert parse_expr("-" * 3001 + "a") == -sym("a")
+    assert parse_expr("+-" * 1500 + "(a - 2)") == sym("a") - 2
