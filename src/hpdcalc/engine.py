@@ -233,44 +233,41 @@ def _c_term(profiles: Sequence[LefschetzProfile]) -> CategoryTerm:
     return FiberProduct(tuple(Hpd(Atom(p.name)) for p in profiles), BASE_V_DUAL)
 
 
-def _c_invariant(
-    profiles: Sequence[LefschetzProfile],
-    workspace: Workspace,
-    N: int,
-    explicit: InvariantExpr | None,
-) -> InvariantExpr:
-    if len(profiles) == 0:
-        return InvariantExpr.const(N)
-    if len(profiles) == 1:
-        return hpd_total(profiles[0])
-    value = _resolve_h_total(profiles, workspace, explicit)
-    for _, _, block_inv in _subset_blocks(profiles, workspace, N):
-        value = value - block_inv
-    return value
+def _subset_blocks(
+    profiles: Sequence[LefschetzProfile], workspace: Workspace, resolved: InvariantExpr
+) -> tuple[InvariantExpr, list[SodBlock]]:
+    """The deep component and the other blocks of the n-universal hyperplane.
 
+    Each kept subset I is a smaller instance: its deep component is its own
+    resolved total minus its own blocks. It is derived once, the first time a
+    block needs it, so subsets are resolved in block order (supersets first).
+    The empty subset and the singletons need no declarations: N and the duals.
+    """
+    N = profiles[0].ambient_rank_N
+    ranks = [p.component_ranks() for p in profiles]
+    deep = {(): InvariantExpr.const(N)}
+    deep.update(((i,), duality_total(N, r)) for i, r in enumerate(ranks))
 
-def _subset_blocks(profiles, workspace, N):
-    """Yield (subset-term, twist, invariant) for every proper subset I and every
-    tuple of component indices over its complement; supersets come first."""
-    n = len(profiles)
-    indices = range(n)
-    subsets = []
-    for size in range(n - 1, -1, -1):
-        subsets.extend(itertools.combinations(indices, size))
-    for subset in subsets:
-        kept = [profiles[i] for i in subset]
-        complement = [i for i in indices if i not in subset]
-        c_inv = _c_invariant(kept, workspace, N, None)
-        c_term = _c_term(kept)
-        ranges = [range(1, profiles[i].length_m) for i in complement]
-        for tup in itertools.product(*ranges):
-            inv = c_inv
-            parts: list[CategoryTerm] = []
-            for i, k in zip(complement, tup):
-                inv = inv * profiles[i].component_rank(k)
-                parts.append(Atom(f"{profiles[i].name}_{k}"))
-            term = FiberProduct(tuple(parts) + (c_term,), "B")
-            yield term, sum(tup), inv
+    def derive(subset: tuple[int, ...], total: InvariantExpr):
+        blocks = []
+        for size in range(len(subset) - 1, -1, -1):
+            for kept in itertools.combinations(subset, size):
+                if kept not in deep:
+                    kept_total = _resolve_h_total([profiles[i] for i in kept], workspace, None)
+                    deep[kept] = derive(kept, kept_total)[0]
+                c_term = _c_term([profiles[i] for i in kept])
+                complement = [i for i in subset if i not in kept]
+                ranges = [range(1, profiles[i].length_m) for i in complement]
+                for tup in itertools.product(*ranges):
+                    inv = deep[kept]
+                    for i, k in zip(complement, tup):
+                        inv = inv * ranks[i][k]
+                    parts = tuple(Atom(f"{profiles[i].name}_{k}") for i, k in zip(complement, tup))
+                    blocks.append(SodBlock(FiberProduct(parts + (c_term,), "B"), sum(tup), inv))
+                    total = total - inv
+        return total, blocks
+
+    return derive(tuple(range(len(profiles))), resolved)
 
 
 def n_hyperplane_sod(
@@ -307,12 +304,8 @@ def n_hyperplane_sod(
         resolved = _resolve_h_total(profiles, workspace, explicit)
         warnings = (SUBSET_READING_NOTE,)
 
-    others = list(_subset_blocks(profiles, workspace, N))
-    c_inv = resolved
-    for _, _, inv in others:
-        c_inv = c_inv - inv
-    blocks = [SodBlock(_c_term(profiles), 0, c_inv)]
-    blocks += [SodBlock(term, twist, inv) for term, twist, inv in others]
+    c_inv, others = _subset_blocks(profiles, workspace, resolved)
+    blocks = [SodBlock(_c_term(profiles), 0, c_inv), *others]
     return NHyperplaneResult(
         SodExpr(BASE_V_DUAL, tuple(blocks)), c_inv, resolved, warnings
     )
@@ -322,19 +315,9 @@ def n_hyperplane_sod(
 
 
 def ruled_join_components(p: LefschetzProfile, q: LefschetzProfile) -> list[InvariantExpr]:
-    """Component invariants of the ruled join: the pairs (i1, i2) surviving in
-    component i are those with i1 + i2 >= i - 1."""
-    same_ambient(p, q)
-    m = p.length_m + q.length_m
-    out = []
-    for i in range(m):
-        total = _zero
-        for i1, a in enumerate(p.primitive_right):
-            for i2, b in enumerate(q.primitive_right):
-                if i1 + i2 >= i - 1:
-                    total = total + a * b
-        out.append(total)
-    return out
+    """Component invariants of the ruled join, the flat join of the pair: the
+    pairs (i1, i2) surviving in component i are those with i1 + i2 >= i - 1."""
+    return n_join_components([p, q])
 
 
 def n_join_components(profiles: Sequence[LefschetzProfile]) -> list[InvariantExpr]:
@@ -343,19 +326,19 @@ def n_join_components(profiles: Sequence[LefschetzProfile]) -> list[InvariantExp
         raise ValueError("need at least one profile")
     for p in profiles[1:]:
         same_ambient(profiles[0], p)
+    # by_sum[s] sums the primitive products of the index tuples with sum s;
+    # convolve one factor at a time.
+    by_sum = [InvariantExpr.const(1)]
+    for p in profiles:
+        conv = [_zero] * (len(by_sum) + p.length_m - 1)
+        for s, a in enumerate(by_sum):
+            for k, b in enumerate(p.primitive_right):
+                conv[s + k] = conv[s + k] + a * b
+        by_sum = conv
+    # Component i is the tail of by_sum from index sum i + 1 - n.
+    tails = list(itertools.accumulate(reversed(by_sum)))[::-1]
     n = len(profiles)
-    m = sum(p.length_m for p in profiles)
-    out = []
-    for i in range(m):
-        total = _zero
-        for tup in itertools.product(*(range(p.length_m) for p in profiles)):
-            if sum(tup) >= i + 1 - n:
-                prod = InvariantExpr.const(1)
-                for p, k in zip(profiles, tup):
-                    prod = prod * p.primitive_right[k]
-                total = total + prod
-        out.append(total)
-    return out
+    return [tails[max(0, i + 1 - n)] for i in range(len(by_sum) + n - 1)]
 
 
 def n_join_profile(
@@ -424,16 +407,11 @@ def join_components(
     N = same_ambient(p, q)
     e = _coerce(e)
     jbar = ruled_join_components(p, q)
+    # Refined part i: the pairs with i - 1 <= i1 + i2 <= upper, that is jbar[i]
+    # less the pairs with i1 + i2 >= upper + 1.
     upper = N - 2 if include_boundary_pairs else N - 3
-
-    jprime = []
-    for i in range(N - 1):
-        total = _zero
-        for i1, a in enumerate(p.primitive_right):
-            for i2, b in enumerate(q.primitive_right):
-                if i - 1 <= i1 + i2 <= upper:
-                    total = total + a * b
-        jprime.append(total)
+    padded = jbar + [_zero] * (N + 1 - len(jbar))
+    jprime = [padded[i] - padded[upper + 2] for i in range(N - 1)]
 
     e_part = e
     for i in range(N, len(jbar)):

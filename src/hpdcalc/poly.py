@@ -244,6 +244,8 @@ def sym(name: str) -> InvariantExpr:
 # than a recursion overflow. Chains of unary signs are read in a loop.
 MAX_NESTING = 100
 
+_DIGITS = frozenset("0123456789")
+
 
 @dataclass(frozen=True)
 class Token:
@@ -272,17 +274,19 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         span = (line, col)
-        if ch.isdigit():
+        # Integers are ASCII digits only; identifiers take only characters that
+        # keep them valid identifiers. Anything else is an unexpected character.
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], span))
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+        if ch.isidentifier():
+            j = i + 1
+            while j < len(text) and ("_" + text[j]).isidentifier():
                 j += 1
             tokens.append(Token("ident", text[i:j], span))
             col += j - i

@@ -84,3 +84,13 @@ def ref_component_rank(p_vals: list[int], k: int) -> int:
 
 def ref_total(p_vals: list[int]) -> int:
     return sum((j + 1) * v for j, v in enumerate(p_vals))
+
+
+def ref_join_window(p_vals: list[int], q_vals: list[int], i: int, upper: int) -> int:
+    """Refined join part i: the pairs with i - 1 <= i1 + i2 <= upper."""
+    total = 0
+    for i1 in range(len(p_vals)):
+        for i2 in range(len(q_vals)):
+            if i - 1 <= i1 + i2 <= upper:
+                total += p_vals[i1] * q_vals[i2]
+    return total

@@ -289,6 +289,14 @@ MALFORMED = [
         DslSyntaxError,
         (1, len("category A over P(3) primitive [") + MAX_NESTING + 1),
     ),
+    ("non-ascii-digit", "category A over P(3) primitive [\u00b2];", DslSyntaxError, ("\u00b2", 1)),
+    (
+        "non-identifier-character",
+        "symbol x\u00b2; category A over P(3) primitive [x\u00b2];",
+        DslSyntaxError,
+        ("\u00b2", 1),
+    ),
+    ("non-ascii-rank", "category A over P(\u0664) primitive [1];", DslSyntaxError, ("\u0664", 1)),
     (
         "positional-after-keyword",
         "category A over P(4) primitive [1]; check cone_part1(A, n2=2, A);",

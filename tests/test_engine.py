@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hpdcalc import engine
 from hpdcalc.engine import (
     blowup_sod,
     hpd_total,
@@ -35,10 +36,12 @@ from hpdcalc.poly import InvariantExpr, const, sym
 
 from support import (
     assignments,
+    primitive_exprs,
     primitive_values,
     profile_pairs,
     profile_st,
     ref_flat_join,
+    ref_join_window,
     ref_ruled_join,
 )
 
@@ -193,6 +196,28 @@ def test_n_hyperplane_disjoint_length_one_profiles():
     result = n_hyperplane_sod([p, q], ws)
     assert len(result.sod.blocks) == 1
     assert result.c_invariant == 4 * x * y
+
+
+def _three_triangle(intersections):
+    profiles = [build_profile(name, 5, [1, 1]) for name in "ABC"]
+    return profiles, Workspace.build(categories=profiles, intersections=intersections)
+
+
+def test_n_hyperplane_three_declared_pairs():
+    profiles, ws = _three_triangle({("A", "B"): 0, ("B", "C"): 2, ("A", "C"): 1})
+    result = n_hyperplane_sod(profiles, ws, h_total=7)
+    # Length-two profiles give one block per proper subset, after the deep one.
+    assert len(result.sod.blocks) == 8
+    assert result.c_invariant == -46
+    assert result.sod.blocks[0].invariant == -46
+    assert result.sod.total() == 7
+    assert result.h_total == 7
+
+
+def test_n_hyperplane_undeclared_pair_names_its_subset():
+    profiles, ws = _three_triangle({("A", "B"): 0, ("B", "C"): 2})
+    with pytest.raises(Underdetermined, match="hyperplane for A, C is not derivable"):
+        n_hyperplane_sod(profiles, ws, h_total=7)
 
 
 def test_n_hyperplane_resolution_rules():
@@ -361,19 +386,66 @@ def test_iterated_join_equals_flat_formula(data):
         assert value == expected
 
 
-@given(st.data())
-def test_flat_join_matches_exhaustive_enumeration(data):
-    N = data.draw(st.integers(4, 9), label="N")
-    prim_lists = []
+@given(st.data(), assignments())
+def test_flat_join_matches_exhaustive_enumeration(data, assignment):
+    n = data.draw(st.integers(1, 6), label="n")
+    N = data.draw(st.integers(5, 9), label="N")
     profiles = []
-    for i in range(3):
-        m = data.draw(st.integers(1, min(2, N - 1)), label=f"m{i}")
-        prims = [data.draw(st.integers(0, 3), label=f"prim{i}.{j}") for j in range(m)]
-        prim_lists.append(prims)
+    for i in range(n):
+        m = data.draw(st.integers(1, 4), label=f"m{i}")
+        prims = [data.draw(primitive_exprs(), label=f"prim{i}.{j}") for j in range(m)]
         profiles.append(build_profile(f"P{i}", N, prims))
+    prim_lists = [primitive_values(p, assignment) for p in profiles]
     comps = n_join_components(profiles)
+    assert len(comps) == sum(p.length_m for p in profiles)
     for i, comp in enumerate(comps):
-        assert comp.evaluate({}) == ref_flat_join(prim_lists, i)
+        assert comp.evaluate(assignment) == ref_flat_join(prim_lists, i)
+
+
+@given(profile_pairs(), assignments())
+def test_join_refined_parts_match_integer_window(pair, assignment):
+    p, q = pair
+    N = p.ambient_rank_N
+    p_vals, q_vals = primitive_values(p, assignment), primitive_values(q, assignment)
+    for boundary, upper in ((False, N - 3), (True, N - 2)):
+        result = join_components(p, q, E, include_boundary_pairs=boundary)
+        assert len(result.jprime) == N - 1
+        for i, jp in enumerate(result.jprime):
+            assert jp.evaluate(assignment) == ref_join_window(p_vals, q_vals, i, upper)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_flat_join_multiplications_scale_with_output(monkeypatch):
+    # One index-sum pass: at most n * m * L products, not one per index tuple
+    # and component.
+    x = sym("x")
+    profiles = [build_profile(f"P{i}", 5, [x, 1, x + 1, 2]) for i in range(6)]
+    calls = _count_calls(monkeypatch, InvariantExpr, "__mul__")
+    comps = n_join_components(profiles)
+    assert len(comps) == 24
+    assert len(calls) <= 6 * 24 * 4
+
+
+def test_n_hyperplane_resolves_each_subset_once(monkeypatch):
+    # The full set plus each of the 56 proper subsets of size >= 2.
+    names = [f"P{i}" for i in range(6)]
+    profiles = [build_profile(name, 8, [1, 0, 1]) for name in names]
+    ws = Workspace.build(categories=profiles, disjoint_sets=[names])
+    calls = _count_calls(monkeypatch, engine, "_resolve_h_total")
+    result = n_hyperplane_sod(profiles, ws)
+    assert len(result.sod.blocks) == 3**6
+    assert len(calls) == 1 + 56
 
 
 # -- refined blow-up ------------------------------------------------------------

@@ -230,6 +230,13 @@ def test_parse_offsets_point_at_error():
     assert err.value.offset == 4
 
 
+def test_parse_rejects_non_ascii_digits():
+    # Arabic-Indic three: a digit to str.isdigit, but not an integer here.
+    with pytest.raises(PolySyntaxError) as err:
+        parse_expr("\u0663*x")
+    assert err.value.offset == 0
+
+
 def test_parse_nesting_cap():
     at_cap = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
     assert parse_expr(at_cap) == sym("a")
