@@ -18,17 +18,13 @@ from .engine import (
 )
 from .errors import HpdcalcError, Underdetermined
 from .model import LefschetzProfile, Workspace, build_profile
-from .poly import InvariantExpr, Symbol, add, const, eq, mul, parse_expr, sub, sym
+from .poly import InvariantExpr, Symbol, const, parse_expr, sym
 from .prop import run_property, run_suite
 
 __all__ = [
     "__version__",
     "InvariantExpr",
     "Symbol",
-    "add",
-    "mul",
-    "sub",
-    "eq",
     "const",
     "sym",
     "parse_expr",

@@ -15,11 +15,12 @@ from importlib import resources
 from .dsl import check_requests, parse, run_check_row, validate
 from .engine import (
     join_profile,
+    join_sod,
     n_join_profile,
     refined_blowup_profile,
     universal_hyperplane_sod,
 )
-from .model import BASE_V, Atom, Join, SodBlock, SodExpr, Workspace
+from .model import Workspace
 from .poly import parse_expr
 from .report import build_report, check_row, file_report, input_digest, normalized, stable_json
 
@@ -80,25 +81,21 @@ def case_source(name: str) -> str:
 
 def _emit_sod(ws: Workspace, directive: tuple) -> dict:
     kind, names = directive[0], directive[1]
+    profiles = [ws.category(n) for n in names]
+    label = f"{kind}({', '.join(names)})"
     if kind == "join":
-        a, b = names
-        sod = join_profile(ws.category(a), ws.category(b), ws).to_sod()
-        return sod.to_json_dict(f"join({a}, {b})")
-    if kind == "flat-join":
-        components = n_join_profile([ws.category(n) for n in names], ws)
-        term = Join(tuple(Atom(n) for n in names))
-        blocks = tuple(SodBlock(term, i, inv) for i, inv in enumerate(components))
-        return SodExpr(BASE_V, blocks).to_json_dict(f"flat-join({', '.join(names)})")
-    if kind == "universal-hyperplane":
-        (name,) = names
-        sod = universal_hyperplane_sod(ws.category(name))
-        return sod.to_json_dict(f"universal-hyperplane({name})")
-    if kind == "refined-blowup":
-        (name,) = names
+        sod = join_profile(*profiles, ws).to_sod()
+    elif kind == "flat-join":
+        sod = join_sod(names, n_join_profile(profiles, ws))
+    elif kind == "universal-hyperplane":
+        sod = universal_hyperplane_sod(*profiles)
+    elif kind == "refined-blowup":
         ell, z_text = directive[2], directive[3]
-        result = refined_blowup_profile(ws.category(name), ell, parse_expr(z_text))
-        return result.to_sod().to_json_dict(f"refined-blowup({name}, ell={ell})")
-    raise AssertionError(f"unhandled sod directive {kind!r}")
+        sod = refined_blowup_profile(*profiles, ell, parse_expr(z_text)).to_sod()
+        label = f"{kind}({names[0]}, ell={ell})"
+    else:
+        raise AssertionError(f"unhandled sod directive {kind!r}")
+    return sod.to_json_dict(label)
 
 
 def run_case(name: str) -> dict:

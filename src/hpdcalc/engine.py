@@ -22,13 +22,7 @@ from .model import (
     BASE_L_DUAL,
     BASE_V,
     BASE_V_DUAL,
-    Atom,
-    CategoryTerm,
-    FiberProduct,
-    Hpd,
-    Join,
     LefschetzProfile,
-    PullbackImage,
     SodBlock,
     SodExpr,
     Workspace,
@@ -50,6 +44,7 @@ __all__ = [
     "ruled_join_components",
     "JoinResult",
     "join_components",
+    "join_sod",
     "join_profile",
     "n_join_components",
     "n_join_profile",
@@ -69,7 +64,7 @@ SUBSET_READING_NOTE = (
     "of the subset I (proof-consistent reading)"
 )
 
-_DUAL_SPACE = Atom("D(P(V*))")
+_DUAL_SPACE = "D(P(V*))"
 
 
 def _require_moderate(profile: LefschetzProfile) -> None:
@@ -84,15 +79,30 @@ def _coerce(value: Coercible) -> InvariantExpr:
     return InvariantExpr._coerce(value)
 
 
+# -- block labels ---------------------------------------------------------------
+
+
+def _hpd(name: str) -> str:
+    return f"hpd({name}; {BASE_V_DUAL})"
+
+
+def _fiber(parts: Sequence[str], base: str) -> str:
+    return f"fiber({', '.join(parts)}; {base})"
+
+
+def _pullback(label: str, morphism: str) -> str:
+    return f"pullback({label}; {morphism})"
+
+
 # -- bundle formulas ----------------------------------------------------------
 
 
-def projective_bundle_sod(cat: CategoryTerm, inv: Coercible, r: int, base: str = BASE_V) -> SodExpr:
+def projective_bundle_sod(cat: str, inv: Coercible, r: int, base: str = BASE_V) -> SodExpr:
     """P^{r-1}-bundle decomposition: r twists of the pulled-back category."""
     if r < 1:
         raise ValueError("bundle rank must be at least 1")
     inv = _coerce(inv)
-    pulled = PullbackImage(cat, "pi")
+    pulled = _pullback(cat, "pi")
     return SodExpr(base, tuple(SodBlock(pulled, t, inv) for t in range(r)))
 
 
@@ -101,8 +111,8 @@ def blowup_sod(
     center_inv: Coercible,
     r: int,
     *,
-    cat: CategoryTerm = Atom("cat"),
-    center: CategoryTerm = Atom("center"),
+    cat: str = "cat",
+    center: str = "center",
     base: str = BASE_V,
 ) -> SodExpr:
     """Blow-up along a center of codimension r: one pullback block, r-1 center copies."""
@@ -110,7 +120,7 @@ def blowup_sod(
         raise ValueError("center codimension must be at least 2")
     cat_inv = _coerce(cat_inv)
     center_inv = _coerce(center_inv)
-    blocks = [SodBlock(PullbackImage(cat, "beta"), 0, cat_inv)]
+    blocks = [SodBlock(_pullback(cat, "beta"), 0, cat_inv)]
     blocks += [SodBlock(center, t, center_inv) for t in range(r - 1)]
     return SodExpr(base, tuple(blocks))
 
@@ -120,16 +130,16 @@ def hyperplane_sod(
     base_locus_inv: Coercible,
     r: int,
     *,
-    cat: CategoryTerm = Atom("cat"),
-    base_locus: CategoryTerm = Atom("base_locus"),
+    cat: str = "cat",
+    base_locus: str = "base_locus",
     base: str = BASE_V,
 ) -> SodExpr:
     """Generalized hyperplane section for a rank-r bundle: base locus plus r-1 twists."""
     if r < 2:
         raise ValueError("bundle rank must be at least 2")
     cat_inv = _coerce(cat_inv)
-    blocks = [SodBlock(PullbackImage(base_locus, "j.rho"), 0, _coerce(base_locus_inv))]
-    blocks += [SodBlock(PullbackImage(cat, "pi"), t, cat_inv) for t in range(1, r)]
+    blocks = [SodBlock(_pullback(base_locus, "j.rho"), 0, _coerce(base_locus_inv))]
+    blocks += [SodBlock(_pullback(cat, "pi"), t, cat_inv) for t in range(1, r)]
     return SodExpr(base, tuple(blocks))
 
 
@@ -154,19 +164,11 @@ def hpd_total(profile: LefschetzProfile) -> InvariantExpr:
     return duality_total(profile.ambient_rank_N, profile.component_ranks())
 
 
-def _component_block(profile: LefschetzProfile, k: int) -> SodBlock:
-    term = FiberProduct((Atom(f"{profile.name}_{k}"), _DUAL_SPACE), "B")
-    inv = profile.ambient_rank_N * profile.component_rank(k)
-    return SodBlock(term, k, inv)
-
-
 def universal_hyperplane_sod(profile: LefschetzProfile) -> SodExpr:
-    """Decomposition of the universal hyperplane: the dual category, then one
-    exterior-product block per higher component."""
-    _require_moderate(profile)
-    blocks = [SodBlock(Hpd(Atom(profile.name)), 0, hpd_total(profile))]
-    blocks += [_component_block(profile, k) for k in range(1, profile.length_m)]
-    return SodExpr(BASE_V_DUAL, tuple(blocks))
+    """Decomposition of the universal hyperplane, the n = 1 case of the
+    n-universal hyperplane: the dual category, then one exterior-product block
+    per higher component."""
+    return n_hyperplane_sod([profile], Workspace()).sod
 
 
 def two_hyperplane_rank(a1: Coercible, a2: Coercible, e: Coercible, N: int) -> InvariantExpr:
@@ -191,7 +193,8 @@ def _resolve_h_total(
     explicit: InvariantExpr | None,
 ) -> InvariantExpr:
     """All applicable sources (explicit, disjointness, declared pair intersection)
-    must agree; silence is Underdetermined, disagreement is a hard error."""
+    must agree; silence is Underdetermined, disagreement is a hard error. A
+    single category counts as disjoint, so it resolves to (N - 1) * total."""
     N = profiles[0].ambient_rank_N
     n = len(profiles)
     names = [p.name for p in profiles]
@@ -225,49 +228,57 @@ def _resolve_h_total(
     return first_value
 
 
-def _c_term(profiles: Sequence[LefschetzProfile]) -> CategoryTerm:
-    if len(profiles) == 0:
+def _c_label(names: Sequence[str]) -> str:
+    if len(names) == 0:
         return _DUAL_SPACE
-    if len(profiles) == 1:
-        return Hpd(Atom(profiles[0].name))
-    return FiberProduct(tuple(Hpd(Atom(p.name)) for p in profiles), BASE_V_DUAL)
+    if len(names) == 1:
+        return _hpd(names[0])
+    return _fiber([_hpd(name) for name in names], BASE_V_DUAL)
 
 
-def _subset_blocks(
-    profiles: Sequence[LefschetzProfile], workspace: Workspace, resolved: InvariantExpr
-) -> tuple[InvariantExpr, list[SodBlock]]:
-    """The deep component and the other blocks of the n-universal hyperplane.
+def _proper_subsets(subset: tuple[int, ...]):
+    """Each proper subset with its complement, in block order: larger first,
+    then `combinations` order."""
+    for size in range(len(subset) - 1, -1, -1):
+        for kept in itertools.combinations(subset, size):
+            yield kept, [i for i in subset if i not in kept]
 
-    Each kept subset I is a smaller instance: its deep component is its own
-    resolved total minus its own blocks. It is derived once, the first time a
-    block needs it, so subsets are resolved in block order (supersets first).
-    The empty subset and the singletons need no declarations: N and the duals.
+
+def _deep_components(
+    profiles: Sequence[LefschetzProfile],
+    ranks: Sequence[Sequence[InvariantExpr]],
+    workspace: Workspace,
+    resolved: InvariantExpr,
+) -> dict[tuple[int, ...], InvariantExpr]:
+    """The deep component of every subset of the profiles, the full set included.
+
+    The blocks of a kept subset K of S sum to deep[K] times the product of h_i
+    over S minus K, where h_i sums the components k >= 1 of profile i. So
+    deep[S] is the resolved total of S minus those products; no block is built.
+    Each subset is derived once, when a superset first needs it, so subsets
+    resolve in block order (supersets first). The empty subset and the
+    singletons need no declarations: N and the duals.
     """
     N = profiles[0].ambient_rank_N
-    ranks = [p.component_ranks() for p in profiles]
+    higher = [sum(r[1:], _zero) for r in ranks]
     deep = {(): InvariantExpr.const(N)}
     deep.update(((i,), duality_total(N, r)) for i, r in enumerate(ranks))
 
-    def derive(subset: tuple[int, ...], total: InvariantExpr):
-        blocks = []
-        for size in range(len(subset) - 1, -1, -1):
-            for kept in itertools.combinations(subset, size):
-                if kept not in deep:
-                    kept_total = _resolve_h_total([profiles[i] for i in kept], workspace, None)
-                    deep[kept] = derive(kept, kept_total)[0]
-                c_term = _c_term([profiles[i] for i in kept])
-                complement = [i for i in subset if i not in kept]
-                ranges = [range(1, profiles[i].length_m) for i in complement]
-                for tup in itertools.product(*ranges):
-                    inv = deep[kept]
-                    for i, k in zip(complement, tup):
-                        inv = inv * ranks[i][k]
-                    parts = tuple(Atom(f"{profiles[i].name}_{k}") for i, k in zip(complement, tup))
-                    blocks.append(SodBlock(FiberProduct(parts + (c_term,), "B"), sum(tup), inv))
-                    total = total - inv
-        return total, blocks
+    def derive(subset: tuple[int, ...], total: InvariantExpr) -> InvariantExpr:
+        for kept, complement in _proper_subsets(subset):
+            if kept not in deep:
+                kept_total = _resolve_h_total([profiles[i] for i in kept], workspace, None)
+                deep[kept] = derive(kept, kept_total)
+            if all(higher[i] for i in complement):  # else the blocks of K sum to 0
+                part = deep[kept]
+                for i in complement:
+                    part = part * higher[i]
+                total = total - part
+        return total
 
-    return derive(tuple(range(len(profiles))), resolved)
+    full = tuple(range(len(profiles)))
+    deep[full] = derive(full, resolved)
+    return deep
 
 
 def n_hyperplane_sod(
@@ -280,35 +291,34 @@ def n_hyperplane_sod(
     Blocks: the deep component first, then one block per proper subset I and
     per tuple of component indices i_k >= 1 over the complement of I, ordered
     by decreasing subset size. The deep component's invariant is the resolved
-    hyperplane total minus every other block.
+    hyperplane total minus every other block. For one category this is the
+    universal hyperplane, whose deep component is the dual.
     """
     if not profiles:
         raise ValueError("need at least one profile")
-    N = profiles[0].ambient_rank_N
     for p in profiles[1:]:
         same_ambient(profiles[0], p)
     for p in profiles:
         _require_moderate(p)
     explicit = None if h_total is None else _coerce(h_total)
-    if len(profiles) == 1:
-        # One category: the incidence is a projective bundle, so the total
-        # needs no declarations.
-        resolved = (N - 1) * profiles[0].total_invariant()
-        if explicit is not None and explicit != resolved:
-            raise ConflictingDeclarations(
-                f"hyperplane total for {profiles[0].name}: explicit declaration gives "
-                f"{explicit} but the projective-bundle formula gives {resolved}"
-            )
-        warnings: tuple[str, ...] = ()
-    else:
-        resolved = _resolve_h_total(profiles, workspace, explicit)
-        warnings = (SUBSET_READING_NOTE,)
+    resolved = _resolve_h_total(profiles, workspace, explicit)
+    ranks = [p.component_ranks() for p in profiles]
+    deep = _deep_components(profiles, ranks, workspace, resolved)
 
-    c_inv, others = _subset_blocks(profiles, workspace, resolved)
-    blocks = [SodBlock(_c_term(profiles), 0, c_inv), *others]
-    return NHyperplaneResult(
-        SodExpr(BASE_V_DUAL, tuple(blocks)), c_inv, resolved, warnings
-    )
+    names = [p.name for p in profiles]
+    full = tuple(range(len(profiles)))
+    blocks = [SodBlock(_c_label(names), 0, deep[full])]
+    for kept, complement in _proper_subsets(full):
+        c_label = _c_label([names[i] for i in kept])
+        ranges = [range(1, profiles[i].length_m) for i in complement]
+        for tup in itertools.product(*ranges):
+            inv = deep[kept]
+            for i, k in zip(complement, tup):
+                inv = inv * ranks[i][k]
+            parts = [f"{names[i]}_{k}" for i, k in zip(complement, tup)]
+            blocks.append(SodBlock(_fiber(parts + [c_label], "B"), sum(tup), inv))
+    warnings = (SUBSET_READING_NOTE,) if len(profiles) > 1 else ()
+    return NHyperplaneResult(SodExpr(BASE_V_DUAL, tuple(blocks)), deep[full], resolved, warnings)
 
 
 # -- joins ---------------------------------------------------------------------
@@ -384,11 +394,13 @@ class JoinResult:
         return profile_from_components(name, self.ambient_rank_N, self.components)
 
     def to_sod(self) -> SodExpr:
-        term = Join((Atom(self.p_name), Atom(self.q_name)))
-        blocks = tuple(
-            SodBlock(term, i, inv) for i, inv in enumerate(self.components)
-        )
-        return SodExpr(BASE_V, blocks)
+        return join_sod([self.p_name, self.q_name], self.components)
+
+
+def join_sod(names: Sequence[str], components: Sequence[InvariantExpr]) -> SodExpr:
+    """Decomposition of a join over P(V): component i at twist i."""
+    label = f"join({', '.join(names)})"
+    return SodExpr(BASE_V, tuple(SodBlock(label, i, inv) for i, inv in enumerate(components)))
 
 
 def join_components(
@@ -481,7 +493,7 @@ class RefinedBlowupResult:
 
     def to_sod(self) -> SodExpr:
         blocks = tuple(
-            SodBlock(PullbackImage(Atom(self.name), "beta"), k, inv)
+            SodBlock(_pullback(self.name, "beta"), k, inv)
             for k, inv in enumerate(self.components)
         )
         return SodExpr(BASE_L_DUAL, blocks)

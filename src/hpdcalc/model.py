@@ -1,14 +1,15 @@
-"""Data model: Lefschetz profiles, category terms, SOD expressions, workspaces.
+"""Data model: Lefschetz profiles, SOD expressions, workspaces.
 
 A profile records a category's Lefschetz data as primitive-block invariants
 p_0..p_{m-1}; component k is the tail sum starting at k, and the category's
-total invariant is the weighted sum over the twisted component chain.
+total invariant is the weighted sum over the twisted component chain. An SOD
+block is labeled by the string reports print, such as ``hpd(A; P(V*))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -26,12 +27,6 @@ __all__ = [
     "BASE_V_DUAL",
     "BASE_L_DUAL",
     "LefschetzProfile",
-    "CategoryTerm",
-    "Atom",
-    "Hpd",
-    "Join",
-    "FiberProduct",
-    "PullbackImage",
     "SodBlock",
     "SodExpr",
     "Workspace",
@@ -136,75 +131,20 @@ def build_profile(
     return profile
 
 
-# -- category terms ----------------------------------------------------------
-
-
-class CategoryTerm:
-    """Base of the finite term algebra labeling SOD blocks."""
-
-    def render(self) -> str:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-@dataclass(frozen=True)
-class Atom(CategoryTerm):
-    name: str
-
-    def render(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class Hpd(CategoryTerm):
-    arg: CategoryTerm
-    base: str = BASE_V_DUAL
-
-    def render(self) -> str:
-        return f"hpd({self.arg.render()}; {self.base})"
-
-
-@dataclass(frozen=True)
-class Join(CategoryTerm):
-    parts: tuple[CategoryTerm, ...]
-
-    def render(self) -> str:
-        return "join(" + ", ".join(p.render() for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class FiberProduct(CategoryTerm):
-    parts: tuple[CategoryTerm, ...]
-    base: str = BASE_V
-
-    def render(self) -> str:
-        inner = ", ".join(p.render() for p in self.parts)
-        return f"fiber({inner}; {self.base})"
-
-
-@dataclass(frozen=True)
-class PullbackImage(CategoryTerm):
-    arg: CategoryTerm
-    morphism: str
-
-    def render(self) -> str:
-        return f"pullback({self.arg.render()}; {self.morphism})"
-
-
 # -- SOD expressions ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SodBlock:
-    term: CategoryTerm
+    """One block: its report label, its twist and its invariant."""
+
+    term: str
     twist: int
     invariant: InvariantExpr
 
     def to_json_dict(self) -> dict:
         return {
-            "term": self.term.render(),
+            "term": self.term,
             "twist": self.twist,
             "invariant": str(self.invariant),
         }
@@ -339,10 +279,13 @@ class Workspace:
         return value
 
     def are_disjoint(self, names: Iterable[str]) -> bool:
+        """Whether the named categories are pairwise disjoint; a name listed
+        twice is never disjoint from itself."""
+        names = list(names)
         wanted = set(names)
-        if len(wanted) <= 1:
-            return True
-        return any(wanted <= group for group in self.disjoint_sets)
+        if len(wanted) < len(names):
+            return False
+        return len(wanted) <= 1 or any(wanted <= group for group in self.disjoint_sets)
 
     def dual_of(self, name: str) -> LefschetzProfile | None:
         return self.dual_profiles.get(name)

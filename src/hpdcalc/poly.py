@@ -16,10 +16,6 @@ __all__ = [
     "Symbol",
     "InvariantExpr",
     "PolySyntaxError",
-    "add",
-    "mul",
-    "sub",
-    "eq",
     "const",
     "sym",
     "parse_expr",
@@ -201,29 +197,7 @@ class InvariantExpr:
         return f"InvariantExpr({self})"
 
 
-# -- functional wrappers ---------------------------------------------------
-
-
-def add(a: Coercible, b: Coercible) -> InvariantExpr:
-    return InvariantExpr._coerce(a) + b
-
-
-def mul(a: Coercible, b: Coercible) -> InvariantExpr:
-    return InvariantExpr._coerce(a) * b
-
-
-def sub(a: Coercible, b: Coercible) -> tuple[InvariantExpr, bool]:
-    """Canonical difference plus a plausibility flag: value at all-ones >= 0.
-
-    Negative screening values are flagged rather than fatal, since a symbolic
-    term may dominate a negative constant under honest assignments.
-    """
-    diff = InvariantExpr._coerce(a) - b
-    return diff, diff.at_ones() >= 0
-
-
-def eq(a: Coercible, b: Coercible) -> bool:
-    return InvariantExpr._coerce(a) == InvariantExpr._coerce(b)
+# -- constructors ----------------------------------------------------------
 
 
 def const(value: int) -> InvariantExpr:

@@ -30,7 +30,7 @@ from .engine import (
     ruled_join_components,
     universal_hyperplane_sod,
 )
-from .model import Atom, LefschetzProfile, Workspace, build_profile
+from .model import LefschetzProfile, Workspace, build_profile
 from .poly import InvariantExpr
 from .report import check_row
 
@@ -191,7 +191,7 @@ def _conservation_case(rng: random.Random, bounds: _Bounds):
     p = _draw_profile(rng, symbols, bounds, "P")
 
     fiber_rank = rng.randint(1, 4)
-    bundle = projective_bundle_sod(Atom("P"), p.total_invariant(), fiber_rank)
+    bundle = projective_bundle_sod("P", p.total_invariant(), fiber_rank)
     expected = fiber_rank * p.total_invariant()
     if bundle.total() != expected:
         return ("projective bundle total", bundle.total(), expected)

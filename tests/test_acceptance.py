@@ -22,7 +22,7 @@ from hpdcalc.engine import (
     projective_bundle_sod,
 )
 from hpdcalc.errors import HpdcalcError
-from hpdcalc.model import Atom, Workspace, build_profile
+from hpdcalc.model import Workspace, build_profile
 from hpdcalc.poly import parse_expr
 from hpdcalc.prop import run_property
 
@@ -101,7 +101,7 @@ def test_criterion_3_duality_totals_against_the_bundle_oracle():
         point = build_profile("pt", rank, [1])
         # Hyperplanes through a point form a projective space of one lower
         # rank: a bundle with rank - 1 twists of an invariant-1 block.
-        oracle = projective_bundle_sod(Atom("pt"), 1, rank - 1).total()
+        oracle = projective_bundle_sod("pt", 1, rank - 1).total()
         assert hpd_total(point) == oracle == rank - 1
     _report(3, "dual totals: Gr(2,5) gives 10, points give N - 1")
 

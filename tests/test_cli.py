@@ -75,6 +75,28 @@ def test_underdetermined_exits_three(tmp_path, capsys):
     assert "underdetermined" in capsys.readouterr().out
 
 
+def test_repeated_category_needs_a_disjointness_declaration(tmp_path, capsys):
+    # A category listed twice is not disjoint from itself, so its dual is not
+    # joined with itself.
+    source = (
+        "category A over P(4) primitive [1, 1];\n"
+        "dual A primitive [1, 1];\n"
+        "check n_hpd_center(A, A);\n"
+    )
+    assert main(["check", write(tmp_path, "center.hpd", source)]) == 3
+    assert "needs a declared disjointness group" in capsys.readouterr().out
+
+
+def test_self_intersection_resolves_the_double_hyperplane(tmp_path, capsys):
+    source = (
+        "category A over P(4) primitive [1, 1];\n"
+        "intersect A, A over P(4) = 3;\n"
+        "check main_theorem(A, A);\n"
+    )
+    assert main(["check", write(tmp_path, "self.hpd", source)]) == 0
+    assert "lhs = rhs = 7" in capsys.readouterr().out
+
+
 def test_failure_takes_precedence_over_underdetermined(tmp_path, capsys):
     source = FAILING_DUAL + (
         "category A over P(6) primitive [1, 1];\n"

@@ -31,10 +31,11 @@ from hpdcalc.errors import (
     UnresolvedBaseLocus,
     UnresolvedIntersection,
 )
-from hpdcalc.model import Atom, Hpd, Workspace, build_profile
+from hpdcalc.model import Workspace, build_profile
 from hpdcalc.poly import InvariantExpr, const, sym
 
 from support import (
+    SYMBOL_NAMES,
     assignments,
     primitive_exprs,
     primitive_values,
@@ -62,15 +63,15 @@ def point(name="pt", N=3):
 
 
 def test_projective_bundle_blocks():
-    sod = projective_bundle_sod(Atom("A"), sym("a"), 2)
+    sod = projective_bundle_sod("A", sym("a"), 2)
     assert [b.twist for b in sod.blocks] == [0, 1]
     assert sod.total() == 2 * sym("a")
 
-    assert projective_bundle_sod(Atom("A"), sym("a"), 1).total() == sym("a")
-    assert projective_bundle_sod(Atom("Gr25"), 10, 9).total() == 90
+    assert projective_bundle_sod("A", sym("a"), 1).total() == sym("a")
+    assert projective_bundle_sod("Gr25", 10, 9).total() == 90
 
     with pytest.raises(ValueError):
-        projective_bundle_sod(Atom("A"), 1, 0)
+        projective_bundle_sod("A", 1, 0)
 
 
 def test_blowup_totals():
@@ -110,7 +111,7 @@ def test_universal_hyperplane_fixed_values():
     assert [str(b.invariant) for b in sod.blocks] == ["10", "20", "20", "20", "20"]
     assert [b.twist for b in sod.blocks] == [0, 1, 2, 3, 4]
     assert sod.total() == 90
-    assert isinstance(sod.blocks[0].term, Hpd)
+    assert sod.blocks[0].term == "hpd(Gr25; P(V*))"
 
 
 def test_universal_hyperplane_length_one():
@@ -129,7 +130,7 @@ def test_hpd_total_fixed_values():
     # Hyperplanes through a point form a projective space of one dimension
     # less; its invariant comes out of the bundle formula, not this op.
     for N in range(2, 10):
-        oracle = projective_bundle_sod(Atom("O"), 1, N - 1).total()
+        oracle = projective_bundle_sod("O", 1, N - 1).total()
         assert hpd_total(point(N=N)) == oracle == N - 1
 
     rectangular = build_profile("R", 5, [0, 3])
@@ -152,7 +153,7 @@ def test_two_hyperplane_rank():
     disjoint = two_hyperplane_rank(a1, a2, 0, 7)
     # Disjoint case: the incidence is a bundle of projective spaces of
     # dimension N-3 over the product, so the bundle formula is an oracle.
-    assert disjoint == projective_bundle_sod(Atom("AxB"), a1 * a2, 5).total()
+    assert disjoint == projective_bundle_sod("AxB", a1 * a2, 5).total()
 
     assert two_hyperplane_rank(10, 10, E, 10) == E + 800
 
@@ -233,6 +234,43 @@ def test_n_hyperplane_resolution_rules():
     assert n_hyperplane_sod([p, q], disjoint, h_total=2).h_total == 2
     with pytest.raises(ConflictingDeclarations):
         n_hyperplane_sod([p, q], disjoint, h_total=3)
+
+
+@st.composite
+def resolving_hyperplanes(draw):
+    """n = 2..4 profiles whose simultaneous hyperplane resolves, with the route:
+    an explicit total (every inner subset lies in a declared disjoint group),
+    one disjoint group of all n, or for n = 2 a declared pair intersection."""
+    n = draw(st.integers(2, 4))
+    N = draw(st.integers(2, 6))
+    profiles = [draw(profile_st(name=f"P{i}", N=N, max_m=3)) for i in range(n)]
+    names = [p.name for p in profiles]
+    routes = ["explicit", "disjoint"] + (["pair"] if n == 2 else [])
+    route = draw(st.sampled_from(routes))
+    explicit, groups, pairs = None, [], {}
+    if route == "explicit":
+        explicit = draw(primitive_exprs())
+        groups = [[name for name in names if name != left_out] for left_out in names]
+    elif route == "disjoint":
+        groups = [names]
+    else:
+        pairs = {tuple(names): draw(primitive_exprs())}
+    ws = Workspace.build(
+        symbols=SYMBOL_NAMES, categories=profiles, intersections=pairs, disjoint_sets=groups
+    )
+    return profiles, ws, explicit
+
+
+@given(resolving_hyperplanes())
+def test_n_hyperplane_blocks_sum_to_the_resolved_total(case):
+    # The deep components come from factorized sums, the blocks from index
+    # tuples; the two must agree on the total.
+    profiles, ws, explicit = case
+    result = n_hyperplane_sod(profiles, ws, h_total=explicit)
+    assert result.sod.total() == result.h_total
+    assert result.sod.blocks[0].invariant == result.c_invariant
+    if explicit is not None:
+        assert result.h_total == explicit
 
 
 # -- joins ---------------------------------------------------------------------
@@ -437,15 +475,43 @@ def test_flat_join_multiplications_scale_with_output(monkeypatch):
     assert len(calls) <= 6 * 24 * 4
 
 
-def test_n_hyperplane_resolves_each_subset_once(monkeypatch):
-    # The full set plus each of the 56 proper subsets of size >= 2.
+def _six_disjoint_triples():
     names = [f"P{i}" for i in range(6)]
     profiles = [build_profile(name, 8, [1, 0, 1]) for name in names]
-    ws = Workspace.build(categories=profiles, disjoint_sets=[names])
+    return profiles, Workspace.build(categories=profiles, disjoint_sets=[names])
+
+
+def test_n_hyperplane_resolves_each_subset_once(monkeypatch):
+    # The full set plus each of the 56 proper subsets of size >= 2.
+    profiles, ws = _six_disjoint_triples()
     calls = _count_calls(monkeypatch, engine, "_resolve_h_total")
     result = n_hyperplane_sod(profiles, ws)
     assert len(result.sod.blocks) == 3**6
     assert len(calls) == 1 + 56
+
+
+def test_n_hyperplane_builds_only_the_returned_blocks(monkeypatch):
+    # Inner subsets contribute their deep components, never blocks.
+    profiles, ws = _six_disjoint_triples()
+    built = _count_calls(monkeypatch, engine, "SodBlock")
+    result = n_hyperplane_sod(profiles, ws)
+    assert len(built) == len(result.sod.blocks) == 3**6
+
+
+def test_n_hyperplane_skips_products_for_length_one_factors(monkeypatch):
+    # A length-one profile has no component k >= 1, so a kept subset whose
+    # complement holds one has no blocks. The 57 resolved totals need most of
+    # the products; multiplying by those zero sums would need about 1650.
+    x = sym("x")
+    lengths = (2, 2, 1, 1, 1, 1)
+    profiles = [
+        build_profile(f"P{i}", 14, [x + 1] * (m - 1) + [2 * x + 1]) for i, m in enumerate(lengths)
+    ]
+    ws = Workspace.build(categories=profiles, disjoint_sets=[[p.name for p in profiles]])
+    calls = _count_calls(monkeypatch, InvariantExpr, "__mul__")
+    result = n_hyperplane_sod(profiles, ws)
+    assert len(result.sod.blocks) == 4
+    assert len(calls) <= 300
 
 
 # -- refined blow-up ------------------------------------------------------------

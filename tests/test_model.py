@@ -12,14 +12,7 @@ from hpdcalc.errors import (
     UnknownCategory,
     UnresolvedIntersection,
 )
-from hpdcalc.model import (
-    Atom,
-    Hpd,
-    SodBlock,
-    SodExpr,
-    Workspace,
-    build_profile,
-)
+from hpdcalc.model import SodBlock, SodExpr, Workspace, build_profile
 from hpdcalc.poly import InvariantExpr, const, sym
 
 
@@ -106,7 +99,7 @@ def test_total_at_ones_nonnegative(prims):
 
 
 def block(name, twist, inv):
-    return SodBlock(Atom(name), twist, InvariantExpr._coerce(inv))
+    return SodBlock(name, twist, InvariantExpr._coerce(inv))
 
 
 def test_sod_total_and_equality():
@@ -123,11 +116,6 @@ def test_sod_total_and_equality():
 
     other_base = SodExpr("P(V*)", x.blocks)
     assert x != other_base
-
-
-def test_term_rendering():
-    assert Atom("Gr25").render() == "Gr25"
-    assert Hpd(Atom("Gr25")).render() == "hpd(Gr25; P(V*))"
 
 
 # -- workspace ----------------------------------------------------------------
@@ -155,6 +143,16 @@ def test_workspace_disjoint_forces_zero():
     assert ws.are_disjoint(["A", "B"])
     assert not ws.are_disjoint(["A", "C"])
     assert ws.intersection("A", "B") == 0
+
+
+def test_workspace_repeated_name_is_not_disjoint():
+    # A category is never disjoint from itself, even inside a declared group.
+    p = build_profile("A", 6, [1])
+    q = build_profile("B", 6, [1])
+    ws = Workspace.build(categories=[p, q], disjoint_sets=[["A", "B"]])
+    assert ws.are_disjoint(["A"])
+    assert not ws.are_disjoint(["A", "A"])
+    assert not ws.are_disjoint(["A", "B", "A"])
 
 
 def test_workspace_conflicting_constant_intersection():
