@@ -8,7 +8,6 @@ statements about additive data, never claims about the categories themselves.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,25 +58,37 @@ class CheckResult:
 def find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
     """Integer assignment at which two distinct polynomials evaluate apart.
 
-    Covers every symbol of either side so both evaluate to integers at the
-    witness. The search box is {0..B}^symbols with B at least the largest
-    per-variable degree, which always separates distinct polynomials.
+    Names every symbol of either side, in sorted order; symbols absent from
+    the difference are 0. On the k symbols of the difference the witness is
+    the lexicographically first point of {0..B}^k at which the sides differ,
+    B = max(5, largest per-symbol degree). Each symbol in turn takes the least
+    value in 0..B that leaves the difference nonzero in the symbols still
+    free. One exists, since a nonzero polynomial of degree at most B in each
+    symbol does not vanish on a grid of B + 1 points per axis, so the cost is
+    polynomial in the size of the difference, not exponential in k.
     """
     diff = lhs - rhs
     if diff.is_zero():
         raise ValueError("polynomials are equal; no witness exists")
-    all_names = sorted(set(lhs.symbols()) | set(rhs.symbols()))
-    witness = {name: 0 for name in all_names}
+    witness = {name: 0 for name in sorted(lhs.symbols() | rhs.symbols())}
     diff_names = sorted(diff.symbols())
-    if not diff_names:
-        return witness
-    bound = max(5, max(diff.degree_in(name) for name in diff_names))
-    for values in itertools.product(range(bound + 1), repeat=len(diff_names)):
-        assignment = dict(zip(diff_names, values))
-        if diff.evaluate(assignment) != 0:
-            witness.update(assignment)
-            return {name: witness[name] for name in all_names}
-    raise AssertionError("distinct polynomials with no witness in the search box")
+    bound = max([5] + [diff.degree_in(name) for name in diff_names])
+    terms = dict(diff.terms)
+    for name in diff_names:
+        for value in range(bound + 1):
+            fixed: dict[tuple[str, ...], int] = {}
+            for mono, coeff in terms.items():
+                rest = tuple(other for other in mono if other != name)
+                fixed[rest] = fixed.get(rest, 0) + coeff * value ** (len(mono) - len(rest))
+            fixed = {mono: coeff for mono, coeff in fixed.items() if coeff}
+            if fixed:
+                break
+        witness[name] = value
+        terms = fixed
+    # One exact evaluation confirms what the construction guarantees.
+    if diff.evaluate(witness) == 0:
+        raise AssertionError("distinct polynomials with no witness in the search box")
+    return witness
 
 
 def _result(name: str, lhs, rhs, notes: Sequence[str] = ()) -> CheckResult:

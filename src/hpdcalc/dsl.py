@@ -430,8 +430,14 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
             _check_poly_symbols(stmt.value, symbols)
             intersections[(stmt.first, stmt.second)] = stmt.value.expr
         elif isinstance(stmt, DisjointDecl):
+            listed: set[str] = set()
             for name, span in stmt.names:
                 require_category(name, span)
+                if name in listed:
+                    raise DuplicateDeclaration(
+                        f"category {name!r} listed twice in one disjointness group", span
+                    )
+                listed.add(name)
             disjoint_sets.append(tuple(name for name, _ in stmt.names))
         elif isinstance(stmt, DualDecl):
             decl = require_category(stmt.name, stmt.span)

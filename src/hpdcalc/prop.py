@@ -86,8 +86,9 @@ class PropertyOutcome:
         notes.append(
             f"first counterexample at case {self.failure.case_index}: {self.failure.detail}"
         )
-        witness = dict(sorted(self.failure.witness.items()))
-        return check_row(name, self.failure.lhs, self.failure.rhs, "fail", witness, notes)
+        return check_row(
+            name, self.failure.lhs, self.failure.rhs, "fail", self.failure.witness, notes
+        )
 
 
 @dataclass(frozen=True)

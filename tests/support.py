@@ -7,6 +7,8 @@ can be cross-checked by evaluating its output at integer assignments.
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import strategies as st
 
 from hpdcalc.model import LefschetzProfile, build_profile
@@ -94,3 +96,33 @@ def ref_join_window(p_vals: list[int], q_vals: list[int], i: int, upper: int) ->
             if i - 1 <= i1 + i2 <= upper:
                 total += p_vals[i1] * q_vals[i2]
     return total
+
+
+def ref_find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
+    """Scan of the box {0..B}^k in lexicographic order, over the k symbols of
+    lhs - rhs in sorted order, with B = max(5, the largest per-symbol degree).
+
+    Works on the raw term tuples: the difference is a plain dict and each
+    point is evaluated by an explicit loop.
+    """
+    diff: dict[tuple[str, ...], int] = {}
+    for sign, expr in ((1, lhs), (-1, rhs)):
+        for mono, coeff in expr.terms:
+            diff[mono] = diff.get(mono, 0) + sign * coeff
+    diff = {mono: coeff for mono, coeff in diff.items() if coeff}
+    if not diff:
+        raise ValueError("polynomials are equal; no witness exists")
+    names = sorted({name for mono in diff for name in mono})
+    bound = max([5] + [mono.count(name) for mono in diff for name in mono])
+    witness = {name: 0 for expr in (lhs, rhs) for mono, _ in expr.terms for name in mono}
+    for values in itertools.product(range(bound + 1), repeat=len(names)):
+        point = dict(zip(names, values))
+        value = 0
+        for mono, coeff in diff.items():
+            for name in mono:
+                coeff *= point[name]
+            value += coeff
+        if value != 0:
+            witness.update(point)
+            return dict(sorted(witness.items()))
+    raise AssertionError("distinct polynomials with no point in the box")

@@ -2,7 +2,7 @@
 controls that must fail with witnesses, and randomized symbolic sweeps."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hpdcalc.checks import (
@@ -16,9 +16,9 @@ from hpdcalc.checks import (
 )
 from hpdcalc.errors import JoinNotModerate, MissingDisjointness
 from hpdcalc.model import Workspace, build_profile
-from hpdcalc.poly import const, sym
+from hpdcalc.poly import InvariantExpr, const, sym
 
-from support import profile_st
+from support import profile_st, ref_find_witness
 
 E = sym("e")
 
@@ -65,6 +65,63 @@ def test_find_witness_widens_beyond_default_box():
 def test_find_witness_rejects_equal_inputs():
     with pytest.raises(ValueError):
         find_witness(sym("x"), sym("x"))
+
+
+def test_find_witness_is_sorted_and_zero_off_the_difference():
+    lhs = sym("z") * sym("b") + sym("m")
+    rhs = sym("m")
+    w = find_witness(lhs, rhs)
+    assert list(w) == sorted(w)
+    assert w == {"b": 1, "m": 0, "z": 1}
+
+
+def test_find_witness_fixes_one_symbol_at_a_time(monkeypatch):
+    # A box scan needs 6^39 evaluations before it reaches the all-ones point;
+    # the construction evaluates once, to confirm its result.
+    budget = [1]
+    evaluate = InvariantExpr.evaluate
+
+    def counted(self, assignment):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise AssertionError("find_witness evaluated the difference too often")
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(InvariantExpr, "evaluate", counted)
+    names = [f"x{i}" for i in range(1, 41)]
+    product = const(7)
+    for name in names:
+        product = product * sym(name)
+    assert find_witness(product, const(0)) == {name: 1 for name in sorted(names)}
+
+
+SMALL_SYMBOLS = ("a", "b", "c", "d")
+
+
+@st.composite
+def witness_polys(draw):
+    """Polynomials in up to four symbols, some multiplied by (s - 0)...(s - j)
+    so that they vanish on the default box along s and need B > 5."""
+    expr = const(draw(st.integers(-3, 3)))
+    for _ in range(draw(st.integers(0, 3))):
+        term = const(draw(st.integers(-3, 3)))
+        for name in draw(st.lists(st.sampled_from(SMALL_SYMBOLS), max_size=3)):
+            term = term * sym(name)
+        expr = expr + term
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(SMALL_SYMBOLS))
+        for k in range(draw(st.integers(1, 7))):
+            expr = expr * (sym(name) - k)
+    return expr
+
+
+@settings(deadline=None)
+@given(witness_polys(), witness_polys())
+def test_find_witness_matches_the_box_scan(lhs, rhs):
+    assume(lhs != rhs)
+    w = find_witness(lhs, rhs)
+    assert w == ref_find_witness(lhs, rhs)
+    assert list(w) == sorted(w)
 
 
 # -- main theorem ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line driver tests: exit codes, report schema, byte stability."""
 
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +65,38 @@ def test_failing_check_exits_one_with_witness(tmp_path, capsys):
     assert "witness" in capsys.readouterr().out
 
 
+def test_planted_product_in_many_symbols_is_refuted_within_a_second(tmp_path, capsys):
+    # The difference is a multiple of a product of 24 symbols, so it vanishes
+    # wherever one of them is 0; its first nonzero point in {0..5}^24, all
+    # ones, comes after 6^23 points of the box.
+    names = [f"x{i}" for i in range(1, 25)]
+    source = (
+        "".join(f"symbol {name};\n" for name in names)
+        + "category R over P(5) primitive [0, 1];\n"
+        + f"dual R primitive [0, 0, 1 + {'*'.join(names)}];\n"
+        + "check dual_profile(R);\n"
+    )
+    path = write(tmp_path, "planted.hpd", source)
+    report_path = tmp_path / "planted.json"
+
+    def too_slow(signum, frame):
+        raise TimeoutError("refutation took more than a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["check", path, "--json", str(report_path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out.startswith("check dual_profile: fail (")
+    (row,) = json.loads(report_path.read_text())["checks"]
+    assert row["witness"] == {name: 1 for name in sorted(names)}
+
+
 def test_underdetermined_exits_three(tmp_path, capsys):
     source = (
         "category A over P(6) primitive [1, 1];\n"
@@ -85,6 +118,18 @@ def test_repeated_category_needs_a_disjointness_declaration(tmp_path, capsys):
     )
     assert main(["check", write(tmp_path, "center.hpd", source)]) == 3
     assert "needs a declared disjointness group" in capsys.readouterr().out
+
+
+def test_repeated_name_in_one_disjointness_group_exits_two(tmp_path, capsys):
+    source = (
+        "category A over P(4) primitive [1, 1];\n"
+        "disjoint A, A;\n"
+        "check main_theorem(A, A);\n"
+    )
+    assert main(["check", write(tmp_path, "twice.hpd", source)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "twice.hpd:2:13: category 'A' listed twice" in err
 
 
 def test_self_intersection_resolves_the_double_hyperplane(tmp_path, capsys):

@@ -237,6 +237,13 @@ MALFORMED = [
     ("undeclared-category", "check main_theorem(A, B);", UnknownCategory, ("A", 1)),
     ("one-name-disjoint", "disjoint A;", DslSyntaxError, ("disjoint", 1)),
     (
+        "repeated-name-disjoint",
+        "category A over P(4) primitive [1, 1]; category B over P(4) primitive [1]; "
+        "disjoint A, B, A;",
+        DuplicateDeclaration,
+        ("A", 3),
+    ),
+    (
         "intersect-rank-mismatch",
         "category A over P(3) primitive [1]; category B over P(4) primitive [1]; "
         "intersect A, B over P(4) = 1;",
