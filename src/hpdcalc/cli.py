@@ -3,12 +3,13 @@
 Exit codes partition outcomes: 0 all checks pass, 1 any check fails, 2 the
 input cannot be parsed or validated (or usage is wrong), 3 at least one check
 is underdetermined by the declared data (with no outright failure), 4 file
-I/O failed or the input file is not valid UTF-8.
+I/O failed, the input file is not valid UTF-8, or standard output was closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import catalog, prop
@@ -165,7 +166,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError as err:
+        # The reader went away (`hpdcalc catalog | head`). Point stdout at
+        # devnull so the interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to standard output: {err}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ validation error carries a (line, column) span.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,7 @@ from .checks import (
 )
 from .errors import (
     AmbientMismatch,
+    ConflictingIntersection,
     DslSyntaxError,
     DuplicateDeclaration,
     HpdcalcError,
@@ -407,7 +409,7 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
         return decl
 
     intersections: dict[tuple[str, str], InvariantExpr] = {}
-    seen_pairs: set[tuple[str, str]] = set()
+    intersect_spans: dict[tuple[str, str], Span] = {}
     disjoint_sets: list[tuple[str, ...]] = []
     dual_profiles: dict[str, LefschetzProfile] = {}
 
@@ -422,13 +424,13 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
                     stmt.span,
                 )
             key = tuple(sorted((stmt.first, stmt.second)))
-            if key in seen_pairs:
+            if key in intersect_spans:
                 raise DuplicateDeclaration(
                     f"intersection of {key[0]}, {key[1]} declared twice", stmt.span
                 )
-            seen_pairs.add(key)
+            intersect_spans[key] = stmt.span
             _check_poly_symbols(stmt.value, symbols)
-            intersections[(stmt.first, stmt.second)] = stmt.value.expr
+            intersections[key] = stmt.value.expr
         elif isinstance(stmt, DisjointDecl):
             listed: set[str] = set()
             for name, span in stmt.names:
@@ -458,16 +460,22 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
             for name, span in stmt.args:
                 require_category(name, span)
 
-    try:
-        return Workspace.build(
-            symbols=symbols,
-            categories=categories,
-            intersections=intersections,
-            disjoint_sets=disjoint_sets,
-            dual_profiles=dual_profiles,
-        )
-    except HpdcalcError as err:
-        raise _with_span(err, (1, 1))
+    # Workspace.build rejects this too, but knows no spans.
+    for group in disjoint_sets:
+        for pair in itertools.combinations(sorted(group), 2):
+            value = intersections.get(pair)
+            if value and value.is_constant():
+                raise ConflictingIntersection(
+                    f"{pair[0]}, {pair[1]} declared disjoint but intersect with constant {value}",
+                    intersect_spans[pair],
+                )
+    return Workspace.build(
+        symbols=symbols,
+        categories=categories,
+        intersections=intersections,
+        disjoint_sets=disjoint_sets,
+        dual_profiles=dual_profiles,
+    )
 
 
 def check_requests(ast: Ast) -> tuple[CheckStmt, ...]:

@@ -28,6 +28,7 @@ from .model import (
     Workspace,
     build_profile,
     same_ambient,
+    tail_sums,
 )
 from .poly import Coercible, InvariantExpr
 
@@ -147,15 +148,10 @@ def hyperplane_sod(
 
 
 def duality_total(N: int, components: Sequence[InvariantExpr]) -> InvariantExpr:
-    """The duality total over rank N of a component list: the universal-hyperplane
-    total (N - 1) * sum minus the twisted blocks N * sum of components 1, 2, ..."""
-    total = _zero
-    higher = _zero
-    for i, comp in enumerate(components):
-        total = total + comp
-        if i >= 1:
-            higher = higher + comp
-    return (N - 1) * total - N * higher
+    """The duality total over rank N of a component list c: the universal-hyperplane
+    total (N - 1) * sum(c) less the twisted blocks N * (c_1 + c_2 + ...), which
+    is N * c_0 - sum(c)."""
+    return N * components[0] - sum(components, _zero)
 
 
 def hpd_total(profile: LefschetzProfile) -> InvariantExpr:
@@ -345,10 +341,9 @@ def n_join_components(profiles: Sequence[LefschetzProfile]) -> list[InvariantExp
             for k, b in enumerate(p.primitive_right):
                 conv[s + k] = conv[s + k] + a * b
         by_sum = conv
-    # Component i is the tail of by_sum from index sum i + 1 - n.
-    tails = list(itertools.accumulate(reversed(by_sum)))[::-1]
-    n = len(profiles)
-    return [tails[max(0, i + 1 - n)] for i in range(len(by_sum) + n - 1)]
+    # Component i is the tail of by_sum from index sum max(0, i + 1 - n).
+    tails = tail_sums(by_sum)
+    return [tails[0]] * (len(profiles) - 1) + tails
 
 
 def n_join_profile(
@@ -390,9 +385,6 @@ class JoinResult:
                 value = value - N * jbar
         return value
 
-    def as_profile(self, name: str) -> LefschetzProfile:
-        return profile_from_components(name, self.ambient_rank_N, self.components)
-
     def to_sod(self) -> SodExpr:
         return join_sod([self.p_name, self.q_name], self.components)
 
@@ -403,6 +395,17 @@ def join_sod(names: Sequence[str], components: Sequence[InvariantExpr]) -> SodEx
     return SodExpr(BASE_V, tuple(SodBlock(label, i, inv) for i, inv in enumerate(components)))
 
 
+def _refine(
+    components: Sequence[InvariantExpr], r: int, base: InvariantExpr, clip: int
+) -> tuple[list[InvariantExpr], InvariantExpr]:
+    """Refined blow-up over a rank-r subspace, clip >= r - 1: the parts i < r - 1,
+    each components[i] less components[clip] (0 past the end), and the
+    base-locus part, base less every component from r on."""
+    padded = list(components) + [_zero] * (clip + 1 - len(components))
+    parts = [padded[i] - padded[clip] for i in range(r - 1)]
+    return parts, base - sum(components[r:], _zero)
+
+
 def join_components(
     p: LefschetzProfile,
     q: LefschetzProfile,
@@ -410,7 +413,8 @@ def join_components(
     *,
     include_boundary_pairs: bool = False,
 ) -> JoinResult:
-    """Join two profiles given the fiber-product invariant e.
+    """Join two profiles given the fiber-product invariant e: the refined blow-up
+    of their ruled join over the diagonal rank-N subspace, with base locus e.
 
     `include_boundary_pairs` admits pairs with i1 + i2 = N - 2 into the refined
     components (a known-inconsistent variant kept as a regression control); the
@@ -419,20 +423,8 @@ def join_components(
     N = same_ambient(p, q)
     e = _coerce(e)
     jbar = ruled_join_components(p, q)
-    # Refined part i: the pairs with i - 1 <= i1 + i2 <= upper, that is jbar[i]
-    # less the pairs with i1 + i2 >= upper + 1.
-    upper = N - 2 if include_boundary_pairs else N - 3
-    padded = jbar + [_zero] * (N + 1 - len(jbar))
-    jprime = [padded[i] - padded[upper + 2] for i in range(N - 1)]
-
-    e_part = e
-    for i in range(N, len(jbar)):
-        e_part = e_part - jbar[i]
-
+    jprime, e_part = _refine(jbar, N, e, N if include_boundary_pairs else N - 1)
     components = tuple(jp + e_part for jp in jprime)
-    total = _zero
-    for c in components:
-        total = total + c
     return JoinResult(
         p_name=p.name,
         q_name=q.name,
@@ -442,7 +434,7 @@ def join_components(
         intersection_invariant=e,
         e_invariant=e_part,
         components=components,
-        total=total,
+        total=sum(components, _zero),
     )
 
 
@@ -470,10 +462,7 @@ def profile_from_components(
     comps = [_coerce(c) for c in components]
     while len(comps) > 1 and comps[-1] == _zero:
         comps.pop()
-    prims = [
-        comps[k] - (comps[k + 1] if k + 1 < len(comps) else _zero)
-        for k in range(len(comps))
-    ]
+    prims = [a - b for a, b in zip(comps, comps[1:] + [_zero])]
     return build_profile(name, N, prims, allow_nonmoderate=allow_nonmoderate)
 
 
@@ -486,7 +475,6 @@ class RefinedBlowupResult:
 
     name: str
     ambient_rank: int
-    a_prime: tuple[InvariantExpr, ...]
     c_l_invariant: InvariantExpr
     components: tuple[InvariantExpr, ...]
     total: InvariantExpr
@@ -513,24 +501,12 @@ def refined_blowup_profile(
         raise UnresolvedBaseLocus(
             f"no invariant available for the base locus of {p.name!r}"
         )
-    z = _coerce(base_locus_inv)
-
-    clip = p.component_rank(ell - 1)
-    a_prime = tuple(p.component_rank(k) - clip for k in range(ell - 1))
-
-    c_l = z
-    for k in range(ell, p.length_m):
-        c_l = c_l - p.component_rank(k)
-
+    a_prime, c_l = _refine(p.component_ranks(), ell, _coerce(base_locus_inv), ell - 1)
     components = tuple(a + c_l for a in a_prime)
-    total = _zero
-    for c in components:
-        total = total + c
     return RefinedBlowupResult(
         name=p.name,
         ambient_rank=ell,
-        a_prime=a_prime,
         c_l_invariant=c_l,
         components=components,
-        total=total,
+        total=sum(components, _zero),
     )

@@ -1,13 +1,15 @@
 """Data model: Lefschetz profiles, SOD expressions, workspaces.
 
 A profile records a category's Lefschetz data as primitive-block invariants
-p_0..p_{m-1}; component k is the tail sum starting at k, and the category's
-total invariant is the weighted sum over the twisted component chain. An SOD
-block is labeled by the string reports print, such as ``hpd(A; P(V*))``.
+p_0..p_{m-1}. Its components are their tail sums p_k + ... + p_{m-1}, and the
+category's total invariant is the sum of the components over the twisted
+chain, sum_j (j+1) * p_j. An SOD block is labeled by the string reports
+print, such as ``hpd(A; P(V*))``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -38,8 +40,21 @@ BASE_V_DUAL = "P(V*)"
 BASE_L_DUAL = "P(L*)"
 
 
+_ZERO = InvariantExpr.const(0)
+
+
 def _coerce_all(values: Iterable[Coercible]) -> tuple[InvariantExpr, ...]:
     return tuple(InvariantExpr._coerce(v) for v in values)
+
+
+def tail_sums(values: Sequence[InvariantExpr]) -> list[InvariantExpr]:
+    """values[k] + values[k + 1] + ... for each k: len(values) - 1 additions."""
+    return list(itertools.accumulate(reversed(values)))[::-1]
+
+
+def weighted_total(values: Sequence[InvariantExpr]) -> InvariantExpr:
+    """sum_j (j+1) * values[j], as the sum of the tail sums."""
+    return sum(tail_sums(values), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -63,20 +78,14 @@ class LefschetzProfile:
         """Invariant of the k-th component: the tail sum of primitives from k."""
         if k < 0:
             raise ValueError("component index must be nonnegative")
-        total = InvariantExpr.const(0)
-        for p in self.primitive_right[k:]:
-            total = total + p
-        return total
+        return self.component_ranks()[k] if k < self.length_m else _ZERO
 
     def component_ranks(self) -> list[InvariantExpr]:
-        return [self.component_rank(k) for k in range(self.length_m)]
+        return tail_sums(self.primitive_right)
 
     def total_invariant(self) -> InvariantExpr:
         """Sum over the twisted chain: equals sum_j (j+1) * primitive_right[j]."""
-        total = InvariantExpr.const(0)
-        for j, p in enumerate(self.primitive_right):
-            total = total + (j + 1) * p
-        return total
+        return weighted_total(self.primitive_right)
 
     def renamed(self, name: str) -> LefschetzProfile:
         return LefschetzProfile(name, self.ambient_rank_N, self.primitive_right, self.primitive_left)
@@ -115,9 +124,7 @@ def build_profile(
         raise LeftRightMismatch(
             f"category {name!r}: left data has {len(left)} blocks, right has {len(right)}"
         )
-    weighted_left = InvariantExpr.const(0)
-    for j, p in enumerate(left):
-        weighted_left = weighted_left + (j + 1) * p
+    weighted_left = weighted_total(left)
     if weighted_left != profile.total_invariant():
         raise LeftRightMismatch(
             f"category {name!r}: left total {weighted_left} != right total "
@@ -158,10 +165,7 @@ class SodExpr:
     blocks: tuple[SodBlock, ...]
 
     def total(self) -> InvariantExpr:
-        value = InvariantExpr.const(0)
-        for block in self.blocks:
-            value = value + block.invariant
-        return value
+        return sum((block.invariant for block in self.blocks), _ZERO)
 
     def to_json_dict(self, name: str = "") -> dict:
         body = {
@@ -225,15 +229,14 @@ class Workspace:
                 raise UnknownCategory(f"intersection names unknown category {b!r}")
             pairs[_pair_key(a, b)] = InvariantExpr._coerce(value)
 
-        zero = InvariantExpr.const(0)
         for group in groups:
             members = sorted(group)
             for i, a in enumerate(members):
                 for b in members[i + 1 :]:
                     key = _pair_key(a, b)
                     declared = pairs.get(key)
-                    if declared is None or declared == zero:
-                        pairs[key] = zero
+                    if not declared:
+                        pairs[key] = _ZERO
                     elif declared.is_constant():
                         raise ConflictingIntersection(
                             f"{a}, {b} declared disjoint but intersect with constant {declared}"
@@ -243,7 +246,7 @@ class Workspace:
                             f"intersection of {a}, {b} declared as {declared} but the pair is "
                             "declared disjoint; disjointness forces 0"
                         )
-                        pairs[key] = zero
+                        pairs[key] = _ZERO
 
         duals = dict(dual_profiles or {})
         for name in duals:

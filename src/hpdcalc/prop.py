@@ -174,13 +174,6 @@ def _padded_eq(a: Sequence[InvariantExpr], b: Sequence[InvariantExpr]) -> bool:
     return True
 
 
-def _sum(values: Sequence[InvariantExpr]) -> InvariantExpr:
-    total = _ZERO
-    for value in values:
-        total = total + value
-    return total
-
-
 # -- the conservation suite ----------------------------------------------------------
 
 # Every SOD-producing operation must reproduce its closed-form total, and the
@@ -222,8 +215,8 @@ def _conservation_case(rng: random.Random, bounds: _Bounds):
     b = _draw_profile(rng, symbols, bounds, "B", rank=rank)
     ruled = ruled_join_components(a, b)
     expected = a.total_invariant() * b.component_rank(0) + a.component_rank(0) * b.total_invariant()
-    if _sum(ruled) != expected:
-        return ("ruled join total", _sum(ruled), expected)
+    if sum(ruled, _ZERO) != expected:
+        return ("ruled join total", sum(ruled, _ZERO), expected)
 
     e = _draw_invariant(rng, symbols)
     join = join_components(a, b, e, include_boundary_pairs=bounds.mutate_join_bound)
@@ -287,21 +280,21 @@ def _join_laws_case(rng: random.Random, bounds: _Bounds):
     flat = n_join_components(triple)
     oracle = _oracle_flat_join(triple)
     if not _padded_eq(flat, oracle):
-        return ("flat triple join vs index-walk oracle", _sum(flat), _sum(oracle))
+        return ("flat triple join vs index-walk oracle", sum(flat, _ZERO), sum(oracle, _ZERO))
 
     shuffled = list(triple)
     rng.shuffle(shuffled)
     reordered = n_join_components(shuffled)
     if not _padded_eq(flat, reordered):
-        return ("triple join commutativity", _sum(flat), _sum(reordered))
+        return ("triple join commutativity", sum(flat, _ZERO), sum(reordered, _ZERO))
 
     left = ruled_join_components(_nested_pair(triple[0], triple[1]), triple[2])
     if not _padded_eq(flat, left):
-        return ("left nesting vs flat join", _sum(flat), _sum(left))
+        return ("left nesting vs flat join", sum(flat, _ZERO), sum(left, _ZERO))
 
     right = ruled_join_components(triple[0], _nested_pair(triple[1], triple[2]))
     if not _padded_eq(flat, right):
-        return ("right nesting vs flat join", _sum(flat), _sum(right))
+        return ("right nesting vs flat join", sum(flat, _ZERO), sum(right, _ZERO))
 
     return None
 

@@ -52,6 +52,19 @@ def primitive_values(profile: LefschetzProfile, assignment) -> list[int]:
     return [p.evaluate(assignment) for p in profile.primitive_right]
 
 
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one entry per call of owner.name."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 # -- integer reference computations -------------------------------------------
 
 
@@ -86,6 +99,17 @@ def ref_component_rank(p_vals: list[int], k: int) -> int:
 
 def ref_total(p_vals: list[int]) -> int:
     return sum((j + 1) * v for j, v in enumerate(p_vals))
+
+
+def ref_duality_total(N: int, c_vals: list[int]) -> int:
+    """(N - 1) * (c_0 + c_1 + ...) - N * (c_1 + c_2 + ...), summed by loops."""
+    total = 0
+    for c in c_vals:
+        total += c
+    higher = 0
+    for i in range(1, len(c_vals)):
+        higher += c_vals[i]
+    return (N - 1) * total - N * higher
 
 
 def ref_join_window(p_vals: list[int], q_vals: list[int], i: int, upper: int) -> int:

@@ -1,6 +1,7 @@
 """Command-line driver tests: exit codes, report schema, byte stability."""
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -271,3 +272,22 @@ def test_console_script_is_installed():
     )
     assert done.returncode == 0
     assert "points-line:golden: pass" in done.stdout
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["check", str(CATALOG_FILES[0])]])
+def test_closed_stdout_exits_four_without_a_traceback(argv):
+    # The read end is closed before the child starts, so every write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hpdcalc.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 4
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1

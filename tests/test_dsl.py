@@ -284,6 +284,13 @@ MALFORMED = [
         ("category", 1),
     ),
     (
+        "constant-intersection-of-disjoint-pair",
+        "category A over P(4) primitive [1];\ncategory B over P(4) primitive [1];\n"
+        "  intersect A, B over P(4) = 3;\ndisjoint A, B;\n",
+        ConflictingIntersection,
+        ("intersect", 1),
+    ),
+    (
         "duplicate-intersection",
         "symbol e; category A over P(3) primitive [1]; category B over P(3) primitive [1]; "
         "intersect A, B over P(3) = e; intersect B, A over P(3) = e;",

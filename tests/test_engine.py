@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hpdcalc import engine
 from hpdcalc.engine import (
     blowup_sod,
+    duality_total,
     hpd_total,
     hyperplane_sod,
     join_components,
@@ -37,10 +38,13 @@ from hpdcalc.poly import InvariantExpr, const, sym
 from support import (
     SYMBOL_NAMES,
     assignments,
+    count_calls,
     primitive_exprs,
     primitive_values,
     profile_pairs,
     profile_st,
+    ref_component_rank,
+    ref_duality_total,
     ref_flat_join,
     ref_join_window,
     ref_ruled_join,
@@ -144,6 +148,19 @@ def test_hpd_requires_moderate():
         hpd_total(squeezed)
     with pytest.raises(NonModerate):
         universal_hyperplane_sod(squeezed)
+
+
+@given(st.lists(primitive_exprs(), min_size=1, max_size=6), st.integers(2, 12), assignments())
+def test_duality_total_matches_integer_reference(components, N, assignment):
+    c_vals = [c.evaluate(assignment) for c in components]
+    assert duality_total(N, components).evaluate(assignment) == ref_duality_total(N, c_vals)
+
+
+@given(profile_st(), assignments())
+def test_hpd_total_matches_integer_reference(p, assignment):
+    p_vals = primitive_values(p, assignment)
+    c_vals = [ref_component_rank(p_vals, k) for k in range(p.length_m)]
+    assert hpd_total(p).evaluate(assignment) == ref_duality_total(p.ambient_rank_N, c_vals)
 
 
 def test_two_hyperplane_rank():
@@ -415,7 +432,7 @@ def test_iterated_join_equals_flat_formula(data):
         for i in range(3)
     ]
     first = join_components(profiles[0], profiles[1], 0)
-    merged = first.as_profile("P01")
+    merged = profile_from_components("P01", N, first.components)
     second = join_components(merged, profiles[2], 0)
 
     flat = n_join_components(profiles)
@@ -452,24 +469,12 @@ def test_join_refined_parts_match_integer_window(pair, assignment):
             assert jp.evaluate(assignment) == ref_join_window(p_vals, q_vals, i, upper)
 
 
-def _count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
 def test_flat_join_multiplications_scale_with_output(monkeypatch):
     # One index-sum pass: at most n * m * L products, not one per index tuple
     # and component.
     x = sym("x")
     profiles = [build_profile(f"P{i}", 5, [x, 1, x + 1, 2]) for i in range(6)]
-    calls = _count_calls(monkeypatch, InvariantExpr, "__mul__")
+    calls = count_calls(monkeypatch, InvariantExpr, "__mul__")
     comps = n_join_components(profiles)
     assert len(comps) == 24
     assert len(calls) <= 6 * 24 * 4
@@ -484,7 +489,7 @@ def _six_disjoint_triples():
 def test_n_hyperplane_resolves_each_subset_once(monkeypatch):
     # The full set plus each of the 56 proper subsets of size >= 2.
     profiles, ws = _six_disjoint_triples()
-    calls = _count_calls(monkeypatch, engine, "_resolve_h_total")
+    calls = count_calls(monkeypatch, engine, "_resolve_h_total")
     result = n_hyperplane_sod(profiles, ws)
     assert len(result.sod.blocks) == 3**6
     assert len(calls) == 1 + 56
@@ -493,7 +498,7 @@ def test_n_hyperplane_resolves_each_subset_once(monkeypatch):
 def test_n_hyperplane_builds_only_the_returned_blocks(monkeypatch):
     # Inner subsets contribute their deep components, never blocks.
     profiles, ws = _six_disjoint_triples()
-    built = _count_calls(monkeypatch, engine, "SodBlock")
+    built = count_calls(monkeypatch, engine, "SodBlock")
     result = n_hyperplane_sod(profiles, ws)
     assert len(built) == len(result.sod.blocks) == 3**6
 
@@ -508,7 +513,7 @@ def test_n_hyperplane_skips_products_for_length_one_factors(monkeypatch):
         build_profile(f"P{i}", 14, [x + 1] * (m - 1) + [2 * x + 1]) for i, m in enumerate(lengths)
     ]
     ws = Workspace.build(categories=profiles, disjoint_sets=[[p.name for p in profiles]])
-    calls = _count_calls(monkeypatch, InvariantExpr, "__mul__")
+    calls = count_calls(monkeypatch, InvariantExpr, "__mul__")
     result = n_hyperplane_sod(profiles, ws)
     assert len(result.sod.blocks) == 4
     assert len(calls) <= 300

@@ -15,6 +15,15 @@ from hpdcalc.errors import (
 from hpdcalc.model import SodBlock, SodExpr, Workspace, build_profile
 from hpdcalc.poly import InvariantExpr, const, sym
 
+from support import (
+    assignments,
+    count_calls,
+    primitive_values,
+    profile_st,
+    ref_component_rank,
+    ref_total,
+)
+
 
 def gr25():
     # Rectangular Lefschetz collection of Gr(2,5): five components of rank 2,
@@ -93,6 +102,25 @@ def test_total_at_ones_nonnegative(prims):
     assert p.total_invariant().at_ones() >= 0
     ranks = [p.component_rank(k).at_ones() for k in range(p.length_m + 1)]
     assert all(x >= y for x, y in zip(ranks, ranks[1:]))
+
+
+@given(profile_st(), assignments())
+def test_components_and_total_match_integer_reference(p, assignment):
+    p_vals = primitive_values(p, assignment)
+    ranks = [c.evaluate(assignment) for c in p.component_ranks()]
+    assert ranks == [ref_component_rank(p_vals, k) for k in range(p.length_m)]
+    for k in range(p.length_m + 2):
+        assert p.component_rank(k).evaluate(assignment) == ref_component_rank(p_vals, k)
+    assert p.total_invariant().evaluate(assignment) == ref_total(p_vals)
+
+
+def test_component_ranks_additions_scale_with_length(monkeypatch):
+    # One right-to-left pass: m - 1 additions, not one tail sum per component.
+    x = sym("x")
+    p = build_profile("X", 21, [x + k for k in range(20)])
+    calls = count_calls(monkeypatch, InvariantExpr, "__add__")
+    assert len(p.component_ranks()) == 20
+    assert len(calls) <= 19
 
 
 # -- SOD expressions ----------------------------------------------------------
