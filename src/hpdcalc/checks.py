@@ -116,8 +116,7 @@ def check_main_theorem(
 ) -> CheckResult:
     """Duality total of the join versus the deep component of the double
     universal hyperplane; the two sides never share a construction step."""
-    same_ambient(p, q)
-    N = p.ambient_rank_N
+    N = same_ambient(p, q)
     join = join_profile(p, q, workspace, include_boundary_pairs=include_boundary_pairs)
     lhs = duality_total(N, join.components)
     pair = n_hyperplane_sod([p, q], workspace)
@@ -147,8 +146,7 @@ def check_n_hpd_center(
         raise MissingDisjointness(
             f"center check for {', '.join(names)} needs a declared disjointness group"
         )
-    for p in profiles[1:]:
-        same_ambient(profiles[0], p)
+    same_ambient(*profiles)
 
     rhs = InvariantExpr.const(1)
     for p in profiles:

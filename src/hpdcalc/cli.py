@@ -45,15 +45,19 @@ def _print_report(report: dict) -> None:
 
 
 def _finish(report: dict, json_path: str | None, code: int) -> int:
-    """Print the report, write it as JSON when asked, and return the exit code."""
-    _print_report(report)
+    """Write the JSON report when asked (first, so a closed stdout cannot cost
+    it), print the report, and return the exit code."""
+    failure = None
     if json_path:
         try:
             with open(json_path, "w", encoding="utf-8") as handle:
                 handle.write(stable_json(report))
         except OSError as err:
-            print(f"error: cannot write report: {err}", file=sys.stderr)
-            return EXIT_IO
+            failure = err
+    _print_report(report)
+    if failure is not None:
+        print(f"error: cannot write report: {failure}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 

@@ -56,27 +56,32 @@ __all__ = [
     "CheckStmt",
 ]
 
-CHECK_NAMES = (
-    "main_theorem",
-    "n_hpd_center",
-    "cone_part1",
-    "cone_part2",
-    "join_linear",
-    "dual_profile",
-)
 
-# Keyword arguments accepted per check; every other check takes none.
-_CHECK_KEYWORDS = {"cone_part1": ("n2",), "cone_part2": ("n2",)}
+def _run_dual_profile(
+    profiles: list[LefschetzProfile], stmt: CheckStmt, ws: Workspace
+) -> CheckResult:
+    target = profiles[0]
+    dual = ws.dual_of(target.name)
+    if dual is None:
+        raise Underdetermined(
+            f"dual_profile({target.name}) needs a declared dual profile", stmt.span
+        )
+    return check_dual_profile(target, dual)
 
-# (min, max) positional arity; max None = unbounded.
-_CHECK_ARITY = {
-    "main_theorem": (2, 2),
-    "n_hpd_center": (1, None),
-    "cone_part1": (1, 1),
-    "cone_part2": (1, 1),
-    "join_linear": (1, None),
-    "dual_profile": (1, 1),
+
+# Per check: least and greatest arity (None = unbounded), whether it takes and
+# requires n2=, and its runner (profiles, stmt, ws). Runners look the check
+# functions up by name when called, so rebinding a name (to profile it) holds.
+_CHECKS = {
+    "main_theorem": (2, 2, False, lambda ps, stmt, ws: check_main_theorem(ps[0], ps[1], ws)),
+    "n_hpd_center": (1, None, False, lambda ps, stmt, ws: check_n_hpd_center(ps, ws)),
+    "cone_part1": (1, 1, True, lambda ps, stmt, ws: check_thm_cone_part1(ps[0], stmt.n2, ws)),
+    "cone_part2": (1, 1, True, lambda ps, stmt, ws: check_thm_cone_part2(ps[0], stmt.n2, ws)),
+    "join_linear": (1, None, False, lambda ps, stmt, ws: check_join_linear(ps, ws)),
+    "dual_profile": (1, 1, False, _run_dual_profile),
 }
+
+CHECK_NAMES = tuple(_CHECKS)
 
 _KEYWORDS = frozenset(
     ["symbol", "category", "over", "primitive", "left", "intersect", "disjoint", "dual", "check"]
@@ -160,6 +165,11 @@ class _Parser(PolyParser):
             raise DslSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
         return self.advance()
 
+    def expect_word(self, word: str) -> None:
+        tok = self.expect_ident(repr(word))
+        if tok.text != word:
+            raise DslSyntaxError(f"expected {word!r}, found {tok.text!r}", tok.span)
+
     def expect_int(self) -> tuple[int, Span]:
         tok = self.peek()
         if tok.kind != "int":
@@ -183,9 +193,7 @@ class _Parser(PolyParser):
         return tuple(items)
 
     def parse_rank(self) -> tuple[int, Span]:
-        tok = self.expect_ident("'P'")
-        if tok.text != "P":
-            raise DslSyntaxError(f"expected 'P', found {tok.text!r}", tok.span)
+        self.expect_word("P")
         self.expect_punct("(")
         rank, span = self.expect_int()
         self.expect_punct(")")
@@ -235,13 +243,9 @@ class _Parser(PolyParser):
     def _stmt_category(self) -> CategoryDecl:
         span = self.advance().span
         name = self.expect_ident("category name")
-        kw = self.expect_ident("'over'")
-        if kw.text != "over":
-            raise DslSyntaxError(f"expected 'over', found {kw.text!r}", kw.span)
+        self.expect_word("over")
         rank, _ = self.parse_rank()
-        kw = self.expect_ident("'primitive'")
-        if kw.text != "primitive":
-            raise DslSyntaxError(f"expected 'primitive', found {kw.text!r}", kw.span)
+        self.expect_word("primitive")
         primitives = self.parse_poly_list()
         left = None
         if self.peek().kind == "ident" and self.peek().text == "left":
@@ -255,9 +259,7 @@ class _Parser(PolyParser):
         first = self.expect_ident("category name")
         self.expect_punct(",")
         second = self.expect_ident("category name")
-        kw = self.expect_ident("'over'")
-        if kw.text != "over":
-            raise DslSyntaxError(f"expected 'over', found {kw.text!r}", kw.span)
+        self.expect_word("over")
         rank, _ = self.parse_rank()
         self.expect_punct("=")
         value = self.parse_poly()
@@ -275,9 +277,7 @@ class _Parser(PolyParser):
     def _stmt_dual(self) -> DualDecl:
         span = self.advance().span
         name = self.expect_ident("category name")
-        kw = self.expect_ident("'primitive'")
-        if kw.text != "primitive":
-            raise DslSyntaxError(f"expected 'primitive', found {kw.text!r}", kw.span)
+        self.expect_word("primitive")
         primitives = self.parse_poly_list()
         self.expect_punct(";")
         return DualDecl(name.text, primitives, span)
@@ -290,7 +290,7 @@ class _Parser(PolyParser):
                 f"unknown check name {name.text!r}; expected one of {', '.join(CHECK_NAMES)}",
                 name.span,
             )
-        allowed_keys = _CHECK_KEYWORDS.get(name.text, ())
+        lo, hi, takes_n2, _ = _CHECKS[name.text]
         self.expect_punct("(")
         args: list[tuple[str, Span]] = []
         n2: int | None = None
@@ -299,7 +299,7 @@ class _Parser(PolyParser):
             tok = self.expect_ident("category name or keyword")
             if self.at_punct("="):
                 self.advance()
-                if tok.text not in allowed_keys:
+                if tok.text != "n2" or not takes_n2:
                     raise DslSyntaxError(
                         f"check {name.text!r} does not take keyword {tok.text!r}", tok.span
                     )
@@ -322,13 +322,12 @@ class _Parser(PolyParser):
             break
         self.expect_punct(")")
         self.expect_punct(";")
-        lo, hi = _CHECK_ARITY[name.text]
         if len(args) < lo or (hi is not None and len(args) > hi):
             wanted = str(lo) if hi == lo else f"at least {lo}"
             raise DslSyntaxError(
                 f"check {name.text!r} takes {wanted} categories, got {len(args)}", span
             )
-        if "n2" in allowed_keys and n2 is None:
+        if takes_n2 and n2 is None:
             raise DslSyntaxError(f"check {name.text!r} requires n2=<rank>", span)
         return CheckStmt(name.text, tuple(args), n2, span)
 
@@ -486,25 +485,7 @@ def check_requests(ast: Ast) -> tuple[CheckStmt, ...]:
 def run_check(stmt: CheckStmt, ws: Workspace) -> CheckResult:
     """Execute one check statement against a validated workspace."""
     profiles = [ws.category(name) for name, _ in stmt.args]
-    if stmt.check == "main_theorem":
-        return check_main_theorem(profiles[0], profiles[1], ws)
-    if stmt.check == "n_hpd_center":
-        return check_n_hpd_center(profiles, ws)
-    if stmt.check == "cone_part1":
-        return check_thm_cone_part1(profiles[0], stmt.n2, ws)
-    if stmt.check == "cone_part2":
-        return check_thm_cone_part2(profiles[0], stmt.n2, ws)
-    if stmt.check == "join_linear":
-        return check_join_linear(profiles, ws)
-    if stmt.check == "dual_profile":
-        target = profiles[0]
-        dual = ws.dual_of(target.name)
-        if dual is None:
-            raise Underdetermined(
-                f"dual_profile({target.name}) needs a declared dual profile", stmt.span
-            )
-        return check_dual_profile(target, dual)
-    raise AssertionError(f"unhandled check {stmt.check!r}")
+    return _CHECKS[stmt.check][3](profiles, stmt, ws)
 
 
 # Errors that leave a check undecided by the declared data: such a check

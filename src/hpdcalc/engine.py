@@ -292,8 +292,7 @@ def n_hyperplane_sod(
     """
     if not profiles:
         raise ValueError("need at least one profile")
-    for p in profiles[1:]:
-        same_ambient(profiles[0], p)
+    same_ambient(*profiles)
     for p in profiles:
         _require_moderate(p)
     explicit = None if h_total is None else _coerce(h_total)
@@ -330,8 +329,7 @@ def n_join_components(profiles: Sequence[LefschetzProfile]) -> list[InvariantExp
     """Flat disjoint-join components: tuples with i_1 + ... + i_n >= i + 1 - n."""
     if not profiles:
         raise ValueError("need at least one profile")
-    for p in profiles[1:]:
-        same_ambient(profiles[0], p)
+    same_ambient(*profiles)
     # by_sum[s] sums the primitive products of the index tuples with sum s;
     # convolve one factor at a time.
     by_sum = [InvariantExpr.const(1)]

@@ -90,15 +90,6 @@ class LefschetzProfile:
     def renamed(self, name: str) -> LefschetzProfile:
         return LefschetzProfile(name, self.ambient_rank_N, self.primitive_right, self.primitive_left)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ambient_rank_N": self.ambient_rank_N,
-            "length_m": self.length_m,
-            "primitive_right": [str(p) for p in self.primitive_right],
-            "primitive_left": [str(p) for p in self.primitive_left],
-        }
-
 
 def build_profile(
     name: str,
@@ -293,30 +284,14 @@ class Workspace:
     def dual_of(self, name: str) -> LefschetzProfile | None:
         return self.dual_profiles.get(name)
 
-    # -- serialization -------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "symbols": sorted(self.symbols),
-            "categories": [
-                self.categories[name].to_json_dict() for name in sorted(self.categories)
-            ],
-            "intersections": [
-                {"left": a, "right": b, "base": BASE_V, "value": str(self.intersections[(a, b)])}
-                for a, b in sorted(self.intersections)
-            ],
-            "disjoint_sets": sorted(sorted(group) for group in self.disjoint_sets),
-            "dual_profiles": [
-                {**self.dual_profiles[name].to_json_dict(), "name": name}
-                for name in sorted(self.dual_profiles)
-            ],
-        }
-
-
-def same_ambient(p: LefschetzProfile, q: LefschetzProfile) -> int:
-    """The shared ambient rank, or AmbientMismatch."""
-    if p.ambient_rank_N != q.ambient_rank_N:
-        raise AmbientMismatch(
-            f"{p.name} lives over rank {p.ambient_rank_N}, {q.name} over rank {q.ambient_rank_N}"
-        )
+def same_ambient(*profiles: LefschetzProfile) -> int:
+    """The ambient rank the profiles share, or AmbientMismatch."""
+    p = profiles[0]
+    for q in profiles[1:]:
+        if q.ambient_rank_N != p.ambient_rank_N:
+            raise AmbientMismatch(
+                f"{p.name} lives over rank {p.ambient_rank_N}, "
+                f"{q.name} over rank {q.ambient_rank_N}"
+            )
     return p.ambient_rank_N

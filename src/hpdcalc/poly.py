@@ -62,9 +62,8 @@ class InvariantExpr:
         cleaned = {}
         if terms:
             for mono, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                cleaned[tuple(sorted(mono))] = cleaned.get(tuple(sorted(mono)), 0) + coeff
+                key = tuple(sorted(mono))
+                cleaned[key] = cleaned.get(key, 0) + coeff
         items = tuple(
             (mono, coeff)
             for mono, coeff in sorted(cleaned.items(), key=lambda kv: _monomial_key(kv[0]))

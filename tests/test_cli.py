@@ -274,8 +274,15 @@ def test_console_script_is_installed():
     assert "points-line:golden: pass" in done.stdout
 
 
-@pytest.mark.parametrize("argv", [["catalog"], ["check", str(CATALOG_FILES[0])]])
-def test_closed_stdout_exits_four_without_a_traceback(argv):
+@pytest.mark.parametrize(
+    "argv", [["catalog"], ["check", str(CATALOG_FILES[0])], ["catalog", "--json"]]
+)
+def test_closed_stdout_exits_four_without_a_traceback(argv, tmp_path):
+    # A requested --json report is still written, byte-identical to the report
+    # of a run whose stdout stays open.
+    wants_json = argv[-1] == "--json"
+    if wants_json:
+        argv = [*argv, str(tmp_path / "closed.json")]
     # The read end is closed before the child starts, so every write fails.
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -291,3 +298,10 @@ def test_closed_stdout_exits_four_without_a_traceback(argv):
     assert done.returncode == 4
     assert "Traceback" not in done.stderr
     assert done.stderr.count("\n") == 1
+    if wants_json:
+        opened = subprocess.run(
+            [sys.executable, "-m", "hpdcalc.cli", *argv[:-1], str(tmp_path / "open.json")],
+            capture_output=True,
+        )
+        assert opened.returncode == 0
+        assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()

@@ -7,6 +7,8 @@ hard-coding coordinates.
 
 import pytest
 
+import hpdcalc.checks
+import hpdcalc.dsl
 from hpdcalc.dsl import (
     CheckStmt,
     CategoryDecl,
@@ -317,7 +319,71 @@ MALFORMED = [
         DslSyntaxError,
         ("A", 3),
     ),
+    (
+        "check-arity-too-many",
+        "category A over P(4) primitive [1]; check cone_part1(A, A, n2=2);",
+        DslSyntaxError,
+        ("check", 1),
+    ),
+    (
+        "duplicate-n2",
+        "category A over P(4) primitive [1]; check cone_part1(A, n2=2, n2=3);",
+        DslSyntaxError,
+        ("n2", 2),
+    ),
+    ("misspelt-over", "category A ovr P(3) primitive [1];", DslSyntaxError, ("ovr", 1)),
+    (
+        "misspelt-over-in-intersect",
+        "category A over P(3) primitive [1]; category B over P(3) primitive [1]; "
+        "intersect A, B ovr P(3) = 1;",
+        DslSyntaxError,
+        ("ovr", 1),
+    ),
+    ("wrong-projective-space", "category A over Q(3) primitive [1];", DslSyntaxError, ("Q", 1)),
+    ("truncated-rank", "category A over", DslSyntaxError, (1, 16)),
+    (
+        "misspelt-primitive",
+        "category A over P(3) primtive [1];",
+        DslSyntaxError,
+        ("primtive", 1),
+    ),
+    (
+        "misspelt-primitive-in-dual",
+        "category A over P(3) primitive [1]; dual A primitve [1];",
+        DslSyntaxError,
+        ("primitve", 1),
+    ),
+    (
+        "keyword-on-dual-profile",
+        "category A over P(4) primitive [1]; check dual_profile(A, n2=2);",
+        DslSyntaxError,
+        ("n2", 1),
+    ),
+    (
+        "missing-n2-cone-part2",
+        "category A over P(4) primitive [1]; check cone_part2(A);",
+        DslSyntaxError,
+        ("check", 1),
+    ),
 ]
+
+# The exact text of the diagnostic of each MALFORMED case that checks a word,
+# an arity or a keyword.
+DIAGNOSTIC_TEXT = {
+    "check-arity": "1:1: check 'main_theorem' takes 2 categories, got 1",
+    "check-arity-too-many": "1:37: check 'cone_part1' takes 1 categories, got 2",
+    "duplicate-n2": "1:63: duplicate keyword 'n2'",
+    "misspelt-over": "1:12: expected 'over', found 'ovr'",
+    "misspelt-over-in-intersect": "1:88: expected 'over', found 'ovr'",
+    "wrong-projective-space": "1:17: expected 'P', found 'Q'",
+    "truncated-rank": "1:16: expected 'P', found 'end of input'",
+    "misspelt-primitive": "1:22: expected 'primitive', found 'primtive'",
+    "misspelt-primitive-in-dual": "1:44: expected 'primitive', found 'primitve'",
+    "keyword-on-wrong-check": "1:128: check 'main_theorem' does not take keyword 'n2'",
+    "keyword-on-dual-profile": "1:59: check 'dual_profile' does not take keyword 'n2'",
+    "missing-n2": "1:37: check 'cone_part1' requires n2=<rank>",
+    "missing-n2-cone-part2": "1:37: check 'cone_part2' requires n2=<rank>",
+}
 
 
 @pytest.mark.parametrize(
@@ -329,6 +395,14 @@ def test_malformed_inputs_raise_with_spans(src, exc, where):
         validate(parse(src))
     assert excinfo.value.span == expected
     assert str(excinfo.value).startswith(f"{expected[0]}:{expected[1]}:")
+
+
+@pytest.mark.parametrize("name", list(DIAGNOSTIC_TEXT))
+def test_diagnostic_text_is_exact(name):
+    (src,) = [case[1] for case in MALFORMED if case[0] == name]
+    with pytest.raises(DslSyntaxError) as excinfo:
+        parse(src)
+    assert str(excinfo.value) == DIAGNOSTIC_TEXT[name]
 
 
 def test_diagnostics_report_later_lines_correctly():
@@ -370,6 +444,28 @@ def test_run_check_cone_statements_with_rank_keyword():
     ws = validate(ast)
     for stmt in check_requests(ast):
         assert run_check(stmt, ws).status == "pass"
+
+
+def test_run_check_looks_up_each_check_function_when_called(monkeypatch):
+    # Profilers rebind these module-level names; a check table holding its own
+    # references to the functions would bypass them.
+    src = (
+        "symbol c; category A over P(6) primitive [0, c]; category B over P(6) primitive [1]; "
+        "disjoint A, B; dual A primitive [0, 0, 0, c]; "
+        "check main_theorem(A, B); check n_hpd_center(A, B); check cone_part1(A, n2=2); "
+        "check cone_part2(A, n2=2); check join_linear(A, B); check dual_profile(A);"
+    )
+    names = [name for name in hpdcalc.checks.__all__ if name.startswith("check_")]
+    calls = []
+    for name in names:
+        original = getattr(hpdcalc.dsl, name)
+        counted = lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)  # noqa: E731
+        monkeypatch.setattr(hpdcalc.dsl, name, counted)
+    ast = parse(src)
+    ws = validate(ast)
+    for stmt in check_requests(ast):
+        run_check(stmt, ws)
+    assert sorted(calls) == sorted(names) and len(names) == 6
 
 
 def test_run_check_center_and_linear_join_statements():
