@@ -3,7 +3,8 @@
 Exit codes partition outcomes: 0 all checks pass, 1 any check fails, 2 the
 input cannot be parsed or validated (or usage is wrong), 3 at least one check
 is underdetermined by the declared data (with no outright failure), 4 file
-I/O failed, the input file is not valid UTF-8, or standard output was closed.
+I/O failed, the input file is not valid UTF-8, or standard output was closed,
+5 an internal error: an unexpected exception, reported with its traceback.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import catalog, prop
 from .dsl import check_requests, parse, run_check_row, validate
@@ -24,6 +26,7 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_UNDERDETERMINED = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _print_report(report: dict) -> None:
@@ -181,6 +184,11 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         print(f"error: cannot write to standard output: {err}", file=sys.stderr)
         return EXIT_IO
+    except Exception as err:
+        # A bug, not a verdict: exit 1 would read as "a check failed".
+        print(f"error: internal error: {err!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     return code
 
 

@@ -1,8 +1,18 @@
 """Exact multivariate integer polynomials: the value domain for additive invariants.
 
-Values are immutable and kept in canonical form (no zero coefficients, monomials
-in graded lexicographic order on symbol names), so structural equality decides
-polynomial equality and printing is byte-stable.
+Values are immutable and kept in canonical form, so structural equality decides
+polynomial equality and printing is byte-stable. A canonical term tuple has:
+
+- each monomial's symbol names in sorted order;
+- the terms in graded lexicographic order of their monomials (`_term_key`),
+  each monomial once;
+- no zero coefficient (zero is the empty tuple).
+
+`InvariantExpr(mapping)` normalizes arbitrary input into that form. The
+arithmetic operators instead build results with `InvariantExpr._canonical`,
+which trusts its caller: their operands are canonical already, so a sum only
+needs its surviving terms sorted once, a negation or a scaling keeps the order,
+and a product sorts each new monomial and then the term list once.
 """
 
 from __future__ import annotations
@@ -46,9 +56,18 @@ class Symbol:
         return self.name
 
 
-def _monomial_key(m: Monomial) -> tuple[int, Monomial]:
-    # Graded lex: higher total degree first, ties by name tuple.
-    return (-len(m), m)
+def _term_key(term: tuple[Monomial, int]) -> tuple[int, Monomial]:
+    # Graded lex on the monomial: higher total degree first, ties by name tuple.
+    return (-len(term[0]), term[0])
+
+
+def _constant_terms(value: int) -> tuple[tuple[Monomial, int], ...]:
+    return (((), value),) if value else ()
+
+
+def _collected(acc: dict[Monomial, int]) -> tuple[tuple[Monomial, int], ...]:
+    """The canonical terms of a dict keyed by sorted monomials."""
+    return tuple(sorted([term for term in acc.items() if term[1]], key=_term_key))
 
 
 class InvariantExpr:
@@ -64,12 +83,15 @@ class InvariantExpr:
             for mono, coeff in terms.items():
                 key = tuple(sorted(mono))
                 cleaned[key] = cleaned.get(key, 0) + coeff
-        items = tuple(
-            (mono, coeff)
-            for mono, coeff in sorted(cleaned.items(), key=lambda kv: _monomial_key(kv[0]))
-            if coeff != 0
-        )
-        object.__setattr__(self, "_terms", items)
+        self._terms = _collected(cleaned)
+
+    @staticmethod
+    def _canonical(items: tuple[tuple[Monomial, int], ...]) -> InvariantExpr:
+        """Wrap a term tuple that is canonical already (see the module
+        docstring), with no sort and no filter. Internal to the operators."""
+        expr = object.__new__(InvariantExpr)
+        expr._terms = items
+        return expr
 
     # -- constructors ------------------------------------------------------
 
@@ -86,7 +108,7 @@ class InvariantExpr:
         if isinstance(value, InvariantExpr):
             return value
         if isinstance(value, int):
-            return InvariantExpr.const(value)
+            return InvariantExpr._canonical(_constant_terms(int(value)))
         raise TypeError(f"cannot treat {type(value).__name__} as an invariant value")
 
     # -- inspection --------------------------------------------------------
@@ -102,7 +124,8 @@ class InvariantExpr:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(not mono for mono, _ in self._terms)
+        # The first term has the highest degree.
+        return not self._terms or not self._terms[0][0]
 
     def constant_value(self) -> int:
         """The value of a constant polynomial; raises otherwise."""
@@ -134,15 +157,19 @@ class InvariantExpr:
 
     def __add__(self, other: Coercible) -> InvariantExpr:
         other = InvariantExpr._coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         acc = dict(self._terms)
         for mono, coeff in other._terms:
             acc[mono] = acc.get(mono, 0) + coeff
-        return InvariantExpr(acc)
+        return InvariantExpr._canonical(_collected(acc))
 
     __radd__ = __add__
 
     def __neg__(self) -> InvariantExpr:
-        return InvariantExpr({mono: -coeff for mono, coeff in self._terms})
+        return InvariantExpr._canonical(tuple((mono, -coeff) for mono, coeff in self._terms))
 
     def __sub__(self, other: Coercible) -> InvariantExpr:
         return self + (-InvariantExpr._coerce(other))
@@ -150,25 +177,42 @@ class InvariantExpr:
     def __rsub__(self, other: Coercible) -> InvariantExpr:
         return InvariantExpr._coerce(other) - self
 
+    def _scaled(self, factor: int) -> InvariantExpr:
+        if not factor:
+            return InvariantExpr._canonical(())
+        if factor == 1:
+            return self
+        return InvariantExpr._canonical(
+            tuple((mono, coeff * factor) for mono, coeff in self._terms)
+        )
+
     def __mul__(self, other: Coercible) -> InvariantExpr:
         other = InvariantExpr._coerce(other)
+        # A constant factor, zero included, scales the other operand's terms.
+        if other.is_constant():
+            return self._scaled(other.constant_value())
+        if self.is_constant():
+            return other._scaled(self.constant_value())
         acc: dict[Monomial, int] = {}
         for mono_a, coeff_a in self._terms:
             for mono_b, coeff_b in other._terms:
                 mono = tuple(sorted(mono_a + mono_b))
                 acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
-        return InvariantExpr(acc)
+        return InvariantExpr._canonical(_collected(acc))
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = InvariantExpr.const(other)
+            return self._terms == _constant_terms(other)
         if not isinstance(other, InvariantExpr):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # Equal to hash(value) for a constant, so hashing agrees with == on ints.
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(self._terms)
 
     def __bool__(self) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hpdcalc
-from hpdcalc import catalog
+from hpdcalc import catalog, cli
 from hpdcalc.cli import main
 from hpdcalc.poly import MAX_NESTING
 
@@ -305,3 +305,20 @@ def test_closed_stdout_exits_four_without_a_traceback(argv, tmp_path):
         )
         assert opened.returncode == 0
         assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "open.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["check", "catalog", "prop"])
+def test_internal_error_exits_five_with_one_line_and_a_traceback(command, monkeypatch, capsys):
+    def broken(args):
+        print("partial output")
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", broken)
+    argv = [command, str(CATALOG_FILES[0])] if command == "check" else [command]
+    assert main(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "partial output\n"
+    first, rest = captured.err.split("\n", 1)
+    assert first == "error: internal error: RuntimeError('boom')"
+    assert rest.startswith("Traceback (most recent call last):\n")
+    assert rest.endswith("RuntimeError: boom\n")

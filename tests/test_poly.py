@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from support import count_calls
 
 from hpdcalc.poly import (
     MAX_NESTING,
@@ -117,6 +118,31 @@ def test_eq_examples():
     assert e != e + 1
 
 
+def test_constants_hash_like_the_ints_they_equal():
+    assert hash(const(3)) == hash(3)
+    assert hash(const(-1)) == hash(-1)
+    assert hash(const(0)) == hash(sym("x") - sym("x")) == hash(0)
+    assert len({3, const(3)}) == 1
+    assert {0, const(0), -1, const(-1), sym("x")} == {0, -1, sym("x")}
+    assert const(-1) == -1 and const(0) == 0 and sym("x") != 0 and sym("x") + 1 != 1
+
+
+def test_operators_on_canonical_values_skip_the_normalizing_constructor(monkeypatch):
+    a = 2 * sym("a") * sym("b") - sym("b") + 3
+    b = sym("a") - 1
+    zero = a - a
+    inits = count_calls(monkeypatch, InvariantExpr, "__init__")
+    results = [
+        a + b, a - b, -a, a * b,
+        a + 2, 2 + a, a - 2, 2 - a, a * 3, 3 * a, a * 0, 0 * a, a * -1,
+        a + zero, zero + a, a * zero, zero * b, sum([a, b, a]),
+    ]
+    comparisons = [a == 3, zero == 0, a + 1 == b]
+    assert inits == []
+    assert results[10] == results[11] == results[15] == results[16] == 0
+    assert comparisons == [False, True, False]
+
+
 # -- algebraic laws (property-tested) ----------------------------------------
 
 names = st.sampled_from(["a", "b", "c", "d"])
@@ -177,6 +203,67 @@ def test_eq_agrees_with_evaluation(a, b):
         assert all(a.evaluate(pt) == b.evaluate(pt) for pt in points)
     else:
         assert any(a.evaluate(pt) != b.evaluate(pt) for pt in grid(a.symbols() | b.symbols()))
+
+
+# -- canonical form from raw input --------------------------------------------
+#
+# The operands come from InvariantExpr(mapping) on raw dicts, and the results
+# are evaluated by plain loops over term pairs, so neither the inputs nor the
+# oracle go through the operators' own construction path.
+
+
+@st.composite
+def raw_terms(draw):
+    """A mapping with unsorted monomials, keys that sort to the same monomial,
+    zero coefficients and cancelling pairs."""
+    raw = {}
+    for _ in range(draw(st.integers(0, 6))):
+        mono = tuple(draw(st.lists(names, max_size=3)))
+        coeff = draw(st.integers(-4, 4))
+        raw[mono] = coeff
+        if draw(st.booleans()):
+            raw[mono[::-1]] = draw(st.sampled_from([-coeff, 0, coeff]))
+    return raw
+
+
+def raw_value(terms, point):
+    total = 0
+    for mono, coeff in terms:
+        for name in mono:
+            coeff *= point[name]
+        total += coeff
+    return total
+
+
+scalars = st.sampled_from([0, 1, -1]) | st.integers(-20, 20)
+points = st.lists(
+    st.fixed_dictionaries({name: st.integers(-9, 9) for name in "abcd"}), min_size=1, max_size=4
+)
+
+
+@given(raw_terms(), raw_terms(), scalars, points)
+def test_operator_results_are_canonical_and_evaluate_like_raw_input(ra, rb, k, pts):
+    a, b = InvariantExpr(ra), InvariantExpr(rb)
+    ra, rb = ra.items(), rb.items()
+    cases = [
+        (a + b, lambda pt: raw_value(ra, pt) + raw_value(rb, pt)),
+        (a - b, lambda pt: raw_value(ra, pt) - raw_value(rb, pt)),
+        (-a, lambda pt: -raw_value(ra, pt)),
+        (a * b, lambda pt: raw_value(ra, pt) * raw_value(rb, pt)),
+        (a * k, lambda pt: raw_value(ra, pt) * k),
+        (k * a, lambda pt: k * raw_value(ra, pt)),
+        (a + k, lambda pt: raw_value(ra, pt) + k),
+        (k - a, lambda pt: k - raw_value(ra, pt)),
+    ]
+    for result, expected in cases:
+        terms = result.terms
+        assert all(coeff != 0 for _, coeff in terms)
+        assert all(list(mono) == sorted(mono) for mono, _ in terms)
+        keys = [(-len(mono), mono) for mono, _ in terms]
+        assert keys == sorted(set(keys))
+        assert terms == InvariantExpr(dict(terms)).terms
+        for pt in pts:
+            assert raw_value(terms, pt) == expected(pt)
 
 
 # -- evaluation helpers -------------------------------------------------------

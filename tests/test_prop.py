@@ -1,11 +1,13 @@
 """Property-suite driver tests: determinism, bounds, and the mutation control."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from support import assignments, primitive_values, profile_st, ref_flat_join
 
+from hpdcalc.cli import main
 from hpdcalc.model import build_profile
 from hpdcalc.prop import (
     MAX_LENGTH_CAP,
@@ -60,6 +62,22 @@ def test_flipped_join_bound_fails_conservation_with_witness():
     assert row["status"] == "fail"
     assert row["witness"] == failure.witness
     assert any("first counterexample" in note for note in row["notes"])
+
+
+def test_prop_report_bytes_are_pinned(tmp_path, capsys):
+    """`prop --seed 1 --cases 100 --json PATH` prints and writes exactly these
+    bytes. The digests were recorded from the code as it stood before the
+    arithmetic operators built their results through the trusted canonical
+    constructor; a change to either digest is a change to the report."""
+    report_path = tmp_path / "prop.json"
+    assert main(["prop", "--seed", "1", "--cases", "100", "--json", str(report_path)]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "02a52fdca16ea656b251be500e1ca27e4b3b37ddd03d141ac47970e3bcede5ae"
+    )
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == (
+        "10af34712d817f8a36c35cbb6e50b18999ea095f710c88218d4d70b4584eadfb"
+    )
 
 
 def test_mutation_does_not_touch_the_other_suites():
