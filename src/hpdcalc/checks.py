@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import (
+    deep_component,
     duality_total,
     hpd_total,
     join_profile,
-    n_hyperplane_sod,
     n_join_components,
     ruled_join_components,
 )
@@ -119,13 +119,13 @@ def check_main_theorem(
     N = same_ambient(p, q)
     join = join_profile(p, q, workspace, include_boundary_pairs=include_boundary_pairs)
     lhs = duality_total(N, join.components)
-    pair = n_hyperplane_sod([p, q], workspace)
+    deep, warnings = deep_component([p, q], workspace)
     notes = [
         INVARIANT_LEVEL_NOTE,
         f"derived invariant of the fiber product of the two duals: {lhs}",
-        *pair.warnings,
+        *warnings,
     ]
-    return _result("main_theorem", lhs, pair.c_invariant, notes)
+    return _result("main_theorem", lhs, deep, notes)
 
 
 def check_n_hpd_center(
@@ -257,18 +257,16 @@ def check_join_linear(
         split_ws = Workspace.build(
             categories=enlarged, disjoint_sets=[[p.name for p in enlarged]]
         )
-        deep = n_hyperplane_sod(enlarged, split_ws)
-        notes.extend(deep.warnings)
-        if deep.c_invariant == lhs:
-            notes.append(
-                f"simultaneous-hyperplane route agrees: deep component {deep.c_invariant}"
-            )
+        deep, warnings = deep_component(enlarged, split_ws)
+        notes.extend(warnings)
+        if deep == lhs:
+            notes.append(f"simultaneous-hyperplane route agrees: deep component {deep}")
         else:
             notes.append(
                 "simultaneous-hyperplane route disagrees with the join route; "
                 "comparing those two sides instead"
             )
-            return _result("join_linear", deep.c_invariant, lhs, notes)
+            return _result("join_linear", deep, lhs, notes)
     return _result("join_linear", lhs, rhs, notes)
 
 

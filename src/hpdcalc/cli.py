@@ -10,6 +10,7 @@ I/O failed, the input file is not valid UTF-8, or standard output was closed,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -129,7 +130,9 @@ def cmd_prop(args) -> int:
     return _finish(report, args.json, EXIT_PASS if suite.all_passed() else EXIT_FAIL)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="hpdcalc",
         description="Symbolic duality checks for Lefschetz categories.",
@@ -144,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="admit profiles with length >= ambient rank for non-duality operations",
     )
-    check.set_defaults(handler=cmd_check)
 
     cat = sub.add_parser("catalog", help="run built-in worked examples against goldens")
     cat.add_argument("name", nargs="?", help="single case to run (default: all)")
@@ -154,7 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rewrite the stored golden files from this run",
     )
-    cat.set_defaults(handler=cmd_catalog)
 
     prop_cmd = sub.add_parser("prop", help="run seeded property suites")
     prop_cmd.add_argument("--seed", type=int, default=1)
@@ -167,14 +168,15 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="flip the refined-pair bound (negative control; must fail)",
     )
-    prop_cmd.set_defaults(handler=cmd_prop)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a rebound handler takes effect.
+    handler = {"check": cmd_check, "catalog": cmd_catalog, "prop": cmd_prop}[args.command]
     try:
-        code = args.handler(args)
+        code = handler(args)
         sys.stdout.flush()
     except BrokenPipeError as err:
         # The reader went away (`hpdcalc catalog | head`). Point stdout at

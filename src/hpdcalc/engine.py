@@ -2,7 +2,10 @@
 
 Every operation here consumes profiles (plus a frozen workspace where declared
 data is needed) and produces block lists or component lists whose invariants
-satisfy a closed-form total; the property suite pins each closed form.
+satisfy a closed-form total; the property suite pins each closed form. A check
+that compares only the deep component of the n-universal hyperplane uses
+`deep_component`, which sums the resolved subset totals by inclusion-exclusion
+and builds no block.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "two_hyperplane_rank",
     "NHyperplaneResult",
     "n_hyperplane_sod",
+    "deep_component",
     "ruled_join_components",
     "JoinResult",
     "join_components",
@@ -185,12 +189,14 @@ class NHyperplaneResult:
 
 def _resolve_h_total(
     profiles: Sequence[LefschetzProfile],
+    totals: Sequence[InvariantExpr],
     workspace: Workspace,
     explicit: InvariantExpr | None,
 ) -> InvariantExpr:
     """All applicable sources (explicit, disjointness, declared pair intersection)
     must agree; silence is Underdetermined, disagreement is a hard error. A
-    single category counts as disjoint, so it resolves to (N - 1) * total."""
+    single category counts as disjoint, so it resolves to (N - 1) * total.
+    `totals` holds the profiles' total invariants."""
     N = profiles[0].ambient_rank_N
     n = len(profiles)
     names = [p.name for p in profiles]
@@ -199,16 +205,13 @@ def _resolve_h_total(
         candidates.append(("explicit declaration", _coerce(explicit)))
     if workspace.are_disjoint(names):
         product = InvariantExpr.const(1)
-        for p in profiles:
-            product = product * p.total_invariant()
+        for total in totals:
+            product = product * total
         candidates.append(("disjointness formula", (N - n) * product))
     if n == 2:
         e = workspace.intersection(names[0], names[1])
         if e is not None:
-            value = two_hyperplane_rank(
-                profiles[0].total_invariant(), profiles[1].total_invariant(), e, N
-            )
-            candidates.append(("declared intersection", value))
+            candidates.append(("declared intersection", two_hyperplane_rank(*totals, e, N)))
     if not candidates:
         raise Underdetermined(
             f"invariant of the simultaneous hyperplane for {', '.join(names)} is not "
@@ -240,41 +243,83 @@ def _proper_subsets(subset: tuple[int, ...]):
             yield kept, [i for i in subset if i not in kept]
 
 
-def _deep_components(
-    profiles: Sequence[LefschetzProfile],
-    ranks: Sequence[Sequence[InvariantExpr]],
-    workspace: Workspace,
-    resolved: InvariantExpr,
-) -> dict[tuple[int, ...], InvariantExpr]:
-    """The deep component of every subset of the profiles, the full set included.
+def _hyperplanes(
+    profiles: Sequence[LefschetzProfile], workspace: Workspace, h_total: Coercible | None
+) -> tuple[dict[tuple[int, ...], InvariantExpr], list[InvariantExpr], list[list[InvariantExpr]]]:
+    """Validate the profiles; return the resolved hyperplane total of every
+    subset, keyed by index tuple, -h_i for each profile (h_i sums its
+    components k >= 1) and the component ranks.
 
-    The blocks of a kept subset K of S sum to deep[K] times the product of h_i
-    over S minus K, where h_i sums the components k >= 1 of profile i. So
-    deep[S] is the resolved total of S minus those products; no block is built.
-    Each subset is derived once, when a superset first needs it, so subsets
-    resolve in block order (supersets first). The empty subset and the
-    singletons need no declarations: N and the duals.
+    The empty subset's total is N and a singleton's is (N - 1) * total. The
+    full set resolves first, with the explicit total; then, depth first, each
+    proper subset of size >= 2 in block order followed by its own subsets, so
+    the first error raised is that of this order. Each profile's total
+    invariant is computed once.
     """
-    N = profiles[0].ambient_rank_N
-    higher = [sum(r[1:], _zero) for r in ranks]
-    deep = {(): InvariantExpr.const(N)}
-    deep.update(((i,), duality_total(N, r)) for i, r in enumerate(ranks))
+    if not profiles:
+        raise ValueError("need at least one profile")
+    N = same_ambient(*profiles)
+    for p in profiles:
+        _require_moderate(p)
+    ranks = [p.component_ranks() for p in profiles]
+    totals = [p.total_invariant() for p in profiles]
+    total = {(): InvariantExpr.const(N)}
+    total.update(((i,), (N - 1) * t) for i, t in enumerate(totals))
 
-    def derive(subset: tuple[int, ...], total: InvariantExpr) -> InvariantExpr:
-        for kept, complement in _proper_subsets(subset):
-            if kept not in deep:
-                kept_total = _resolve_h_total([profiles[i] for i in kept], workspace, None)
-                deep[kept] = derive(kept, kept_total)
-            if all(higher[i] for i in complement):  # else the blocks of K sum to 0
-                part = deep[kept]
-                for i in complement:
-                    part = part * higher[i]
-                total = total - part
-        return total
+    def resolve(subset: tuple[int, ...], explicit: InvariantExpr | None) -> None:
+        chosen = [profiles[i] for i in subset]
+        total[subset] = _resolve_h_total(chosen, [totals[i] for i in subset], workspace, explicit)
+        for kept, _ in _proper_subsets(subset):
+            if kept not in total:
+                resolve(kept, None)
 
+    resolve(tuple(range(len(profiles))), None if h_total is None else _coerce(h_total))
+    return total, [r[0] - t for r, t in zip(ranks, totals)], ranks
+
+
+def _deep(
+    subset: tuple[int, ...],
+    total: dict[tuple[int, ...], InvariantExpr],
+    negated: Sequence[InvariantExpr],
+    products: dict[tuple[int, ...], InvariantExpr],
+) -> InvariantExpr:
+    """The deep component of a subset K by inclusion-exclusion:
+
+        deep[K] = sum over J in K of total[J] * prod over i in K - J of (-h_i).
+
+    It inverts total[K] = sum over J in K of deep[J] * prod over i in K - J
+    of h_i, which holds because the blocks of a kept subset J sum to deep[J]
+    times those h_i. A term with a zero h_i is skipped. `products` caches the
+    products of -h_i by dropped index tuple, starting from {(): 1}.
+    """
+    free = [i for i in subset if negated[i]]
+    value = _zero
+    for size in range(len(free) + 1):
+        for dropped in itertools.combinations(free, size):
+            if dropped not in products:
+                products[dropped] = products[dropped[:-1]] * negated[dropped[-1]]
+            kept = tuple(i for i in subset if i not in dropped)
+            value = value + total[kept] * products[dropped]
+    return value
+
+
+def _warnings(profiles: Sequence[LefschetzProfile]) -> tuple[str, ...]:
+    return (SUBSET_READING_NOTE,) if len(profiles) > 1 else ()
+
+
+def deep_component(
+    profiles: Sequence[LefschetzProfile],
+    workspace: Workspace,
+    h_total: Coercible | None = None,
+) -> tuple[InvariantExpr, tuple[str, ...]]:
+    """The deep component of the n-universal hyperplane and its warnings.
+
+    Resolves the same totals, in the same order, as `n_hyperplane_sod`, but
+    builds no block: the inclusion-exclusion sum has 2^n terms.
+    """
+    total, negated, _ = _hyperplanes(profiles, workspace, h_total)
     full = tuple(range(len(profiles)))
-    deep[full] = derive(full, resolved)
-    return deep
+    return _deep(full, total, negated, {(): InvariantExpr.const(1)}), _warnings(profiles)
 
 
 def n_hyperplane_sod(
@@ -286,34 +331,32 @@ def n_hyperplane_sod(
 
     Blocks: the deep component first, then one block per proper subset I and
     per tuple of component indices i_k >= 1 over the complement of I, ordered
-    by decreasing subset size. The deep component's invariant is the resolved
-    hyperplane total minus every other block. For one category this is the
-    universal hyperplane, whose deep component is the dual.
+    by decreasing subset size. The invariant of such a block is deep[I] times
+    the components i_k; deep[I] is derived only for subsets that have blocks.
+    For one category this is the universal hyperplane, whose deep component
+    is the dual.
     """
-    if not profiles:
-        raise ValueError("need at least one profile")
-    same_ambient(*profiles)
-    for p in profiles:
-        _require_moderate(p)
-    explicit = None if h_total is None else _coerce(h_total)
-    resolved = _resolve_h_total(profiles, workspace, explicit)
-    ranks = [p.component_ranks() for p in profiles]
-    deep = _deep_components(profiles, ranks, workspace, resolved)
-
+    total, negated, ranks = _hyperplanes(profiles, workspace, h_total)
+    products = {(): InvariantExpr.const(1)}
     names = [p.name for p in profiles]
     full = tuple(range(len(profiles)))
-    blocks = [SodBlock(_c_label(names), 0, deep[full])]
+    c_invariant = _deep(full, total, negated, products)
+    blocks = [SodBlock(_c_label(names), 0, c_invariant)]
     for kept, complement in _proper_subsets(full):
-        c_label = _c_label([names[i] for i in kept])
         ranges = [range(1, profiles[i].length_m) for i in complement]
+        if not all(ranges):
+            continue
+        deep = _deep(kept, total, negated, products)
+        c_label = _c_label([names[i] for i in kept])
         for tup in itertools.product(*ranges):
-            inv = deep[kept]
+            inv = deep
             for i, k in zip(complement, tup):
                 inv = inv * ranks[i][k]
             parts = [f"{names[i]}_{k}" for i, k in zip(complement, tup)]
             blocks.append(SodBlock(_fiber(parts + [c_label], "B"), sum(tup), inv))
-    warnings = (SUBSET_READING_NOTE,) if len(profiles) > 1 else ()
-    return NHyperplaneResult(SodExpr(BASE_V_DUAL, tuple(blocks)), deep[full], resolved, warnings)
+    return NHyperplaneResult(
+        SodExpr(BASE_V_DUAL, tuple(blocks)), c_invariant, total[full], _warnings(profiles)
+    )
 
 
 # -- joins ---------------------------------------------------------------------
@@ -332,13 +375,9 @@ def n_join_components(profiles: Sequence[LefschetzProfile]) -> list[InvariantExp
     same_ambient(*profiles)
     # by_sum[s] sums the primitive products of the index tuples with sum s;
     # convolve one factor at a time.
-    by_sum = [InvariantExpr.const(1)]
-    for p in profiles:
-        conv = [_zero] * (len(by_sum) + p.length_m - 1)
-        for s, a in enumerate(by_sum):
-            for k, b in enumerate(p.primitive_right):
-                conv[s + k] = conv[s + k] + a * b
-        by_sum = conv
+    by_sum = list(profiles[0].primitive_right)
+    for p in profiles[1:]:
+        by_sum = InvariantExpr._convolve(by_sum, p.primitive_right)
     # Component i is the tail of by_sum from index sum max(0, i + 1 - n).
     tails = tail_sums(by_sum)
     return [tails[0]] * (len(profiles) - 1) + tails

@@ -12,13 +12,14 @@ polynomial equality and printing is byte-stable. A canonical term tuple has:
 arithmetic operators instead build results with `InvariantExpr._canonical`,
 which trusts its caller: their operands are canonical already, so a sum only
 needs its surviving terms sorted once, a negation or a scaling keeps the order,
-and a product sorts each new monomial and then the term list once.
+and a product sorts each new monomial and then the term list once. A
+convolution of value lists (`InvariantExpr._convolve`) sorts each entry once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import DslSyntaxError, Span
 
@@ -201,6 +202,23 @@ class InvariantExpr:
         return InvariantExpr._canonical(_collected(acc))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def _convolve(xs: Sequence[InvariantExpr], ys: Sequence[InvariantExpr]) -> list[InvariantExpr]:
+        """The convolution of two value lists: entry s is the sum of xs[i] * ys[j]
+        over i + j = s. Each entry's products accumulate in one term dict, which
+        is sorted once, in place of one canonical value per `+` and `*`."""
+        accs: list[dict[Monomial, int]] = [{} for _ in range(len(xs) + len(ys) - 1)]
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                acc = accs[i + j]
+                for mono_a, coeff_a in x._terms:
+                    for mono_b, coeff_b in y._terms:
+                        mono = mono_a + mono_b
+                        if mono_a and mono_b:
+                            mono = tuple(sorted(mono))
+                        acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
+        return [InvariantExpr._canonical(_collected(acc)) for acc in accs]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

@@ -112,6 +112,34 @@ def ref_duality_total(N: int, c_vals: list[int]) -> int:
     return (N - 1) * total - N * higher
 
 
+def ref_deep_component(N: int, prim_lists: list[list[int]], total_of) -> int:
+    """Deep component of the n-universal hyperplane by its recursive definition,
+    deep[S] = total[S] - sum over proper K of S of deep[K] * prod_{i in S - K} h_i,
+    with h_i the sum of the components k >= 1 of profile i. total[()] = N,
+    total[(i,)] = (N - 1) * total_i, and total_of(S) gives the rest.
+    """
+    n = len(prim_lists)
+    h = [sum(ref_component_rank(v, k) for k in range(1, len(v))) for v in prim_lists]
+    deep: dict[tuple[int, ...], int] = {}
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            if size == 0:
+                value = N
+            elif size == 1:
+                value = (N - 1) * ref_total(prim_lists[subset[0]])
+            else:
+                value = total_of(subset)
+            for kept_size in range(size):
+                for kept in itertools.combinations(subset, kept_size):
+                    product = deep[kept]
+                    for i in subset:
+                        if i not in kept:
+                            product *= h[i]
+                    value -= product
+            deep[subset] = value
+    return deep[tuple(range(n))]
+
+
 def ref_join_window(p_vals: list[int], q_vals: list[int], i: int, upper: int) -> int:
     """Refined join part i: the pairs with i - 1 <= i1 + i2 <= upper."""
     total = 0

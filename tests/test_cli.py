@@ -230,6 +230,32 @@ def test_catalog_unknown_name_exits_two(capsys):
     assert "unknown catalog case" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad_argv", [["bogus"], ["check"], ["prop", "--cases", "many"], ["catalog", "--json"]]
+)
+def test_usage_error_leaves_later_calls_unchanged(bad_argv, tmp_path, capsys):
+    # The parser is built once per process; a usage error (exit 2) between
+    # two calls must not leave state behind in it.
+    path = write(tmp_path, "pass.hpd", PASSING)
+    calls = [["check", path], ["prop", "--cases", "5", "--seed", "2"], ["catalog", "points-line"]]
+
+    def outputs():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    before = outputs()
+    with pytest.raises(SystemExit) as usage:
+        main(bad_argv)
+    assert usage.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: hpdcalc")
+    assert outputs() == before
+    assert [code for code, _, _ in before] == [0, 0, 0]
+    assert cli._parser() is cli._parser()
+
+
 def test_prop_defaults_pass_and_reports_are_stable(tmp_path, capsys):
     first = tmp_path / "p1.json"
     second = tmp_path / "p2.json"

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hpdcalc import engine
+from hpdcalc import engine, poly
+from hpdcalc.checks import check_join_linear, check_main_theorem
+from hpdcalc.cli import main
+from hpdcalc.dsl import print_canonical
 from hpdcalc.engine import (
     blowup_sod,
+    deep_component,
     duality_total,
     hpd_total,
     hyperplane_sod,
@@ -44,10 +48,12 @@ from support import (
     profile_pairs,
     profile_st,
     ref_component_rank,
+    ref_deep_component,
     ref_duality_total,
     ref_flat_join,
     ref_join_window,
     ref_ruled_join,
+    ref_total,
 )
 
 E = sym("e")
@@ -290,6 +296,137 @@ def test_n_hyperplane_blocks_sum_to_the_resolved_total(case):
         assert result.h_total == explicit
 
 
+@st.composite
+def single_profiles(draw):
+    p = draw(profile_st(name="P0", max_m=3, max_rank=6))
+    return [p], Workspace.build(symbols=SYMBOL_NAMES, categories=[p]), None
+
+
+@given(st.one_of(single_profiles(), resolving_hyperplanes()), assignments())
+def test_deep_component_matches_the_recursive_reference(case, assignment):
+    # The reference subtracts the deep components of every proper subset, over
+    # integers; the engine sums signed totals by inclusion-exclusion.
+    profiles, ws, explicit = case
+    N = profiles[0].ambient_rank_N
+    values = [primitive_values(p, assignment) for p in profiles]
+    totals = [ref_total(v) for v in values]
+    full = tuple(range(len(profiles)))
+
+    def total_of(subset):
+        if subset == full and explicit is not None:
+            return explicit.evaluate(assignment)
+        names = [profiles[i].name for i in subset]
+        if ws.are_disjoint(names):
+            product = 1
+            for i in subset:
+                product *= totals[i]
+            return (N - len(subset)) * product
+        return ws.intersection(*names).evaluate(assignment) + (N - 2) * totals[0] * totals[1]
+
+    expected = ref_deep_component(N, values, total_of)
+    deep, warnings = deep_component(profiles, ws, h_total=explicit)
+    result = n_hyperplane_sod(profiles, ws, h_total=explicit)
+    assert deep.evaluate(assignment) == expected
+    assert result.c_invariant.evaluate(assignment) == expected
+    assert result.sod.blocks[0].invariant == result.c_invariant == deep
+    assert warnings == result.warnings
+
+
+# Workspaces in which several subsets fail to resolve, and one whose explicit
+# total conflicts. The first error in the depth-first order (the full set, then
+# each proper subset in block order followed by its own subsets) is the one
+# raised; the messages are those of the earlier recursive derivation.
+def _malformed(case):
+    x = sym("x")
+    names = "ABC" if case in ("triangle", "conflict") else "ABCD"
+    N = 5 if len(names) == 3 else 6
+    profiles = [build_profile(name, N, [x + 1, 1, 2]) for name in names]
+    declared = {
+        # Only B, C is declared: A, B fails first, then A, C.
+        "triangle": ({("B", "C"): 2}, [], 7),
+        # A, B, D fails before B, D, although B, D is smaller.
+        "triple": ({("A", "D"): x}, [["A", "B", "C"]], x),
+        # A, B, C fails first; the other triples and the pairs across the two
+        # groups fail too.
+        "pairs": ({}, [["A", "B"], ["C", "D"]], 5),
+        # Every subset resolves, but the explicit total disagrees.
+        "conflict": ({}, [["A", "B", "C"]], 7),
+    }[case]
+    intersections, groups, explicit = declared
+    ws = Workspace.build(
+        symbols=["x"], categories=profiles, intersections=intersections, disjoint_sets=groups
+    )
+    return profiles, ws, explicit
+
+
+_NO_TOTAL = "invariant of the simultaneous hyperplane"
+_UNDERIVABLE = "is not derivable: declare disjointness, a pair intersection, or an explicit total"
+_FIRST_ERROR = {
+    "triangle": (Underdetermined, f"{_NO_TOTAL} for A, B {_UNDERIVABLE}"),
+    "triple": (Underdetermined, f"{_NO_TOTAL} for A, B, D {_UNDERIVABLE}"),
+    "pairs": (Underdetermined, f"{_NO_TOTAL} for A, B, C {_UNDERIVABLE}"),
+    "conflict": (
+        ConflictingDeclarations,
+        "hyperplane total for A, B, C: explicit declaration gives 7 but disjointness "
+        "formula gives 2*x*x*x + 54*x*x + 486*x + 1458",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIRST_ERROR))
+def test_first_resolution_error_is_pinned(case):
+    profiles, ws, explicit = _malformed(case)
+    error, message = _FIRST_ERROR[case]
+    with pytest.raises(error) as sod_error:
+        n_hyperplane_sod(profiles, ws, h_total=explicit)
+    with pytest.raises(error) as deep_error:
+        deep_component(profiles, ws, h_total=explicit)
+    assert str(sod_error.value) == str(deep_error.value) == message
+
+
+_JOIN_LINEAR_DEEP = {
+    3: "12*x*x*x + 129*x*x + 456*x + 528",
+    4: "20*x*x*x*x + 300*x*x*x + 1680*x*x + 4160*x + 3840",
+}
+
+# Per malformed workspace: the exit code of `check` on a file with
+# main_theorem(A, B), main_theorem(B, C) and join_linear over every category,
+# and the status of each row.
+_CLI_OUTCOME = {
+    "triangle": (3, ["underdetermined", "pass", "pass"]),
+    "triple": (0, ["pass", "pass", "pass"]),
+    "pairs": (3, ["pass", "underdetermined", "pass"]),
+    "conflict": (0, ["pass", "pass", "pass"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_OUTCOME))
+def test_malformed_workspaces_through_join_linear_and_the_cli(case, tmp_path, capsys):
+    # join_linear resolves in a workspace of its own, in which the complementary
+    # subspaces make every sub-collection disjoint, so the declarations above
+    # cannot reach it.
+    profiles, ws, _ = _malformed(case)
+    result = check_join_linear(profiles, ws)
+    assert result.status == "pass"
+    assert str(result.lhs) == str(result.rhs) == _JOIN_LINEAR_DEEP[len(profiles)]
+
+    names = ", ".join(p.name for p in profiles)
+    path = tmp_path / "malformed.hpd"
+    path.write_text(
+        print_canonical(ws)
+        + f"check main_theorem(A, B);\ncheck main_theorem(B, C);\ncheck join_linear({names});\n",
+        encoding="utf-8",
+    )
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    expected_code, statuses = _CLI_OUTCOME[case]
+    assert (code, err) == (expected_code, "")
+    assert out.splitlines()[-1] == f"warning: {engine.SUBSET_READING_NOTE}"
+    out = out.rsplit("\n", 2)[0]
+    rows = [line.split(": ")[1].split(" ")[0] for line in out.splitlines()]
+    assert rows == statuses
+
+
 # -- joins ---------------------------------------------------------------------
 
 
@@ -480,6 +617,29 @@ def test_flat_join_multiplications_scale_with_output(monkeypatch):
     assert len(calls) <= 6 * 24 * 4
 
 
+def test_flat_join_canonicalizes_once_per_index_sum(monkeypatch):
+    # Companion to the guard above, which counts `*`: the convolutions sort
+    # one term dict per output index sum (7 + 10 + 13 + 16 + 19), and the
+    # tail sums add 18 pairs.
+    x = sym("x")
+    profiles = [build_profile(f"P{i}", 5, [x, 1, x + 1, 2]) for i in range(6)]
+    collected = count_calls(monkeypatch, poly, "_collected")
+    comps = n_join_components(profiles)
+    assert len(comps) == 24
+    assert len(collected) <= 65 + 18
+
+
+def test_checks_build_no_blocks(monkeypatch):
+    # main_theorem and join_linear compare deep components only.
+    p, q = gr25(), gr25().renamed("Gr25g")
+    pair = Workspace.build(symbols=["e"], categories=[p, q], intersections={("Gr25", "Gr25g"): E})
+    parts = [build_profile(f"P{i}", 4, [1, sym("x"), 2]) for i in range(4)]
+    built = count_calls(monkeypatch, engine, "SodBlock")
+    results = [check_main_theorem(p, q, pair), check_join_linear(parts, Workspace())]
+    assert [r.status for r in results] == ["pass", "pass"]
+    assert built == []
+
+
 def _six_disjoint_triples():
     names = [f"P{i}" for i in range(6)]
     profiles = [build_profile(name, 8, [1, 0, 1]) for name in names]
@@ -517,6 +677,22 @@ def test_n_hyperplane_skips_products_for_length_one_factors(monkeypatch):
     result = n_hyperplane_sod(profiles, ws)
     assert len(result.sod.blocks) == 4
     assert len(calls) <= 300
+
+
+def test_deep_component_skips_terms_with_a_zero_h():
+    # Only the two length-two profiles have h_i != 0, so the inclusion-exclusion
+    # sum has 4 terms and forms 4 products of -h_i, not 2^6.
+    x = sym("x")
+    lengths = (2, 2, 1, 1, 1, 1)
+    profiles = [
+        build_profile(f"P{i}", 14, [x + 1] * (m - 1) + [2 * x + 1]) for i, m in enumerate(lengths)
+    ]
+    ws = Workspace.build(categories=profiles, disjoint_sets=[[p.name for p in profiles]])
+    total, negated, _ = engine._hyperplanes(profiles, ws, None)
+    products = {(): const(1)}
+    deep = engine._deep(tuple(range(6)), total, negated, products)
+    assert sorted(products) == [(), (0,), (0, 1), (1,)]
+    assert deep == deep_component(profiles, ws)[0] == n_hyperplane_sod(profiles, ws).c_invariant
 
 
 # -- refined blow-up ------------------------------------------------------------

@@ -266,6 +266,25 @@ def test_operator_results_are_canonical_and_evaluate_like_raw_input(ra, rb, k, p
             assert raw_value(terms, pt) == expected(pt)
 
 
+def nonconstant_first(values):
+    """Lists of one to four values whose first value is not constant."""
+    first = values.filter(lambda p: not p.is_constant())
+    return st.tuples(first, st.lists(values, max_size=3)).map(lambda pair: [pair[0], *pair[1]])
+
+
+raw_values = raw_terms().map(InvariantExpr)
+
+
+@given(nonconstant_first(raw_values), nonconstant_first(raw_values))
+def test_convolve_equals_the_operator_loop(xs, ys):
+    expected = [const(0)] * (len(xs) + len(ys) - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            expected[i + j] = expected[i + j] + x * y
+    result = InvariantExpr._convolve(xs, ys)
+    assert [r.terms for r in result] == [e.terms for e in expected]
+
+
 # -- evaluation helpers -------------------------------------------------------
 
 
