@@ -229,6 +229,10 @@ def check_join_linear(
     over its own subspace, center equivalence). When at least two inputs are
     given, the deep component of the simultaneous universal hyperplane is also
     derived and compared, using the splitting-induced disjointness total.
+
+    `workspace` is unused: it is kept only for the uniform runner signature of
+    `dsl._CHECKS`. The deep component is resolved in a split workspace built
+    from the enlarged profiles, so the caller's declarations cannot affect it.
     """
     if not profiles:
         raise ValueError("need at least one profile")

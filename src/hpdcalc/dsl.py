@@ -175,7 +175,7 @@ class _Parser(PolyParser):
         if tok.kind != "int":
             raise DslSyntaxError(f"expected integer, found {tok.text or 'end of input'!r}", tok.span)
         self.advance()
-        return int(tok.text), tok.span
+        return self.int_value(tok), tok.span
 
     def parse_poly(self) -> PolyNode:
         uses: list[tuple[str, Span]] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -74,18 +75,27 @@ class LefschetzProfile:
     def is_moderate(self) -> bool:
         return self.length_m < self.ambient_rank_N
 
+    # A profile is frozen, so its tail sums and total are computed once.
+    @cached_property
+    def _components(self) -> tuple[InvariantExpr, ...]:
+        return tuple(tail_sums(self.primitive_right))
+
+    @cached_property
+    def _total(self) -> InvariantExpr:
+        return sum(self._components, _ZERO)
+
     def component_rank(self, k: int) -> InvariantExpr:
         """Invariant of the k-th component: the tail sum of primitives from k."""
         if k < 0:
             raise ValueError("component index must be nonnegative")
-        return self.component_ranks()[k] if k < self.length_m else _ZERO
+        return self._components[k] if k < self.length_m else _ZERO
 
     def component_ranks(self) -> list[InvariantExpr]:
-        return tail_sums(self.primitive_right)
+        return list(self._components)
 
     def total_invariant(self) -> InvariantExpr:
         """Sum over the twisted chain: equals sum_j (j+1) * primitive_right[j]."""
-        return weighted_total(self.primitive_right)
+        return self._total
 
     def renamed(self, name: str) -> LefschetzProfile:
         return LefschetzProfile(name, self.ambient_rank_N, self.primitive_right, self.primitive_left)
@@ -115,12 +125,14 @@ def build_profile(
         raise LeftRightMismatch(
             f"category {name!r}: left data has {len(left)} blocks, right has {len(right)}"
         )
-    weighted_left = weighted_total(left)
-    if weighted_left != profile.total_invariant():
-        raise LeftRightMismatch(
-            f"category {name!r}: left total {weighted_left} != right total "
-            f"{profile.total_invariant()}"
-        )
+    # Equal lists have equal totals; only a distinct left list is summed.
+    if left != right:
+        weighted_left = weighted_total(left)
+        if weighted_left != profile.total_invariant():
+            raise LeftRightMismatch(
+                f"category {name!r}: left total {weighted_left} != right total "
+                f"{profile.total_invariant()}"
+            )
     for j, p in enumerate(right):
         if p.at_ones() < 0:
             raise ImplausibleProfile(

@@ -14,12 +14,18 @@ which trusts its caller: their operands are canonical already, so a sum only
 needs its surviving terms sorted once, a negation or a scaling keeps the order,
 and a product sorts each new monomial and then the term list once. A
 convolution of value lists (`InvariantExpr._convolve`) sorts each entry once.
+
+The text front end does the same. `PolyParser` accumulates each polynomial
+into one raw term dict and makes it canonical once, at the end. `tokenize`
+matches one compiled pattern at each position, and finishes identifiers with
+non-ASCII characters by the `str.isidentifier` rule.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DslSyntaxError, Span
 
@@ -31,6 +37,7 @@ __all__ = [
     "sym",
     "parse_expr",
     "MAX_NESTING",
+    "MAX_INT_DIGITS",
 ]
 
 # A monomial is the multiset of symbol names it mentions, stored sorted.
@@ -69,6 +76,21 @@ def _constant_terms(value: int) -> tuple[tuple[Monomial, int], ...]:
 def _collected(acc: dict[Monomial, int]) -> tuple[tuple[Monomial, int], ...]:
     """The canonical terms of a dict keyed by sorted monomials."""
     return tuple(sorted([term for term in acc.items() if term[1]], key=_term_key))
+
+
+def _multiply_into(
+    acc: dict[Monomial, int],
+    xs: Iterable[tuple[Monomial, int]],
+    ys: Collection[tuple[Monomial, int]],
+) -> None:
+    """Add the product of two term lists into `acc`. Each monomial is sorted
+    already, so only a merge of two nonconstant monomials needs a sort."""
+    for mono_a, coeff_a in xs:
+        for mono_b, coeff_b in ys:
+            mono = mono_a + mono_b
+            if mono_a and mono_b:
+                mono = tuple(sorted(mono))
+            acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
 
 
 class InvariantExpr:
@@ -195,10 +217,7 @@ class InvariantExpr:
         if self.is_constant():
             return other._scaled(self.constant_value())
         acc: dict[Monomial, int] = {}
-        for mono_a, coeff_a in self._terms:
-            for mono_b, coeff_b in other._terms:
-                mono = tuple(sorted(mono_a + mono_b))
-                acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
+        _multiply_into(acc, self._terms, other._terms)
         return InvariantExpr._canonical(_collected(acc))
 
     __rmul__ = __mul__
@@ -211,13 +230,7 @@ class InvariantExpr:
         accs: list[dict[Monomial, int]] = [{} for _ in range(len(xs) + len(ys) - 1)]
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                acc = accs[i + j]
-                for mono_a, coeff_a in x._terms:
-                    for mono_b, coeff_b in y._terms:
-                        mono = mono_a + mono_b
-                        if mono_a and mono_b:
-                            mono = tuple(sorted(mono))
-                        acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
+                _multiply_into(accs[i + j], x._terms, y._terms)
         return [InvariantExpr._canonical(_collected(acc)) for acc in accs]
 
     def __eq__(self, other: object) -> bool:
@@ -279,61 +292,62 @@ def sym(name: str) -> InvariantExpr:
 # than a recursion overflow. Chains of unary signs are read in a loop.
 MAX_NESTING = 100
 
-_DIGITS = frozenset("0123456789")
+# An integer literal has at most this many digits; a longer one is a syntax
+# error. The limit is fixed here, so it does not depend on the interpreter's
+# own int-to-string limit (sys.get_int_max_str_digits), whose default it equals.
+MAX_INT_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | punct | end
     text: str
     span: Span
 
 
+# Optional horizontal whitespace, then one alternative per token class, or
+# nothing. Whitespace is " \t\r" only and integers are ASCII digits only. Where
+# nothing matches (end of input, a non-ASCII character or an unexpected one),
+# `tokenize` looks at the character itself.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(\n)|(#[^\n]*)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([,;\[\]()=+*-])|())"
+)
+_NEWLINE, _COMMENT, _INT, _IDENT, _PUNCT, _OTHER = range(1, 7)
+_KINDS = (None, None, None, "int", "ident", "punct")
+
+
 def tokenize(text: str) -> list[Token]:
     """Declaration-language tokens with (line, column) spans; `#` starts a comment."""
     tokens: list[Token] = []
-    line, col = 1, 1
+    match = _TOKEN.match
+    line, line_start = 1, 0
+    # The `end` token's column: a comment on the last line leaves it where the
+    # comment starts.
+    last = n = len(text)
     i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line, col = line + 1, 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        span = (line, col)
-        # Integers are ASCII digits only; identifiers take only characters that
-        # keep them valid identifiers. Anything else is an unexpected character.
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch.isidentifier():
-            j = i + 1
-            while j < len(text) and ("_" + text[j]).isidentifier():
-                j += 1
-            tokens.append(Token("ident", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch in ",;[]()=+-*":
-            tokens.append(Token("punct", ch, span))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", span)
-    tokens.append(Token("end", "", (line, col)))
+    while True:
+        m = match(text, i)
+        group = m.lastindex
+        start, i = m.span(group)
+        if group == _OTHER:
+            if start == n:
+                break
+            # Identifiers take only characters that keep them valid identifiers.
+            if not text[start].isidentifier():
+                raise DslSyntaxError(
+                    f"unexpected character {text[start]!r}", (line, start - line_start + 1)
+                )
+            group, i = _IDENT, start + 1
+        if group == _NEWLINE:
+            line, line_start = line + 1, i
+        elif group == _COMMENT:
+            if i == n:
+                last = start
+        else:
+            if group == _IDENT:
+                while i < n and ("_" + text[i]).isidentifier():
+                    i += 1
+            tokens.append(Token(_KINDS[group], text[start:i], (line, start - line_start + 1)))
+    tokens.append(Token("end", "", (line, last - line_start + 1)))
     return tokens
 
 
@@ -341,7 +355,9 @@ class PolyParser:
     """Token cursor plus the recursive-descent polynomial grammar.
 
     Errors are DslSyntaxError with the offending token's span; the
-    declaration parser extends this class with its statements.
+    declaration parser extends this class with its statements. A polynomial
+    accumulates in raw term dicts keyed by sorted monomials, and becomes a
+    canonical value once, at the end of `poly_sum`.
     """
 
     def __init__(self, tokens: list[Token]) -> None:
@@ -368,31 +384,44 @@ class PolyParser:
             raise DslSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.span)
         return self.advance()
 
+    @staticmethod
+    def int_value(tok: Token) -> int:
+        """The value of an `int` token, at most MAX_INT_DIGITS digits long."""
+        if len(tok.text) > MAX_INT_DIGITS:
+            raise DslSyntaxError(
+                f"integer literal longer than {MAX_INT_DIGITS} digits", tok.span
+            )
+        return int(tok.text)
+
     def poly_sum(self, uses: list[tuple[str, Span]]) -> InvariantExpr:
         """sum := product (('+' | '-') product)*; appends each symbol use to `uses`."""
-        expr = self._poly_product(uses)
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            right = self._poly_product(uses)
-            expr = expr + right if op == "+" else expr - right
-        return expr
+        return InvariantExpr._canonical(_collected(self._sum(uses)))
 
-    def _poly_product(self, uses) -> InvariantExpr:
-        expr = self._poly_factor(uses)
+    def _sum(self, uses) -> dict[Monomial, int]:
+        acc = self._product(uses)
+        while self.at_punct("+") or self.at_punct("-"):
+            sign = 1 if self.advance().text == "+" else -1
+            for mono, coeff in self._product(uses).items():
+                acc[mono] = acc.get(mono, 0) + sign * coeff
+        return acc
+
+    def _product(self, uses) -> dict[Monomial, int]:
+        acc = self._factor(uses)
         while self.at_punct("*"):
             self.advance()
-            expr = expr * self._poly_factor(uses)
-        return expr
+            left, right, acc = acc, self._factor(uses), {}
+            _multiply_into(acc, left.items(), right.items())
+        return acc
 
-    def _poly_factor(self, uses) -> InvariantExpr:
+    def _factor(self, uses) -> dict[Monomial, int]:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return InvariantExpr.const(int(tok.text))
+            return {(): self.int_value(tok)}
         if tok.kind == "ident":
             self.advance()
             uses.append((tok.text, tok.span))
-            return InvariantExpr.symbol(tok.text)
+            return {(tok.text,): 1}
         if self.at_punct("("):
             if self.depth == MAX_NESTING:
                 raise DslSyntaxError(
@@ -400,17 +429,17 @@ class PolyParser:
                 )
             self.advance()
             self.depth += 1
-            expr = self.poly_sum(uses)
+            acc = self._sum(uses)
             self.depth -= 1
             self.expect_punct(")")
-            return expr
+            return acc
         if self.at_punct("-") or self.at_punct("+"):
             negate = False
             while self.at_punct("-") or self.at_punct("+"):
                 negate ^= self.advance().text == "-"
             # The next token is not a sign, so this call never re-enters this branch.
-            expr = self._poly_factor(uses)
-            return -expr if negate else expr
+            acc = self._factor(uses)
+            return {mono: -coeff for mono, coeff in acc.items()} if negate else acc
         raise DslSyntaxError(
             f"expected polynomial, found {tok.text or 'end of input'!r}", tok.span
         )

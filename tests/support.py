@@ -11,8 +11,9 @@ import itertools
 
 from hypothesis import strategies as st
 
+from hpdcalc.errors import DslSyntaxError
 from hpdcalc.model import LefschetzProfile, build_profile
-from hpdcalc.poly import InvariantExpr
+from hpdcalc.poly import InvariantExpr, Token
 
 SYMBOL_NAMES = ("x", "y")
 
@@ -178,3 +179,57 @@ def ref_find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
             witness.update(point)
             return dict(sorted(witness.items()))
     raise AssertionError("distinct polynomials with no point in the box")
+
+
+# -- reference lexer ------------------------------------------------------------
+
+_DIGITS = frozenset("0123456789")
+
+
+def ref_tokenize(text: str) -> list[Token]:
+    """The character-at-a-time lexer that `hpdcalc.poly.tokenize` replaced, kept
+    verbatim as its reference: one character per step, no regular expression."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col = line + 1, 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        span = (line, col)
+        # Integers are ASCII digits only; identifiers take only characters that
+        # keep them valid identifiers. Anything else is an unexpected character.
+        if ch in _DIGITS:
+            j = i
+            while j < len(text) and text[j] in _DIGITS:
+                j += 1
+            tokens.append(Token("int", text[i:j], span))
+            col += j - i
+            i = j
+            continue
+        if ch.isidentifier():
+            j = i + 1
+            while j < len(text) and ("_" + text[j]).isidentifier():
+                j += 1
+            tokens.append(Token("ident", text[i:j], span))
+            col += j - i
+            i = j
+            continue
+        if ch in ",;[]()=+-*":
+            tokens.append(Token("punct", ch, span))
+            i += 1
+            col += 1
+            continue
+        raise DslSyntaxError(f"unexpected character {ch!r}", span)
+    tokens.append(Token("end", "", (line, col)))
+    return tokens

@@ -12,7 +12,7 @@ import pytest
 import hpdcalc
 from hpdcalc import catalog, cli
 from hpdcalc.cli import main
-from hpdcalc.poly import MAX_NESTING
+from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING
 
 CATALOG_FILES = sorted((Path(catalog.__file__).parent / "_catalog").glob("*.hpd"))
 
@@ -182,6 +182,22 @@ def test_deep_nesting_exits_two_with_span(tmp_path, capsys):
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert f"deep.hpd:1:{len(prefix) + MAX_NESTING + 1}: parentheses nested deeper" in err
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("category A over P(3) primitive [{}];\n", "1:33"),
+        ("category A over P({}) primitive [1];\n", "1:19"),
+        ("category A over P(4) primitive [1];\ncheck cone_part1(A, n2={});\n", "2:24"),
+    ],
+    ids=["primitive", "rank", "n2"],
+)
+def test_over_long_integer_literal_exits_two_with_one_line(source, where, tmp_path, capsys):
+    path = write(tmp_path, "long.hpd", source.format("5" * (MAX_INT_DIGITS + 700)))
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{path}:{where}: integer literal longer than {MAX_INT_DIGITS} digits\n"
 
 
 @pytest.mark.parametrize("source", CATALOG_FILES, ids=[p.stem for p in CATALOG_FILES])

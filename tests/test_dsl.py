@@ -35,7 +35,7 @@ from hpdcalc.errors import (
     UnknownSymbol,
 )
 from hpdcalc.model import Workspace
-from hpdcalc.poly import MAX_NESTING, parse_expr
+from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, parse_expr
 
 
 def pos(src, needle, occurrence=1):
@@ -365,10 +365,28 @@ MALFORMED = [
         DslSyntaxError,
         ("check", 1),
     ),
+    (
+        "long-literal-in-primitive",
+        "category A over P(3) primitive [1, 2 + " + "9" * (MAX_INT_DIGITS + 1) + "];",
+        DslSyntaxError,
+        ("9", 1),
+    ),
+    (
+        "long-literal-in-rank",
+        "category A over P(" + "1" * (MAX_INT_DIGITS + 1) + ") primitive [1];",
+        DslSyntaxError,
+        ("1", 1),
+    ),
+    (
+        "long-literal-in-n2",
+        "category A over P(4) primitive [1];\ncheck cone_part1(A, n2=" + "0" * 5000 + "2);",
+        DslSyntaxError,
+        ("0", 1),
+    ),
 ]
 
 # The exact text of the diagnostic of each MALFORMED case that checks a word,
-# an arity or a keyword.
+# an arity, a keyword or the length of an integer literal.
 DIAGNOSTIC_TEXT = {
     "check-arity": "1:1: check 'main_theorem' takes 2 categories, got 1",
     "check-arity-too-many": "1:37: check 'cone_part1' takes 1 categories, got 2",
@@ -383,6 +401,9 @@ DIAGNOSTIC_TEXT = {
     "keyword-on-dual-profile": "1:59: check 'dual_profile' does not take keyword 'n2'",
     "missing-n2": "1:37: check 'cone_part1' requires n2=<rank>",
     "missing-n2-cone-part2": "1:37: check 'cone_part2' requires n2=<rank>",
+    "long-literal-in-primitive": "1:40: integer literal longer than 4300 digits",
+    "long-literal-in-rank": "1:19: integer literal longer than 4300 digits",
+    "long-literal-in-n2": "2:24: integer literal longer than 4300 digits",
 }
 
 

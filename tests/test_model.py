@@ -13,6 +13,7 @@ from hpdcalc.errors import (
     UnknownCategory,
     UnresolvedIntersection,
 )
+from hpdcalc import model
 from hpdcalc.model import SodBlock, SodExpr, Workspace, build_profile
 from hpdcalc.poly import InvariantExpr, const, sym
 
@@ -122,6 +123,33 @@ def test_component_ranks_additions_scale_with_length(monkeypatch):
     calls = count_calls(monkeypatch, InvariantExpr, "__add__")
     assert len(p.component_ranks()) == 20
     assert len(calls) <= 19
+
+
+def test_profile_tail_sums_are_computed_once(monkeypatch):
+    x = sym("x")
+    tails = count_calls(monkeypatch, model, "tail_sums")
+    p = build_profile("X", 9, [x + 1, 2, x])
+    first = (p.component_rank(0), p.total_invariant(), p.component_ranks())
+    assert len(tails) == 1
+    tails.clear()
+    adds = count_calls(monkeypatch, InvariantExpr, "__add__")
+    for _ in range(3):
+        assert (p.component_rank(0), p.total_invariant(), p.component_ranks()) == first
+    assert tails == [] and adds == []
+    # Each call returns a fresh list.
+    p.component_ranks().clear()
+    assert p.component_ranks() == first[2] == [2 * x + 3, x + 2, x]
+
+
+def test_only_a_distinct_left_list_is_summed(monkeypatch):
+    x = sym("x")
+    tails = count_calls(monkeypatch, model, "tail_sums")
+    build_profile("X", 9, [x, 1], [x, 1])
+    assert tails == []
+    build_profile("X", 9, [x, 1], [x - 2, 2])
+    assert len(tails) == 2
+    with pytest.raises(LeftRightMismatch):
+        build_profile("X", 9, [x, 1], [x, 2])
 
 
 # -- SOD expressions ----------------------------------------------------------

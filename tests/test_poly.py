@@ -4,11 +4,15 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import count_calls
+from support import count_calls, ref_tokenize
 
+from hpdcalc import poly
+from hpdcalc.dsl import _Parser
+from hpdcalc.errors import DslSyntaxError
 from hpdcalc.poly import (
+    MAX_INT_DIGITS,
     MAX_NESTING,
     InvariantExpr,
     PolySyntaxError,
@@ -16,6 +20,7 @@ from hpdcalc.poly import (
     const,
     parse_expr,
     sym,
+    tokenize,
 )
 
 
@@ -353,3 +358,142 @@ def test_parse_long_unary_sign_chains():
     assert parse_expr("-" * 3000 + "a") == sym("a")
     assert parse_expr("-" * 3001 + "a") == -sym("a")
     assert parse_expr("+-" * 1500 + "(a - 2)") == sym("a") - 2
+
+
+def test_parse_integer_literal_digit_cap():
+    at_cap = "7" * MAX_INT_DIGITS
+    assert parse_expr(f"x + {at_cap}") == sym("x") + int(at_cap)
+    with pytest.raises(PolySyntaxError) as err:
+        parse_expr(f"x + {at_cap}0")
+    assert str(err.value) == f"integer literal longer than {MAX_INT_DIGITS} digits (at offset 4)"
+
+
+# -- the lexer against its reference ------------------------------------------
+
+LEXER_CHARS = (
+    "abzAZ_09"
+    " \t\r\n\f\v\x85\u00a0\u2028#"
+    "!\"$%&'()*+,-./:;<=>?@[\\]^`{|}~"
+    "\u00e9\u0301\u00b7\u00b2\u0664\u4e2d"
+)
+LEXER_WORDS = ["x1", "_y", "category", "12", "007", "# note\n", "\u00e9t\u00e9", "a\u0301b", "  "]
+# Mostly characters the lexer accepts, so most draws reach the end of input.
+LEXER_VALID = "abz_09 \t\r\n#,;[]()=+-*\u00e9\u0301\u00b7"
+
+
+def lexed(lexer, text):
+    """The token list as (kind, text, span) tuples, or the error it raised."""
+    try:
+        return [(tok.kind, tok.text, tok.span) for tok in lexer(text)]
+    except DslSyntaxError as err:
+        return ("error", str(err), err.span)
+
+
+@st.composite
+def lexer_texts(draw):
+    """Runs of mostly valid text, with up to two arbitrary characters put in."""
+    pieces = draw(
+        st.lists(
+            st.sampled_from(LEXER_WORDS) | st.text(st.sampled_from(LEXER_VALID), max_size=6),
+            max_size=12,
+        )
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(LEXER_CHARS)))
+    return "".join(pieces)
+
+
+@settings(max_examples=500)
+@given(lexer_texts())
+@example("\u00e9a1 x\u00e9\u00b71 a\u0301 # c\n  y  \t")
+@example("\u0301x")
+@example("x # c")
+@example("x\n  # c")
+@example("x \r\n\t ")
+@example("2\u0664")
+@example("x\u00b2")
+@example("\u4e2d\u6587 + 1")
+@example("a$")
+def test_tokenize_matches_the_reference_lexer(text):
+    assert lexed(tokenize, text) == lexed(ref_tokenize, text)
+
+
+@pytest.mark.parametrize("context", ["{}", "x{}", "{}x", "x {} 1", "1{}y", "\u00e9{}2", "# {}\n{} #"])
+def test_tokenize_matches_the_reference_lexer_on_each_character(context):
+    for ch in LEXER_CHARS:
+        text = context.format(ch, ch)
+        assert lexed(tokenize, text) == lexed(ref_tokenize, text), text
+
+
+# -- the parser against the operators -----------------------------------------
+#
+# A random expression tree is printed as text and valued with the InvariantExpr
+# operators; parsing the text must give the same value, in canonical form.
+
+factor_leaves = st.integers(0, 12).map(str) | st.sampled_from(["0", "a", "b", "c", "x1"])
+
+
+def _compound_factors(children):
+    term = st.lists(children, min_size=1, max_size=3)
+    expr = st.lists(st.tuples(st.sampled_from("+-"), term), min_size=1, max_size=3)
+    return expr.map(lambda e: ("paren", e)) | st.tuples(
+        st.just("sign"), st.text("+-", min_size=1, max_size=3), children
+    )
+
+
+factor_trees = st.recursive(factor_leaves, _compound_factors, max_leaves=12)
+expr_trees = st.lists(
+    st.tuples(st.sampled_from("+-"), st.lists(factor_trees, min_size=1, max_size=3)),
+    min_size=1,
+    max_size=4,
+)
+
+
+def expr_text_and_value(expr):
+    texts, value = [], const(0)
+    for index, (op, term) in enumerate(expr):
+        pieces = [factor_text_and_value(factor) for factor in term]
+        term_value = const(1)
+        for _, piece in pieces:
+            term_value = term_value * piece
+        if index:
+            texts.append(op)
+        texts.append(" * ".join(text for text, _ in pieces))
+        value = value - term_value if index and op == "-" else value + term_value
+    return " ".join(texts), value
+
+
+def factor_text_and_value(factor):
+    if isinstance(factor, str):
+        return factor, const(int(factor)) if factor.isdigit() else sym(factor)
+    if factor[0] == "paren":
+        text, value = expr_text_and_value(factor[1])
+        return f"({text})", value
+    _, signs, inner = factor
+    text, value = factor_text_and_value(inner)
+    return signs + text, -value if signs.count("-") % 2 else value
+
+
+@given(expr_trees)
+@example([("+", ["a", "b"]), ("-", ["b", "a"]), ("+", ["0"])])
+@example([("+", [("sign", "-+-", ("paren", [("+", ["a"]), ("-", ["2"])]))])])
+def test_parse_equals_the_operators_on_printed_trees(tree):
+    text, value = expr_text_and_value(tree)
+    result = parse_expr(text)
+    assert result == value
+    assert InvariantExpr(dict(result.terms)).terms == result.terms
+    node = _Parser(tokenize(text)).parse_poly()
+    assert node.expr == value
+    assert list(node.symbol_uses) == [
+        (tok.text, tok.span) for tok in tokenize(text) if tok.kind == "ident"
+    ]
+
+
+def test_parsing_a_polynomial_canonicalizes_once(monkeypatch):
+    collected = count_calls(monkeypatch, poly, "_collected")
+    inits = count_calls(monkeypatch, InvariantExpr, "__init__")
+    for text in ["3 + a + 2*b + 3*d", "-(a - 1) * (b + 2*c) - --c*3 + (a*a - a*a)", "0"]:
+        collected.clear()
+        parse_expr(text)
+        assert len(collected) == 1
+    assert inits == []
