@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import (
+    _leave_one_out,
     deep_component,
     duality_total,
     hpd_total,
@@ -243,13 +244,11 @@ def check_join_linear(
     components = n_join_components(enlarged)
     lhs = duality_total(N, components)
 
-    rhs = InvariantExpr.const(0)
-    for k, p in enumerate(profiles):
-        term = hpd_total(p)
-        for j, other in enumerate(profiles):
-            if j != k:
-                term = term * other.component_rank(0)
-        rhs = rhs + term
+    # The join of the small duals: sum over k of hpd_total(p_k) times the
+    # other inputs' component 0.
+    _, rhs = _leave_one_out(
+        [p.component_rank(0) for p in profiles], [hpd_total(p) for p in profiles]
+    )
 
     notes = [
         INVARIANT_LEVEL_NOTE,

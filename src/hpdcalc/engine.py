@@ -4,15 +4,22 @@ Every operation here consumes profiles (plus a frozen workspace where declared
 data is needed) and produces block lists or component lists whose invariants
 satisfy a closed-form total; the property suite pins each closed form. A check
 that compares only the deep component of the n-universal hyperplane uses
-`deep_component`, which sums the resolved subset totals by inclusion-exclusion
-and builds no block.
+`deep_component`, which builds no block. The deep component inverts the
+resolved subset totals over the subset lattice, which collapses to a closed
+form in O(n) multiplications,
+
+    deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j + excess terms,
+
+with c0_i the component 0 and t_i the total invariant of profile i; see
+`_hyperplanes` for the excess terms and the order of resolution errors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ConflictingDeclarations,
@@ -60,6 +67,7 @@ __all__ = [
 ]
 
 _zero = InvariantExpr.const(0)
+_one = InvariantExpr.const(1)
 
 # Emitted whenever the n-universal-hyperplane block structure is used: the
 # source statement tensors over the subset I, but the n = 2 proof tensors over
@@ -243,18 +251,47 @@ def _proper_subsets(subset: tuple[int, ...]):
             yield kept, [i for i in subset if i not in kept]
 
 
+def _leave_one_out(
+    factors: Sequence[InvariantExpr], weights: Sequence[InvariantExpr]
+) -> tuple[InvariantExpr, InvariantExpr]:
+    """The product of the factors f_k and the sum of w_k times the product of
+    the other factors, in one pass of 3 multiplications per entry: the running
+    sum is multiplied by each new factor (the product rule), so every term
+    picks up its suffix product as the pass goes on."""
+    product, weighted = _one, _zero
+    for factor, weight in zip(factors, weights):
+        weighted = weighted * factor + product * weight
+        product = product * factor
+    return product, weighted
+
+
 def _hyperplanes(
     profiles: Sequence[LefschetzProfile], workspace: Workspace, h_total: Coercible | None
-) -> tuple[dict[tuple[int, ...], InvariantExpr], list[InvariantExpr], list[list[InvariantExpr]]]:
-    """Validate the profiles; return the resolved hyperplane total of every
-    subset, keyed by index tuple, -h_i for each profile (h_i sums its
-    components k >= 1) and the component ranks.
+) -> tuple[InvariantExpr, Callable[[tuple[int, ...]], InvariantExpr], list[list[InvariantExpr]]]:
+    """Validate the profiles and resolve the hyperplane totals; return the
+    full set's total, deep[K] as a function of an index tuple K, and the
+    component ranks.
 
-    The empty subset's total is N and a singleton's is (N - 1) * total. The
-    full set resolves first, with the explicit total; then, depth first, each
-    proper subset of size >= 2 in block order followed by its own subsets, so
-    the first error raised is that of this order. Each profile's total
-    invariant is computed once.
+    With c0_i the component 0, t_i the total invariant and h_i = t_i - c0_i
+    the sum of the components k >= 1 of profile i, a subset J in one disjoint
+    group resolves to (N - |J|) * prod_J t_j; so do the empty set (N) and the
+    singletons. Write total[J] as that plus an excess d_J. Inverting
+    total[K] = sum over J in K of deep[J] * prod_{K - J} h_i (Rota's Moebius
+    inversion over the subset lattice) then collapses to
+
+        deep[K] = N * prod_K c0_i - sum_{i in K} t_i * prod_{K - i} c0_j
+                  + sum over J in K with an excess of d_J * prod_{K - J} (-h_i).
+
+    Only the full set and, for n = 3, a pair with a declared intersection and
+    no shared group can have an excess: any other subset of size >= 2 resolves
+    by disjointness alone.
+
+    The error raised is the first one met by resolving the full set, with
+    the explicit total, and then depth first each proper subset in block
+    order followed by its own subsets. Past the full set, that is the error
+    of the first (n - 1)-subset in `combinations` order that does not lie in
+    one disjoint group and, for n = 3, has no declared intersection: when
+    every (n - 1)-subset lies in a group, so does every smaller subset.
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -263,44 +300,38 @@ def _hyperplanes(
         _require_moderate(p)
     ranks = [p.component_ranks() for p in profiles]
     totals = [p.total_invariant() for p in profiles]
-    total = {(): InvariantExpr.const(N)}
-    total.update(((i,), (N - 1) * t) for i, t in enumerate(totals))
+    names = [p.name for p in profiles]
+    full = tuple(range(len(profiles)))
 
-    def resolve(subset: tuple[int, ...], explicit: InvariantExpr | None) -> None:
-        chosen = [profiles[i] for i in subset]
-        total[subset] = _resolve_h_total(chosen, [totals[i] for i in subset], workspace, explicit)
-        for kept, _ in _proper_subsets(subset):
-            if kept not in total:
-                resolve(kept, None)
+    def excess(subset: tuple[int, ...], resolved: InvariantExpr) -> InvariantExpr:
+        return resolved - (N - len(subset)) * math.prod((totals[i] for i in subset), start=_one)
 
-    resolve(tuple(range(len(profiles))), None if h_total is None else _coerce(h_total))
-    return total, [r[0] - t for r, t in zip(ranks, totals)], ranks
+    full_total = _resolve_h_total(
+        profiles, totals, workspace, None if h_total is None else _coerce(h_total)
+    )
+    excesses: dict[tuple[int, ...], InvariantExpr] = {}
+    if not workspace.are_disjoint(names):
+        for kept in itertools.combinations(full, len(full) - 1):
+            if not workspace.are_disjoint([names[i] for i in kept]):
+                # Past n = 3 this raises: a subset of size >= 3 other than the
+                # full set has only the disjointness formula.
+                chosen = [profiles[i] for i in kept]
+                resolved = _resolve_h_total(chosen, [totals[i] for i in kept], workspace, None)
+                excesses[kept] = excess(kept, resolved)
+        excesses[full] = excess(full, full_total)
 
+    def deep(subset: tuple[int, ...]) -> InvariantExpr:
+        product, weighted = _leave_one_out(
+            [ranks[i][0] for i in subset], [totals[i] for i in subset]
+        )
+        value = N * product - weighted
+        for part, extra in excesses.items():
+            if set(part) <= set(subset):
+                negated = [ranks[i][0] - totals[i] for i in subset if i not in part]
+                value = value + extra * math.prod(negated, start=_one)
+        return value
 
-def _deep(
-    subset: tuple[int, ...],
-    total: dict[tuple[int, ...], InvariantExpr],
-    negated: Sequence[InvariantExpr],
-    products: dict[tuple[int, ...], InvariantExpr],
-) -> InvariantExpr:
-    """The deep component of a subset K by inclusion-exclusion:
-
-        deep[K] = sum over J in K of total[J] * prod over i in K - J of (-h_i).
-
-    It inverts total[K] = sum over J in K of deep[J] * prod over i in K - J
-    of h_i, which holds because the blocks of a kept subset J sum to deep[J]
-    times those h_i. A term with a zero h_i is skipped. `products` caches the
-    products of -h_i by dropped index tuple, starting from {(): 1}.
-    """
-    free = [i for i in subset if negated[i]]
-    value = _zero
-    for size in range(len(free) + 1):
-        for dropped in itertools.combinations(free, size):
-            if dropped not in products:
-                products[dropped] = products[dropped[:-1]] * negated[dropped[-1]]
-            kept = tuple(i for i in subset if i not in dropped)
-            value = value + total[kept] * products[dropped]
-    return value
+    return full_total, deep, ranks
 
 
 def _warnings(profiles: Sequence[LefschetzProfile]) -> tuple[str, ...]:
@@ -314,12 +345,20 @@ def deep_component(
 ) -> tuple[InvariantExpr, tuple[str, ...]]:
     """The deep component of the n-universal hyperplane and its warnings.
 
-    Resolves the same totals, in the same order, as `n_hyperplane_sod`, but
-    builds no block: the inclusion-exclusion sum has 2^n terms.
+    Resolves the same totals, and raises the same first error, as
+    `n_hyperplane_sod`, but builds no block. The closed form
+
+        deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j + excess terms
+
+    (c0_i the component 0 and t_i the total invariant of profile i) costs
+    O(n) multiplications; the excess terms come from an explicit or
+    pair-declared total of the full set and, for n = 3, declared pair
+    intersections. The first error is that of the full set, then that of the
+    first (n - 1)-subset in `combinations` order that lies in no disjoint
+    group (for n = 3: a pair with no declared intersection either).
     """
-    total, negated, _ = _hyperplanes(profiles, workspace, h_total)
-    full = tuple(range(len(profiles)))
-    return _deep(full, total, negated, {(): InvariantExpr.const(1)}), _warnings(profiles)
+    _, deep, _ = _hyperplanes(profiles, workspace, h_total)
+    return deep(tuple(range(len(profiles)))), _warnings(profiles)
 
 
 def n_hyperplane_sod(
@@ -332,21 +371,21 @@ def n_hyperplane_sod(
     Blocks: the deep component first, then one block per proper subset I and
     per tuple of component indices i_k >= 1 over the complement of I, ordered
     by decreasing subset size. The invariant of such a block is deep[I] times
-    the components i_k; deep[I] is derived only for subsets that have blocks.
-    For one category this is the universal hyperplane, whose deep component
-    is the dual.
+    the components i_k; deep[I] is derived only for subsets that have blocks,
+    each by the closed form of `deep_component` restricted to I, which also
+    gives the first error. For one category this is the universal hyperplane,
+    whose deep component is the dual.
     """
-    total, negated, ranks = _hyperplanes(profiles, workspace, h_total)
-    products = {(): InvariantExpr.const(1)}
+    full_total, deep_of, ranks = _hyperplanes(profiles, workspace, h_total)
     names = [p.name for p in profiles]
     full = tuple(range(len(profiles)))
-    c_invariant = _deep(full, total, negated, products)
+    c_invariant = deep_of(full)
     blocks = [SodBlock(_c_label(names), 0, c_invariant)]
     for kept, complement in _proper_subsets(full):
         ranges = [range(1, profiles[i].length_m) for i in complement]
         if not all(ranges):
             continue
-        deep = _deep(kept, total, negated, products)
+        deep = deep_of(kept)
         c_label = _c_label([names[i] for i in kept])
         for tup in itertools.product(*ranges):
             inv = deep
@@ -355,7 +394,7 @@ def n_hyperplane_sod(
             parts = [f"{names[i]}_{k}" for i, k in zip(complement, tup)]
             blocks.append(SodBlock(_fiber(parts + [c_label], "B"), sum(tup), inv))
     return NHyperplaneResult(
-        SodExpr(BASE_V_DUAL, tuple(blocks)), c_invariant, total[full], _warnings(profiles)
+        SodExpr(BASE_V_DUAL, tuple(blocks)), c_invariant, full_total, _warnings(profiles)
     )
 
 

@@ -93,6 +93,23 @@ def _multiply_into(
             acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
 
 
+# `str` refuses an int longer than the interpreter's int-to-string digit limit
+# (4300 by default, at least 640 unless 0), which products of literals can
+# exceed. Such a coefficient prints in pieces below 10**600, under any limit.
+_PIECE = 10**600
+
+
+def _decimal(value: int) -> str:
+    """The decimal digits of a nonnegative integer: a long one is split on a
+    power of ten into two halves, each printed the same way."""
+    if value < _PIECE:
+        return str(value)
+    # bit_length * 0.3 never exceeds the digit count, so both halves are nonempty.
+    half = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 class InvariantExpr:
     """An integer polynomial over named symbols, canonical by construction."""
 
@@ -259,7 +276,10 @@ class InvariantExpr:
             magnitude = abs(coeff)
             factors = list(mono)
             if magnitude != 1 or not factors:
-                factors = [str(magnitude)] + factors
+                try:
+                    factors = [str(magnitude)] + factors
+                except ValueError:  # past the interpreter's digit limit
+                    factors = [_decimal(magnitude)] + factors
             body = "*".join(factors)
             if index == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")

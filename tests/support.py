@@ -2,18 +2,26 @@
 
 The reference functions here deliberately avoid the engine's code paths: they
 work on plain integer lists via explicit index loops, so the symbolic engine
-can be cross-checked by evaluating its output at integer assignments.
+can be cross-checked by evaluating its output at integer assignments. The
+hyperplane subset walk works on polynomials, and shares no code with the
+engine's closed form, so values and error messages compare exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from hpdcalc.errors import DslSyntaxError
-from hpdcalc.model import LefschetzProfile, build_profile
-from hpdcalc.poly import InvariantExpr, Token
+from hpdcalc.errors import (
+    ConflictingDeclarations,
+    DslSyntaxError,
+    NonModerate,
+    Underdetermined,
+)
+from hpdcalc.model import LefschetzProfile, Workspace, build_profile, same_ambient
+from hpdcalc.poly import Coercible, InvariantExpr, Token
 
 SYMBOL_NAMES = ("x", "y")
 
@@ -139,6 +147,178 @@ def ref_deep_component(N: int, prim_lists: list[list[int]], total_of) -> int:
                     value -= product
             deep[subset] = value
     return deep[tuple(range(n))]
+
+
+# -- reference subset walk --------------------------------------------------------
+#
+# The hyperplane resolution and inclusion-exclusion sum that the closed form in
+# `hpdcalc.engine` replaced, kept verbatim as its reference: every subset of
+# every resolved subset is walked (3^n steps) and the deep component sums 2^n
+# terms. `ref_deep_component_walk` and `ref_n_hyperplane_walk` return what
+# `deep_component` and `n_hyperplane_sod` computed through it.
+
+_zero = InvariantExpr.const(0)
+
+
+def _coerce(value: Coercible) -> InvariantExpr:
+    return InvariantExpr._coerce(value)
+
+
+def _require_moderate(profile: LefschetzProfile) -> None:
+    if not profile.is_moderate:
+        raise NonModerate(
+            f"category {profile.name!r} has length {profile.length_m} >= "
+            f"ambient rank {profile.ambient_rank_N}; duality operations need length < rank"
+        )
+
+
+def two_hyperplane_rank(a1: Coercible, a2: Coercible, e: Coercible, N: int) -> InvariantExpr:
+    """Invariant of the simultaneous-hyperplane incidence for a pair with totals
+    a1, a2 and fiber-product invariant e."""
+    return _coerce(e) + (N - 2) * _coerce(a1) * _coerce(a2)
+
+
+def _resolve_h_total(
+    profiles: Sequence[LefschetzProfile],
+    totals: Sequence[InvariantExpr],
+    workspace: Workspace,
+    explicit: InvariantExpr | None,
+) -> InvariantExpr:
+    """All applicable sources (explicit, disjointness, declared pair intersection)
+    must agree; silence is Underdetermined, disagreement is a hard error. A
+    single category counts as disjoint, so it resolves to (N - 1) * total.
+    `totals` holds the profiles' total invariants."""
+    N = profiles[0].ambient_rank_N
+    n = len(profiles)
+    names = [p.name for p in profiles]
+    candidates: list[tuple[str, InvariantExpr]] = []
+    if explicit is not None:
+        candidates.append(("explicit declaration", _coerce(explicit)))
+    if workspace.are_disjoint(names):
+        product = InvariantExpr.const(1)
+        for total in totals:
+            product = product * total
+        candidates.append(("disjointness formula", (N - n) * product))
+    if n == 2:
+        e = workspace.intersection(names[0], names[1])
+        if e is not None:
+            candidates.append(("declared intersection", two_hyperplane_rank(*totals, e, N)))
+    if not candidates:
+        raise Underdetermined(
+            f"invariant of the simultaneous hyperplane for {', '.join(names)} is not "
+            "derivable: declare disjointness, a pair intersection, or an explicit total"
+        )
+    first_source, first_value = candidates[0]
+    for source, value in candidates[1:]:
+        if value != first_value:
+            raise ConflictingDeclarations(
+                f"hyperplane total for {', '.join(names)}: {first_source} gives "
+                f"{first_value} but {source} gives {value}"
+            )
+    return first_value
+
+
+def _proper_subsets(subset: tuple[int, ...]):
+    """Each proper subset with its complement, in block order: larger first,
+    then `combinations` order."""
+    for size in range(len(subset) - 1, -1, -1):
+        for kept in itertools.combinations(subset, size):
+            yield kept, [i for i in subset if i not in kept]
+
+
+def _hyperplanes(
+    profiles: Sequence[LefschetzProfile], workspace: Workspace, h_total: Coercible | None
+) -> tuple[dict[tuple[int, ...], InvariantExpr], list[InvariantExpr], list[list[InvariantExpr]]]:
+    """Validate the profiles; return the resolved hyperplane total of every
+    subset, keyed by index tuple, -h_i for each profile (h_i sums its
+    components k >= 1) and the component ranks.
+
+    The empty subset's total is N and a singleton's is (N - 1) * total. The
+    full set resolves first, with the explicit total; then, depth first, each
+    proper subset of size >= 2 in block order followed by its own subsets, so
+    the first error raised is that of this order. Each profile's total
+    invariant is computed once.
+    """
+    if not profiles:
+        raise ValueError("need at least one profile")
+    N = same_ambient(*profiles)
+    for p in profiles:
+        _require_moderate(p)
+    ranks = [p.component_ranks() for p in profiles]
+    totals = [p.total_invariant() for p in profiles]
+    total = {(): InvariantExpr.const(N)}
+    total.update(((i,), (N - 1) * t) for i, t in enumerate(totals))
+
+    def resolve(subset: tuple[int, ...], explicit: InvariantExpr | None) -> None:
+        chosen = [profiles[i] for i in subset]
+        total[subset] = _resolve_h_total(chosen, [totals[i] for i in subset], workspace, explicit)
+        for kept, _ in _proper_subsets(subset):
+            if kept not in total:
+                resolve(kept, None)
+
+    resolve(tuple(range(len(profiles))), None if h_total is None else _coerce(h_total))
+    return total, [r[0] - t for r, t in zip(ranks, totals)], ranks
+
+
+def _deep(
+    subset: tuple[int, ...],
+    total: dict[tuple[int, ...], InvariantExpr],
+    negated: Sequence[InvariantExpr],
+    products: dict[tuple[int, ...], InvariantExpr],
+) -> InvariantExpr:
+    """The deep component of a subset K by inclusion-exclusion:
+
+        deep[K] = sum over J in K of total[J] * prod over i in K - J of (-h_i).
+
+    It inverts total[K] = sum over J in K of deep[J] * prod over i in K - J
+    of h_i, which holds because the blocks of a kept subset J sum to deep[J]
+    times those h_i. A term with a zero h_i is skipped. `products` caches the
+    products of -h_i by dropped index tuple, starting from {(): 1}.
+    """
+    free = [i for i in subset if negated[i]]
+    value = _zero
+    for size in range(len(free) + 1):
+        for dropped in itertools.combinations(free, size):
+            if dropped not in products:
+                products[dropped] = products[dropped[:-1]] * negated[dropped[-1]]
+            kept = tuple(i for i in subset if i not in dropped)
+            value = value + total[kept] * products[dropped]
+    return value
+
+
+def ref_deep_component_walk(
+    profiles: Sequence[LefschetzProfile],
+    workspace: Workspace,
+    h_total: Coercible | None = None,
+) -> InvariantExpr:
+    total, negated, _ = _hyperplanes(profiles, workspace, h_total)
+    full = tuple(range(len(profiles)))
+    return _deep(full, total, negated, {(): InvariantExpr.const(1)})
+
+
+def ref_n_hyperplane_walk(
+    profiles: Sequence[LefschetzProfile],
+    workspace: Workspace,
+    h_total: Coercible | None = None,
+) -> tuple[InvariantExpr, InvariantExpr, list[InvariantExpr]]:
+    """The deep component, the full set's total and every block invariant, in
+    block order."""
+    total, negated, ranks = _hyperplanes(profiles, workspace, h_total)
+    products = {(): InvariantExpr.const(1)}
+    full = tuple(range(len(profiles)))
+    c_invariant = _deep(full, total, negated, products)
+    blocks = [c_invariant]
+    for kept, complement in _proper_subsets(full):
+        ranges = [range(1, profiles[i].length_m) for i in complement]
+        if not all(ranges):
+            continue
+        deep = _deep(kept, total, negated, products)
+        for tup in itertools.product(*ranges):
+            inv = deep
+            for i, k in zip(complement, tup):
+                inv = inv * ranks[i][k]
+            blocks.append(inv)
+    return c_invariant, total[full], blocks
 
 
 def ref_join_window(p_vals: list[int], q_vals: list[int], i: int, upper: int) -> int:

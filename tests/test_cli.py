@@ -12,7 +12,7 @@ import pytest
 import hpdcalc
 from hpdcalc import catalog, cli
 from hpdcalc.cli import main
-from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING
+from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, const
 
 CATALOG_FILES = sorted((Path(catalog.__file__).parent / "_catalog").glob("*.hpd"))
 
@@ -198,6 +198,47 @@ def test_over_long_integer_literal_exits_two_with_one_line(source, where, tmp_pa
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert err == f"{path}:{where}: integer literal longer than {MAX_INT_DIGITS} digits\n"
+
+
+def test_coefficient_past_the_str_digit_limit_fails_with_one_line(tmp_path, capsys):
+    # F*F*F has about 6000 digits, more than str() takes by default.
+    f = "7" * 2000
+    source = (
+        "category A over P(3) primitive [1];\n"
+        f"dual A primitive [0, {f}*{f}*{f}];\n"
+        "check dual_profile(A);\n"
+    )
+    assert main(["check", write(tmp_path, "huge.hpd", source)]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1
+    assert out.startswith("check dual_profile: fail (")
+    assert err == ""
+
+
+def test_coefficient_past_the_str_digit_limit_prints_every_digit():
+    assert str(const(10**5000)) == "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("n", [14, 200])
+def test_join_linear_over_many_categories_within_a_second(n, tmp_path, capsys):
+    # The deep component takes O(n) multiplications, not one step per pair of
+    # nested subsets (3^n).
+    names = [f"A{i}" for i in range(n)]
+    source = "".join(f"category {name} over P(4) primitive [1, 2];\n" for name in names)
+    path = write(tmp_path, "linear.hpd", source + f"check join_linear({', '.join(names)});\n")
+
+    def too_slow(signum, frame):
+        raise TimeoutError("join_linear took more than a second")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code = main(["check", path])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert capsys.readouterr().out.startswith("check join_linear: pass (")
 
 
 @pytest.mark.parametrize("source", CATALOG_FILES, ids=[p.stem for p in CATALOG_FILES])

@@ -1,8 +1,11 @@
 """Engine tests: fixed decompositions with hand-checked invariants, plus
 property tests cross-checked against the integer reference loops in support.py."""
 
+import itertools
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hpdcalc import engine, poly
@@ -30,6 +33,7 @@ from hpdcalc.engine import (
 from hpdcalc.errors import (
     AmbientMismatch,
     ConflictingDeclarations,
+    HpdcalcError,
     MissingDisjointness,
     NonModerate,
     Underdetermined,
@@ -49,9 +53,11 @@ from support import (
     profile_st,
     ref_component_rank,
     ref_deep_component,
+    ref_deep_component_walk,
     ref_duality_total,
     ref_flat_join,
     ref_join_window,
+    ref_n_hyperplane_walk,
     ref_ruled_join,
     ref_total,
 )
@@ -338,12 +344,17 @@ def test_deep_component_matches_the_recursive_reference(case, assignment):
 # raised; the messages are those of the earlier recursive derivation.
 def _malformed(case):
     x = sym("x")
-    names = "ABC" if case in ("triangle", "conflict") else "ABCD"
+    names = {"triangle": "ABC", "conflict": "ABC", "two-pairs": "ABC", "quadruple": "ABCDE"}
+    names = names.get(case, "ABCD")
     N = 5 if len(names) == 3 else 6
     profiles = [build_profile(name, N, [x + 1, 1, 2]) for name in names]
     declared = {
         # Only B, C is declared: A, B fails first, then A, C.
         "triangle": ({("B", "C"): 2}, [], 7),
+        # A, B and A, C are declared, so the last pair fails.
+        "two-pairs": ({("A", "B"): x, ("A", "C"): 1}, [], 7),
+        # The third 4-subset is the first outside a group; D, E fails too.
+        "quadruple": ({}, [["A", "B", "C", "D"], ["A", "B", "C", "E"]], x),
         # A, B, D fails before B, D, although B, D is smaller.
         "triple": ({("A", "D"): x}, [["A", "B", "C"]], x),
         # A, B, C fails first; the other triples and the pairs across the two
@@ -364,6 +375,8 @@ _UNDERIVABLE = "is not derivable: declare disjointness, a pair intersection, or 
 _FIRST_ERROR = {
     "triangle": (Underdetermined, f"{_NO_TOTAL} for A, B {_UNDERIVABLE}"),
     "triple": (Underdetermined, f"{_NO_TOTAL} for A, B, D {_UNDERIVABLE}"),
+    "two-pairs": (Underdetermined, f"{_NO_TOTAL} for B, C {_UNDERIVABLE}"),
+    "quadruple": (Underdetermined, f"{_NO_TOTAL} for A, B, D, E {_UNDERIVABLE}"),
     "pairs": (Underdetermined, f"{_NO_TOTAL} for A, B, C {_UNDERIVABLE}"),
     "conflict": (
         ConflictingDeclarations,
@@ -382,6 +395,85 @@ def test_first_resolution_error_is_pinned(case):
     with pytest.raises(error) as deep_error:
         deep_component(profiles, ws, h_total=explicit)
     assert str(sod_error.value) == str(deep_error.value) == message
+
+
+@st.composite
+def hyperplane_workspaces(draw):
+    """n = 1..5 profiles over one rank, sometimes with one name listed twice,
+    in a workspace of mixed declarations: disjoint groups (random ones, every
+    (n - 1)-subset, all names or none), declared pair intersections (0 or
+    symbolic inside a group, any value outside one, self-intersections
+    included; every pair in the "declared" layout) and an explicit total that
+    is absent, arbitrary or the disjointness formula."""
+    n = draw(st.integers(1, 5))
+    N = draw(st.integers(3, 6))
+    profiles = [draw(profile_st(name=f"P{i}", N=N, max_m=3)) for i in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        source, target = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        profiles[target] = profiles[source]
+    names = sorted({p.name for p in profiles})
+    layout = draw(st.sampled_from(["none", "random", "leave-one-out", "all", "declared"]))
+    if layout == "random" and len(names) > 1:
+        groups = draw(st.lists(st.sets(st.sampled_from(names), min_size=2), max_size=3))
+    elif layout == "leave-one-out":
+        groups = [{p.name for p in profiles if p is not left_out} for left_out in profiles]
+    else:
+        groups = [names] if layout == "all" else []
+    pairs = {}
+    for a, b in itertools.combinations_with_replacement(names, 2):
+        if layout == "declared" or draw(st.booleans()):
+            shared = a != b and any({a, b} <= set(group) for group in groups)
+            pairs[a, b] = draw(st.sampled_from([0, sym("x")]) if shared else primitive_exprs())
+    explicit = draw(st.sampled_from(["none", "arbitrary", "disjointness"]))
+    if explicit == "none":
+        explicit = None
+    elif explicit == "arbitrary":
+        explicit = draw(primitive_exprs())
+    else:
+        explicit = (N - n) * math.prod((p.total_invariant() for p in profiles), start=const(1))
+    ws = Workspace.build(
+        symbols=SYMBOL_NAMES, categories=profiles, intersections=pairs, disjoint_sets=groups
+    )
+    return profiles, ws, explicit
+
+
+def _outcome(construction, *args):
+    """The value a construction returns, or the type and text of its error."""
+    try:
+        return construction(*args)
+    except HpdcalcError as error:
+        return type(error), str(error)
+
+
+def _sod_values(result):
+    return result.c_invariant, result.h_total, [b.invariant for b in result.sod.blocks]
+
+
+def _repeated_name():
+    # P0 listed twice resolves its own pair through a self-intersection.
+    x = sym("x")
+    p = build_profile("P0", 5, [x + 1, 1])
+    q = build_profile("P1", 5, [1, x])
+    ws = Workspace.build(
+        symbols=SYMBOL_NAMES,
+        categories=[p, q],
+        intersections={("P0", "P0"): x, ("P0", "P1"): 0},
+        disjoint_sets=[["P0", "P1"]],
+    )
+    return [p, p, q], ws, 7
+
+
+@example(_repeated_name())
+@settings(max_examples=200, deadline=None)
+@given(hyperplane_workspaces())
+def test_closed_form_matches_the_subset_walk(case):
+    # Same value, or the same first error, as the inclusion-exclusion sum over
+    # the depth-first subset walk, for the deep component and every block.
+    profiles, ws, explicit = case
+    deep = _outcome(lambda: deep_component(profiles, ws, h_total=explicit)[0])
+    assert deep == _outcome(ref_deep_component_walk, profiles, ws, explicit)
+    sod = _outcome(lambda: _sod_values(n_hyperplane_sod(profiles, ws, h_total=explicit)))
+    assert sod == _outcome(ref_n_hyperplane_walk, profiles, ws, explicit)
 
 
 _JOIN_LINEAR_DEEP = {
@@ -647,12 +739,13 @@ def _six_disjoint_triples():
 
 
 def test_n_hyperplane_resolves_each_subset_once(monkeypatch):
-    # The full set plus each of the 56 proper subsets of size >= 2.
+    # Only the full set is resolved: every proper subset of one disjoint group
+    # takes the disjointness formula, which the closed form folds in.
     profiles, ws = _six_disjoint_triples()
     calls = count_calls(monkeypatch, engine, "_resolve_h_total")
     result = n_hyperplane_sod(profiles, ws)
     assert len(result.sod.blocks) == 3**6
-    assert len(calls) == 1 + 56
+    assert len(calls) == 1
 
 
 def test_n_hyperplane_builds_only_the_returned_blocks(monkeypatch):
@@ -679,20 +772,25 @@ def test_n_hyperplane_skips_products_for_length_one_factors(monkeypatch):
     assert len(calls) <= 300
 
 
-def test_deep_component_skips_terms_with_a_zero_h():
-    # Only the two length-two profiles have h_i != 0, so the inclusion-exclusion
-    # sum has 4 terms and forms 4 products of -h_i, not 2^6.
+@pytest.mark.parametrize("copies", [1, 2])
+def test_deep_component_multiplies_linearly_in_n(copies, monkeypatch):
+    # n products for the full set's disjointness total and its (N - n) factor,
+    # 3 per profile for the closed form and its N factor: 4n + 2, where the
+    # inclusion-exclusion sum needs products over subsets.
     x = sym("x")
-    lengths = (2, 2, 1, 1, 1, 1)
+    lengths = (2, 2, 1, 1, 1, 1) * copies
     profiles = [
-        build_profile(f"P{i}", 14, [x + 1] * (m - 1) + [2 * x + 1]) for i, m in enumerate(lengths)
+        build_profile(f"P{i}", 14 * copies, [x + 1] * (m - 1) + [2 * x + 1])
+        for i, m in enumerate(lengths)
     ]
     ws = Workspace.build(categories=profiles, disjoint_sets=[[p.name for p in profiles]])
-    total, negated, _ = engine._hyperplanes(profiles, ws, None)
-    products = {(): const(1)}
-    deep = engine._deep(tuple(range(6)), total, negated, products)
-    assert sorted(products) == [(), (0,), (0, 1), (1,)]
-    assert deep == deep_component(profiles, ws)[0] == n_hyperplane_sod(profiles, ws).c_invariant
+    calls = count_calls(monkeypatch, InvariantExpr, "__mul__")
+    monkeypatch.setattr(InvariantExpr, "__rmul__", InvariantExpr.__mul__)
+    deep, _ = deep_component(profiles, ws)
+    assert len(calls) == 4 * len(profiles) + 2
+    monkeypatch.undo()
+    expected = ref_deep_component_walk(profiles, ws)
+    assert deep == expected == n_hyperplane_sod(profiles, ws).c_invariant
 
 
 # -- refined blow-up ------------------------------------------------------------
