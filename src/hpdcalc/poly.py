@@ -16,9 +16,13 @@ and a product sorts each new monomial and then the term list once. A
 convolution of value lists (`InvariantExpr._convolve`) sorts each entry once.
 
 The text front end does the same. `PolyParser` accumulates each polynomial
-into one raw term dict and makes it canonical once, at the end. `tokenize`
-matches one compiled pattern at each position, and finishes identifiers with
-non-ASCII characters by the `str.isidentifier` rule.
+into one raw term dict and makes it canonical once, at the end; a product of
+integers and names folds into one coefficient and one monomial, and only a
+parenthesized or signed factor multiplies term dicts. `tokenize` lexes each
+line with one `findall` of a compiled pattern and takes the columns from the
+lengths of the pieces. A line the pieces do not cover, because it holds a
+non-ASCII or unexpected character, is lexed one token at a time instead, and
+identifiers with non-ASCII characters follow the `str.isidentifier` rule.
 """
 
 from __future__ import annotations
@@ -324,51 +328,61 @@ class Token(NamedTuple):
     span: Span
 
 
-# Optional horizontal whitespace, then one alternative per token class, or
-# nothing. Whitespace is " \t\r" only and integers are ASCII digits only. Where
-# nothing matches (end of input, a non-ASCII character or an unexpected one),
-# `tokenize` looks at the character itself.
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:(\n)|(#[^\n]*)|([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([,;\[\]()=+*-])|())"
-)
-_NEWLINE, _COMMENT, _INT, _IDENT, _PUNCT, _OTHER = range(1, 7)
-_KINDS = (None, None, None, "int", "ident", "punct")
+# Optional horizontal whitespace (" \t\r" only), then one token of the ASCII
+# grammar: an integer of ASCII digits, an ASCII identifier or a punctuation
+# mark. `tokenize` cuts each line's comment off and finds these pieces in the
+# rest; where they do not cover it, the line has a character outside ASCII or
+# outside the grammar, and `_lex_stepwise` reads it one token at a time.
+_TOKEN = re.compile(r"([ \t\r]*)([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[,;\[\]()=+*-])")
+_BLANKS = re.compile(r"[ \t\r]*")
+# A token's kind, by its first character.
+_KIND = dict.fromkeys("0123456789", "int")
+_KIND.update(dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"))
+_KIND.update(dict.fromkeys(",;[]()=+*-", "punct"))
+# Builds a Token from its fields without a Python-level `Token.__new__` call.
+_new_token = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
     """Declaration-language tokens with (line, column) spans; `#` starts a comment."""
     tokens: list[Token] = []
-    match = _TOKEN.match
-    line, line_start = 1, 0
-    # The `end` token's column: a comment on the last line leaves it where the
-    # comment starts.
-    last = n = len(text)
-    i = 0
-    while True:
-        m = match(text, i)
-        group = m.lastindex
-        start, i = m.span(group)
-        if group == _OTHER:
-            if start == n:
-                break
-            # Identifiers take only characters that keep them valid identifiers.
-            if not text[start].isidentifier():
-                raise DslSyntaxError(
-                    f"unexpected character {text[start]!r}", (line, start - line_start + 1)
-                )
-            group, i = _IDENT, start + 1
-        if group == _NEWLINE:
-            line, line_start = line + 1, i
-        elif group == _COMMENT:
-            if i == n:
-                last = start
-        else:
-            if group == _IDENT:
-                while i < n and ("_" + text[i]).isidentifier():
-                    i += 1
-            tokens.append(Token(_KINDS[group], text[start:i], (line, start - line_start + 1)))
-    tokens.append(Token("end", "", (line, last - line_start + 1)))
+    append, findall, kinds = tokens.append, _TOKEN.findall, _KIND
+    for line, row in enumerate(text.split("\n"), 1):
+        code = row.partition("#")[0].rstrip(" \t\r")
+        mark, col = len(tokens), 1
+        for blanks, word in findall(code):
+            col += len(blanks)
+            append(_new_token(Token, (kinds[word[0]], word, (line, col))))
+            col += len(word)
+        # The pieces never overlap, so they cover the line when their lengths add up.
+        if col <= len(code):
+            del tokens[mark:]
+            _lex_stepwise(code, line, tokens)
+    # The `end` token follows the last line, or starts where its comment does.
+    tokens.append(Token("end", "", (line, len(row.partition("#")[0]) + 1)))
     return tokens
+
+
+def _lex_stepwise(code: str, line: int, tokens: list[Token]) -> None:
+    """Tokens of one line's code, matched one at a time: identifiers take the
+    characters that keep them valid identifiers by the `str.isidentifier` rule,
+    and any other character outside the grammar is an error."""
+    n = len(code)
+    i = 0
+    while i < n:
+        m = _TOKEN.match(code, i)
+        if m:
+            start, i = m.span(2)
+            kind = _KIND[code[start]]
+        else:
+            start = _BLANKS.match(code, i).end()
+            if not code[start].isidentifier():
+                raise DslSyntaxError(f"unexpected character {code[start]!r}", (line, start + 1))
+            kind, i = "ident", start + 1
+        if kind == "ident":
+            while i < n and ("_" + code[i]).isidentifier():
+                i += 1
+        tokens.append(Token(kind, code[start:i], (line, start + 1)))
 
 
 class PolyParser:
@@ -418,20 +432,47 @@ class PolyParser:
         return InvariantExpr._canonical(_collected(self._sum(uses)))
 
     def _sum(self, uses) -> dict[Monomial, int]:
-        acc = self._product(uses)
-        while self.at_punct("+") or self.at_punct("-"):
-            sign = 1 if self.advance().text == "+" else -1
-            for mono, coeff in self._product(uses).items():
-                acc[mono] = acc.get(mono, 0) + sign * coeff
-        return acc
+        acc: dict[Monomial, int] = {}
+        tokens = self.tokens
+        sign = 1
+        while True:
+            self._product(uses, acc, sign)
+            # Only a punctuation token's text is "+" or "-" (or "*", below).
+            text = tokens[self.pos].text
+            if text != "+" and text != "-":
+                return acc
+            sign = 1 if text == "+" else -1
+            self.pos += 1
 
-    def _product(self, uses) -> dict[Monomial, int]:
-        acc = self._factor(uses)
-        while self.at_punct("*"):
-            self.advance()
-            left, right, acc = acc, self._factor(uses), {}
-            _multiply_into(acc, left.items(), right.items())
-        return acc
+    def _product(self, uses, acc: dict[Monomial, int], sign: int) -> None:
+        """product := factor ('*' factor)*, added `sign` times into `acc`.
+        Integers and names fold into one coefficient and one monomial; only
+        parenthesized and signed factors multiply term dicts."""
+        tokens = self.tokens
+        coeff, names, factors = sign, [], None
+        while True:
+            tok = tokens[self.pos]
+            if tok.kind == "int":
+                self.pos += 1
+                coeff *= self.int_value(tok)
+            elif tok.kind == "ident":
+                self.pos += 1
+                uses.append((tok.text, tok.span))
+                names.append(tok.text)
+            elif factors is None:
+                factors = self._factor(uses)
+            else:
+                left, right, factors = factors, self._factor(uses), {}
+                _multiply_into(factors, left.items(), right.items())
+            if tokens[self.pos].text != "*":
+                break
+            self.pos += 1
+        names.sort()
+        mono = tuple(names)
+        if factors is None:
+            acc[mono] = acc.get(mono, 0) + coeff
+        else:
+            _multiply_into(acc, factors.items(), ((mono, coeff),))
 
     def _factor(self, uses) -> dict[Monomial, int]:
         tok = self.peek()

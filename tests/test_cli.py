@@ -2,12 +2,15 @@
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hpdcalc
 from hpdcalc import catalog, cli
@@ -190,8 +193,9 @@ def test_deep_nesting_exits_two_with_span(tmp_path, capsys):
         ("category A over P(3) primitive [{}];\n", "1:33"),
         ("category A over P({}) primitive [1];\n", "1:19"),
         ("category A over P(4) primitive [1];\ncheck cone_part1(A, n2={});\n", "2:24"),
+        ("symbol x;\ncategory A over P(4) primitive [x*{}];\n", "2:35"),
     ],
-    ids=["primitive", "rank", "n2"],
+    ids=["primitive", "rank", "n2", "factor"],
 )
 def test_over_long_integer_literal_exits_two_with_one_line(source, where, tmp_path, capsys):
     path = write(tmp_path, "long.hpd", source.format("5" * (MAX_INT_DIGITS + 700)))
@@ -239,6 +243,71 @@ def test_join_linear_over_many_categories_within_a_second(n, tmp_path, capsys):
         signal.signal(signal.SIGALRM, previous)
     assert code == 0
     assert capsys.readouterr().out.startswith("check join_linear: pass (")
+
+
+# -- fuzzing: every input ends in a documented exit code -------------------------
+
+FUZZ_TOKENS = [
+    "symbol", "category", "over", "P", "primitive", "left", "intersect", "disjoint", "dual",
+    "check", "main_theorem", "n_hpd_center", "cone_part1", "cone_part2", "join_linear",
+    "dual_profile", "n2", "A", "B", "e", "0", "1", "3", "10",
+    ",", ";", "[", "]", "(", ")", "=", "+", "-", "*", "#",
+    " ", "\t", "\n", "\r\n", "$", "\u00e9", "\u00b2", "\u0664", "\x00",
+]
+CATALOG_SOURCES = [path.read_text(encoding="utf-8") for path in CATALOG_FILES]
+# The spans of a catalog file's tokens, as a mutation sees them.
+_FUZZ_WORD = re.compile(r"[A-Za-z_0-9]+|[^\s]")
+
+
+@st.composite
+def token_soup(draw):
+    """Grammar tokens, blanks, line breaks, comments and stray characters."""
+    tokens = draw(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=60))
+    seps = st.sampled_from(["", " ", "\n", "\r\n"])
+    return "".join(token + draw(seps) for token in tokens)
+
+
+@st.composite
+def mutated_catalog_file(draw):
+    """A catalog file with one token deleted, duplicated or replaced."""
+    source = draw(st.sampled_from(CATALOG_SOURCES))
+    words = list(_FUZZ_WORD.finditer(source))
+    start, end = words[draw(st.integers(0, len(words) - 1))].span()
+    mutation = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    if mutation == "delete":
+        middle = ""
+    elif mutation == "duplicate":
+        middle = source[start:end] * 2
+    else:
+        middle = draw(st.sampled_from(FUZZ_TOKENS))
+    return source[:start] + middle + source[end:]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(token_soup() | mutated_catalog_file())
+def test_any_input_ends_in_a_documented_exit_code(tmp_path, capsys, source):
+    path = write(tmp_path, "fuzz.hpd", source)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("check took more than two seconds")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code = main(["check", path])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert err.count("\n") == 1
+        assert re.match(rf"{re.escape(path)}:\d+:\d+: ", err)
 
 
 @pytest.mark.parametrize("source", CATALOG_FILES, ids=[p.stem for p in CATALOG_FILES])

@@ -236,6 +236,7 @@ MALFORMED = [
     ),
     ("duplicate-symbol", "symbol e; symbol e;", DuplicateDeclaration, ("e", 2)),
     ("undeclared-symbol", "category A over P(3) primitive [x];", UnknownSymbol, ("x", 1)),
+    ("undeclared-zero-term", "category A over P(3) primitive [1 + 0*x];", UnknownSymbol, ("x", 1)),
     ("undeclared-category", "check main_theorem(A, B);", UnknownCategory, ("A", 1)),
     ("one-name-disjoint", "disjoint A;", DslSyntaxError, ("disjoint", 1)),
     (

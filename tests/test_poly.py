@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from support import count_calls, ref_tokenize
 
 from hpdcalc import poly
-from hpdcalc.dsl import _Parser
+from hpdcalc.dsl import _Parser, parse
 from hpdcalc.errors import DslSyntaxError
 from hpdcalc.poly import (
     MAX_INT_DIGITS,
@@ -414,6 +414,12 @@ def lexer_texts(draw):
 @example("x\u00b2")
 @example("\u4e2d\u6587 + 1")
 @example("a$")
+@example("symbol x;\r\ncategory A over P(3) primitive [x + 1];\r\n# done\r\n")
+@example("x + 1 \t\n  y\t \t\n \t")
+@example("x = 1;\ny # last")
+@example("")
+@example("a + 1\nb\u00e9 * 2\nc * (3)\n")
+@example("a + 1\nb $ 2\nc * (3)\n")
 def test_tokenize_matches_the_reference_lexer(text):
     assert lexed(tokenize, text) == lexed(ref_tokenize, text)
 
@@ -423,6 +429,34 @@ def test_tokenize_matches_the_reference_lexer_on_each_character(context):
     for ch in LEXER_CHARS:
         text = context.format(ch, ch)
         assert lexed(tokenize, text) == lexed(ref_tokenize, text), text
+
+
+def library_text(count, newline="\n"):
+    """A declaration file shaped like a generated library: ASCII only, a
+    comment, and sums of products of integers and names."""
+    rng = random.Random(count)
+    lines = ["# generated library", "symbol a, b, c, d;"]
+    for index in range(count):
+        prims = []
+        for _ in range(rng.randint(1, 4)):
+            terms = [str(rng.randint(0, 3))]
+            terms += [f"{rng.randint(1, 3)}*{name}" for name in "abcd" if rng.random() < 0.5]
+            prims.append(" + ".join(terms))
+        lines.append(f"category L{index} over P({rng.randint(5, 12)}) primitive [{', '.join(prims)}];")
+    lines += ["disjoint L0, L1, L2;", "intersect L3, L4 over P(9) = 2 + 3*a*b;", "check cone_part1(L5, n2=2);"]
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_ascii_lines_take_the_fast_paths(newline, monkeypatch):
+    stepwise = count_calls(monkeypatch, poly, "_lex_stepwise")
+    products = count_calls(monkeypatch, poly, "_multiply_into")
+    text = library_text(250, newline)
+    parse(text)
+    assert (stepwise, products) == ([], [])
+    # One line with a non-ASCII name is lexed one token at a time; only it.
+    parse(text.replace("symbol a, b,", "symbol \u00e9t\u00e9, a, b,"))
+    assert len(stepwise) == 1
 
 
 # -- the parser against the operators -----------------------------------------
