@@ -94,7 +94,8 @@ def cmd_check(args) -> int:
         try:
             rows.append(run_check_row(stmt, ws))
         except HpdcalcError as err:
-            print(f"{args.file}: check {stmt.check}: {err}", file=sys.stderr)
+            line, column = stmt.span
+            print(f"{args.file}:{line}:{column}: check {stmt.check}: {err}", file=sys.stderr)
             return EXIT_INVALID
     return _finish(file_report(source, rows, [], ws.warnings), args.json, _exit_code_for(rows))
 

@@ -8,7 +8,6 @@ validation error carries a (line, column) span.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,7 +34,7 @@ from .errors import (
     UnresolvedBaseLocus,
     UnresolvedIntersection,
 )
-from .model import LefschetzProfile, Workspace, build_profile
+from .model import LefschetzProfile, Workspace, _drop_grouped_pairs, _group_index, build_profile
 from .poly import InvariantExpr, PolyParser, Token, tokenize
 from .report import check_row
 
@@ -459,22 +458,12 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
             for name, span in stmt.args:
                 require_category(name, span)
 
-    # Workspace.build rejects this too, but knows no spans.
-    for group in disjoint_sets:
-        for pair in itertools.combinations(sorted(group), 2):
-            value = intersections.get(pair)
-            if value and value.is_constant():
-                raise ConflictingIntersection(
-                    f"{pair[0]}, {pair[1]} declared disjoint but intersect with constant {value}",
-                    intersect_spans[pair],
-                )
-    return Workspace.build(
-        symbols=symbols,
-        categories=categories,
-        intersections=intersections,
-        disjoint_sets=disjoint_sets,
-        dual_profiles=dual_profiles,
-    )
+    try:
+        return Workspace.build(symbols, categories, intersections, disjoint_sets, dual_profiles)
+    except ConflictingIntersection:
+        # Workspace.build ranks conflicts by canonical group order, a file by declaration order.
+        (pair, message), *_ = _drop_grouped_pairs(_group_index(disjoint_sets), intersections)[1]
+        raise ConflictingIntersection(message, intersect_spans[pair]) from None
 
 
 def check_requests(ast: Ast) -> tuple[CheckStmt, ...]:
@@ -522,8 +511,8 @@ def print_canonical(ws: Workspace) -> str:
         if p.primitive_left != p.primitive_right:
             stmt += f" left {_poly_list_text(p.primitive_left)}"
         lines.append(stmt + ";")
-    for a, b in sorted(ws.intersections):
-        value = ws.intersections[(a, b)]
+    implied = {(a, b): 0 for group in ws.disjoint_sets for a in group for b in group if a < b}
+    for (a, b), value in sorted({**implied, **ws.intersections}.items()):
         rank = ws.categories[a].ambient_rank_N
         lines.append(f"intersect {a}, {b} over P({rank}) = {value};")
     for group in sorted(sorted(g) for g in ws.disjoint_sets):

@@ -188,12 +188,37 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (lo, hi)
 
 
+def _group_index(groups: Iterable[Iterable[str]]) -> dict[str, set[int]]:
+    """Each name's positions in a sequence of groups."""
+    index: dict[str, set[int]] = {}
+    for i, group in enumerate(groups):
+        for name in group:
+            index.setdefault(name, set()).add(i)
+    return index
+
+
+def _drop_grouped_pairs(index: dict[str, set[int]], pairs: dict) -> tuple[list, list]:
+    """Drop each pair sharing a group from `pairs`, least (first group holding it,
+    pair) first; return the warnings and the (pair, message) of each conflict."""
+    shared = {(a, b): index.get(a, set()) & index.get(b, set()) for a, b in pairs if a != b}
+    warnings, conflicts = [], []
+    for _, (a, b) in sorted((min(common), key) for key, common in shared.items() if common):
+        value = pairs.pop((a, b))
+        if not value.is_constant():
+            note = f"intersection of {a}, {b} declared as {value} but the pair is declared disjoint"
+            warnings.append(note + "; disjointness forces 0")
+        elif value:
+            message = f"{a}, {b} declared disjoint but intersect with constant {value}"
+            conflicts.append(((a, b), message))
+    return warnings, conflicts
+
+
 @dataclass(frozen=True, eq=True)
 class Workspace:
     """Frozen set of declarations consumed by the engine and the checks.
 
-    Intersections are symmetric; a declared disjoint group forces the pairwise
-    intersection invariant over P(V) to zero.
+    Intersections are symmetric. A disjoint group is stored once: its pairs' zeros
+    are looked up, so validation is linear in its size, and only canonical text lists them.
     """
 
     symbols: frozenset[str] = frozenset()
@@ -214,15 +239,14 @@ class Workspace:
         """Normalize and validate declarations into a frozen workspace."""
         cats = {p.name: p for p in categories}
         names = set(cats)
-        warnings: list[str] = []
 
         # Deduplicate and order groups canonically so workspace equality does
         # not depend on declaration order.
         groups = tuple(sorted({frozenset(group) for group in disjoint_sets}, key=sorted))
-        for group in groups:
-            for member in group:
-                if member not in names:
-                    raise UnknownCategory(f"disjoint declaration names unknown category {member!r}")
+        index = _group_index(groups)
+        for member in index:
+            if member not in names:
+                raise UnknownCategory(f"disjoint declaration names unknown category {member!r}")
 
         pairs: dict[tuple[str, str], InvariantExpr] = {}
         for (a, b), value in (intersections or {}).items():
@@ -232,40 +256,24 @@ class Workspace:
                 raise UnknownCategory(f"intersection names unknown category {b!r}")
             pairs[_pair_key(a, b)] = InvariantExpr._coerce(value)
 
-        for group in groups:
-            members = sorted(group)
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    key = _pair_key(a, b)
-                    declared = pairs.get(key)
-                    if not declared:
-                        pairs[key] = _ZERO
-                    elif declared.is_constant():
-                        raise ConflictingIntersection(
-                            f"{a}, {b} declared disjoint but intersect with constant {declared}"
-                        )
-                    else:
-                        warnings.append(
-                            f"intersection of {a}, {b} declared as {declared} but the pair is "
-                            "declared disjoint; disjointness forces 0"
-                        )
-                        pairs[key] = _ZERO
+        warnings, conflicts = _drop_grouped_pairs(index, pairs)
+        if conflicts:
+            raise ConflictingIntersection(conflicts[0][1])
 
         duals = dict(dual_profiles or {})
         for name in duals:
             if name not in names:
                 raise UnknownCategory(f"dual declaration names unknown category {name!r}")
 
-        return Workspace(
-            symbols=frozenset(symbols),
-            categories=cats,
-            intersections=pairs,
-            disjoint_sets=groups,
-            dual_profiles=duals,
-            warnings=tuple(warnings),
-        )
+        ws = Workspace(frozenset(symbols), cats, pairs, groups, duals, tuple(warnings))
+        ws.__dict__["_groups_of"] = index  # fills the cached property: one index per workspace
+        return ws
 
     # -- lookups -----------------------------------------------------------
+
+    @cached_property
+    def _groups_of(self) -> dict[str, set[int]]:
+        return _group_index(self.disjoint_sets)
 
     def category(self, name: str) -> LefschetzProfile:
         try:
@@ -274,7 +282,9 @@ class Workspace:
             raise UnknownCategory(f"unknown category {name!r}") from None
 
     def intersection(self, a: str, b: str) -> InvariantExpr | None:
-        return self.intersections.get(_pair_key(a, b))
+        """The declared value, else 0 for two names sharing a group."""
+        value = self.intersections.get(_pair_key(a, b))
+        return _ZERO if value is None and self.are_disjoint((a, b)) else value
 
     def require_intersection(self, a: str, b: str) -> InvariantExpr:
         value = self.intersection(a, b)
@@ -285,13 +295,13 @@ class Workspace:
         return value
 
     def are_disjoint(self, names: Iterable[str]) -> bool:
-        """Whether the named categories are pairwise disjoint; a name listed
-        twice is never disjoint from itself."""
+        """Pairwise disjointness: at most one name, or distinct names all in one group."""
         names = list(names)
         wanted = set(names)
         if len(wanted) < len(names):
             return False
-        return len(wanted) <= 1 or any(wanted <= group for group in self.disjoint_sets)
+        groups = (self._groups_of.get(name, set()) for name in wanted)
+        return len(wanted) <= 1 or bool(set.intersection(*groups))
 
     def dual_of(self, name: str) -> LefschetzProfile | None:
         return self.dual_profiles.get(name)

@@ -9,16 +9,21 @@ engine's closed form, so values and error messages compare exactly.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import signal
 from typing import Sequence
 
 from hypothesis import strategies as st
 
+from hpdcalc.dsl import _poly_list_text
 from hpdcalc.errors import (
     ConflictingDeclarations,
+    ConflictingIntersection,
     DslSyntaxError,
     NonModerate,
     Underdetermined,
+    UnknownCategory,
 )
 from hpdcalc.model import LefschetzProfile, Workspace, build_profile, same_ambient
 from hpdcalc.poly import Coercible, InvariantExpr, Token
@@ -59,6 +64,22 @@ def assignments(symbols=SYMBOL_NAMES, lo=0, hi=3):
 
 def primitive_values(profile: LefschetzProfile, assignment) -> list[int]:
     return [p.evaluate(assignment) for p in profile.primitive_right]
+
+
+@contextlib.contextmanager
+def time_budget(seconds: float, what: str):
+    """Raise TimeoutError inside the block once `seconds` of wall time pass."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took more than {seconds:g} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -413,3 +434,116 @@ def ref_tokenize(text: str) -> list[Token]:
         raise DslSyntaxError(f"unexpected character {ch!r}", span)
     tokens.append(Token("end", "", (line, col)))
     return tokens
+
+
+# -- reference workspace ----------------------------------------------------------
+#
+# Disjointness stored pairwise: the workspace's pair loop, the validator's
+# conflict loop and the canonical printer as they were when every pair of a
+# group's members was stored as a zero intersection.
+
+
+def ref_workspace_build(
+    symbols: Sequence[str],
+    categories: Sequence[LefschetzProfile],
+    intersections: dict | None = None,
+    disjoint_sets: Sequence[Sequence[str]] = (),
+    intersect_spans: dict | None = None,
+) -> Workspace:
+    """A workspace whose `intersections` holds a 0 for each pair in a group.
+
+    With `intersect_spans` (sorted pair -> span), conflicts are first sought
+    in the order the groups come, as the validator reports them; the
+    intersections must then be keyed by sorted pair.
+    """
+    if intersect_spans is not None:
+        for group in disjoint_sets:
+            for pair in itertools.combinations(sorted(group), 2):
+                value = intersections.get(pair)
+                if value and value.is_constant():
+                    raise ConflictingIntersection(
+                        f"{pair[0]}, {pair[1]} declared disjoint but intersect with constant {value}",
+                        intersect_spans[pair],
+                    )
+
+    cats = {p.name: p for p in categories}
+    names = set(cats)
+    warnings: list[str] = []
+    groups = tuple(sorted({frozenset(group) for group in disjoint_sets}, key=sorted))
+    for group in groups:
+        for member in group:
+            if member not in names:
+                raise UnknownCategory(f"disjoint declaration names unknown category {member!r}")
+
+    pairs: dict[tuple[str, str], InvariantExpr] = {}
+    for (a, b), value in (intersections or {}).items():
+        if a not in names:
+            raise UnknownCategory(f"intersection names unknown category {a!r}")
+        if b not in names:
+            raise UnknownCategory(f"intersection names unknown category {b!r}")
+        pairs[tuple(sorted((a, b)))] = InvariantExpr._coerce(value)
+
+    for group in groups:
+        members = sorted(group)
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                key = tuple(sorted((a, b)))
+                declared = pairs.get(key)
+                if not declared:
+                    pairs[key] = _coerce(0)
+                elif declared.is_constant():
+                    raise ConflictingIntersection(
+                        f"{a}, {b} declared disjoint but intersect with constant {declared}"
+                    )
+                else:
+                    warnings.append(
+                        f"intersection of {a}, {b} declared as {declared} but the pair is "
+                        "declared disjoint; disjointness forces 0"
+                    )
+                    pairs[key] = _coerce(0)
+
+    return Workspace(
+        symbols=frozenset(symbols),
+        categories=cats,
+        intersections=pairs,
+        disjoint_sets=groups,
+        warnings=tuple(warnings),
+    )
+
+
+def ref_intersection(ws: Workspace, a: str, b: str) -> InvariantExpr | None:
+    return ws.intersections.get(tuple(sorted((a, b))))
+
+
+def ref_are_disjoint(ws: Workspace, names: Sequence[str]) -> bool:
+    names = list(names)
+    wanted = set(names)
+    if len(wanted) < len(names):
+        return False
+    return len(wanted) <= 1 or any(wanted <= group for group in ws.disjoint_sets)
+
+
+def ref_print_canonical(ws: Workspace) -> str:
+    """Canonical text with one intersect line per stored pair."""
+    lines: list[str] = []
+    if ws.symbols:
+        lines.append("symbol " + ", ".join(sorted(ws.symbols)) + ";")
+    for name in sorted(ws.categories):
+        p = ws.categories[name]
+        stmt = (
+            f"category {name} over P({p.ambient_rank_N}) "
+            f"primitive {_poly_list_text(p.primitive_right)}"
+        )
+        if p.primitive_left != p.primitive_right:
+            stmt += f" left {_poly_list_text(p.primitive_left)}"
+        lines.append(stmt + ";")
+    for a, b in sorted(ws.intersections):
+        value = ws.intersections[(a, b)]
+        rank = ws.categories[a].ambient_rank_N
+        lines.append(f"intersect {a}, {b} over P({rank}) = {value};")
+    for group in sorted(sorted(g) for g in ws.disjoint_sets):
+        lines.append("disjoint " + ", ".join(group) + ";")
+    for name in sorted(ws.dual_profiles):
+        dual = ws.dual_profiles[name]
+        lines.append(f"dual {name} primitive {_poly_list_text(dual.primitive_right)};")
+    return "".join(line + "\n" for line in lines)

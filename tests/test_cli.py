@@ -3,7 +3,6 @@
 import json
 import os
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +15,8 @@ import hpdcalc
 from hpdcalc import catalog, cli
 from hpdcalc.cli import main
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, const
+
+from support import time_budget
 
 CATALOG_FILES = sorted((Path(catalog.__file__).parent / "_catalog").glob("*.hpd"))
 
@@ -83,16 +84,8 @@ def test_planted_product_in_many_symbols_is_refuted_within_a_second(tmp_path, ca
     path = write(tmp_path, "planted.hpd", source)
     report_path = tmp_path / "planted.json"
 
-    def too_slow(signum, frame):
-        raise TimeoutError("refutation took more than a second")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_budget(1.0, "refutation"):
         code = main(["check", path, "--json", str(report_path)])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 1
     out = capsys.readouterr().out
     assert out.count("\n") == 1
@@ -134,6 +127,21 @@ def test_repeated_name_in_one_disjointness_group_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "twice.hpd:2:13: category 'A' listed twice" in err
+
+
+def test_error_raised_by_a_check_carries_the_check_span(tmp_path, capsys):
+    # Validation accepts a group over two ranks; the check rejects the pair,
+    # and its one diagnostic line points at the check statement.
+    source = (
+        "category Pt1 over P(3) primitive [1];\n"
+        "category Pt2 over P(33) primitive [1];\n"
+        "disjoint Pt1, Pt2;\n"
+        "check main_theorem(Pt1, Pt2);\n"
+    )
+    path = write(tmp_path, "ranks.hpd", source)
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{path}:4:1: check main_theorem: Pt1 lives over rank 3, Pt2 over rank 33\n"
 
 
 def test_self_intersection_resolves_the_double_hyperplane(tmp_path, capsys):
@@ -231,18 +239,24 @@ def test_join_linear_over_many_categories_within_a_second(n, tmp_path, capsys):
     source = "".join(f"category {name} over P(4) primitive [1, 2];\n" for name in names)
     path = write(tmp_path, "linear.hpd", source + f"check join_linear({', '.join(names)});\n")
 
-    def too_slow(signum, frame):
-        raise TimeoutError("join_linear took more than a second")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_budget(1.0, "join_linear"):
         code = main(["check", path])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0
     assert capsys.readouterr().out.startswith("check join_linear: pass (")
+
+
+@pytest.mark.parametrize("n", [2000])
+def test_large_disjoint_group_within_a_second(n, tmp_path, capsys):
+    # A group is stored once, not as n(n-1)/2 zero pairs, so validation is
+    # linear in its size.
+    names = [f"A{i}" for i in range(n)]
+    source = "".join(f"category {name} over P(5) primitive [1, 2];\n" for name in names)
+    source += f"disjoint {', '.join(names)};\ncheck cone_part1(A0, n2=3);\n"
+    path = write(tmp_path, "group.hpd", source)
+    with time_budget(1.0, "a large disjoint group"):
+        code = main(["check", path])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("check cone_part1: pass (")
 
 
 # -- fuzzing: every input ends in a documented exit code -------------------------
@@ -292,16 +306,8 @@ def mutated_catalog_file(draw):
 def test_any_input_ends_in_a_documented_exit_code(tmp_path, capsys, source):
     path = write(tmp_path, "fuzz.hpd", source)
 
-    def too_slow(signum, frame):
-        raise TimeoutError("check took more than two seconds")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_budget(2.0, "check"):
         code = main(["check", path])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     out, err = capsys.readouterr()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in out + err

@@ -222,6 +222,39 @@ def test_constant_intersection_against_disjointness_is_rejected():
         validate(parse(src))
 
 
+def test_first_conflict_follows_the_declaration_order_of_groups():
+    # In canonical order {A, B} comes first; the file declares {C, D} first.
+    src = (
+        "category A over P(4) primitive [1];\n"
+        "category B over P(4) primitive [1];\n"
+        "category C over P(4) primitive [1];\n"
+        "category D over P(4) primitive [1];\n"
+        "intersect A, B over P(4) = 2;\n"
+        "  intersect C, D over P(4) = 3;\n"
+        "disjoint D, C;\n"
+        "disjoint B, A;\n"
+    )
+    with pytest.raises(ConflictingIntersection) as excinfo:
+        validate(parse(src))
+    assert str(excinfo.value) == "6:3: C, D declared disjoint but intersect with constant 3"
+
+
+def test_symbolic_pair_in_two_groups_warns_once():
+    src = (
+        "symbol e;\n"
+        "category A over P(4) primitive [1];\n"
+        "category B over P(4) primitive [1];\n"
+        "category C over P(4) primitive [1];\n"
+        "intersect B, A over P(4) = e;\n"
+        "disjoint C, B, A;\n"
+        "disjoint A, B;\n"
+    )
+    assert validate(parse(src)).warnings == (
+        "intersection of A, B declared as e but the pair is declared disjoint; "
+        "disjointness forces 0",
+    )
+
+
 MALFORMED = [
     ("missing-semicolon", "symbol e", DslSyntaxError, (1, 9)),
     ("bad-keyword", "categry X over P(3) primitive [1];", DslSyntaxError, ("categry", 1)),

@@ -1,10 +1,10 @@
 """Profile validation, component arithmetic, SOD equality, workspace invariants."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpdcalc.dsl import print_canonical
+from hpdcalc.dsl import parse, print_canonical, validate
 from hpdcalc.errors import (
     ConflictingIntersection,
     ImplausibleProfile,
@@ -22,8 +22,12 @@ from support import (
     count_calls,
     primitive_values,
     profile_st,
+    ref_are_disjoint,
     ref_component_rank,
+    ref_intersection,
+    ref_print_canonical,
     ref_total,
+    ref_workspace_build,
 )
 
 
@@ -264,3 +268,90 @@ def test_workspace_build_order_independent():
     )
     assert first == second
     assert print_canonical(first) == print_canonical(second)
+
+
+# -- disjointness against the pairwise reference ----------------------------------
+
+GROUP_NAMES = ("A", "B", "C", "D")
+# 0 and symbolic values are dropped inside a group, a nonzero constant conflicts.
+PAIR_VALUES = (const(0), const(2), const(3), sym("e"), sym("e") + sym("f"))
+
+
+@st.composite
+def disjointness_declarations(draw):
+    """Groups (overlapping, repeated, reordered, with repeated members) and
+    declared intersections keyed by unordered pair, self-pairs included."""
+    groups = draw(
+        st.lists(st.lists(st.sampled_from(GROUP_NAMES), min_size=2, max_size=5), max_size=4)
+    )
+    if groups and draw(st.booleans()):
+        groups.append(list(reversed(draw(st.sampled_from(groups)))))
+    keys = st.tuples(st.sampled_from(GROUP_NAMES), st.sampled_from(GROUP_NAMES)).map(
+        lambda pair: tuple(sorted(pair))
+    )
+    pairs = draw(st.dictionaries(keys, st.sampled_from(PAIR_VALUES), max_size=6))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    probes = draw(
+        st.lists(st.lists(st.sampled_from(GROUP_NAMES + ("Z",)), max_size=4), max_size=8)
+    )
+    return groups, pairs, flips, probes
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except ConflictingIntersection as err:
+        return None, (type(err), str(err))
+
+
+def _assert_same_workspace(ws, ref, probes):
+    for a in GROUP_NAMES:
+        for b in GROUP_NAMES:
+            assert ws.intersection(a, b) == ref_intersection(ref, a, b)
+    for names in probes:
+        assert ws.are_disjoint(names) == ref_are_disjoint(ref, names)
+    assert ws.warnings == ref.warnings
+    assert print_canonical(ws) == ref_print_canonical(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjointness_declarations())
+def test_disjointness_matches_the_pairwise_reference(decl):
+    groups, pairs, flips, probes = decl
+    profiles = [build_profile(name, 4, [1]) for name in GROUP_NAMES]
+    symbols = ["e", "f"]
+    declared = {(b, a) if flip else (a, b): v for ((a, b), v), flip in zip(pairs.items(), flips)}
+
+    ws, err = _outcome(lambda: Workspace.build(symbols, profiles, declared, groups))
+    ref, ref_err = _outcome(lambda: ref_workspace_build(symbols, profiles, declared, groups))
+    assert err == ref_err
+    if ws is not None:
+        _assert_same_workspace(ws, ref, probes)
+        # Declared in another order, the workspace and its text are the same.
+        reordered = Workspace.build(
+            symbols[::-1],
+            profiles[::-1],
+            dict(reversed([(key[::-1], v) for key, v in declared.items()])),
+            [group[::-1] for group in reversed(groups)],
+        )
+        assert reordered == ws
+        assert reordered.warnings == ws.warnings
+        assert print_canonical(reordered) == print_canonical(ws)
+
+    # The same declarations as a file: conflicts follow the groups' order and
+    # carry the span of the intersect statement.
+    file_groups = [list(dict.fromkeys(group)) for group in groups]
+    file_groups = [group for group in file_groups if len(group) >= 2]
+    lines = ["symbol e, f;"] + [f"category {p.name} over P(4) primitive [1];" for p in profiles]
+    spans = {}
+    for (a, b), value in declared.items():
+        spans[tuple(sorted((a, b)))] = (len(lines) + 1, 1)
+        lines.append(f"intersect {a}, {b} over P(4) = {value};")
+    lines += ["disjoint " + ", ".join(group) + ";" for group in file_groups]
+    ws, err = _outcome(lambda: validate(parse("\n".join(lines) + "\n")))
+    ref, ref_err = _outcome(
+        lambda: ref_workspace_build(symbols, profiles, pairs, file_groups, spans)
+    )
+    assert err == ref_err
+    if ws is not None:
+        _assert_same_workspace(ws, ref, probes)
