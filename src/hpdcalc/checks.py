@@ -200,9 +200,7 @@ def check_thm_cone_part1(
     return _result("cone_part1", lhs, rhs, notes)
 
 
-def check_thm_cone_part2(
-    p: LefschetzProfile, N2: int, workspace: Workspace
-) -> CheckResult:
+def check_thm_cone_part2(p: LefschetzProfile, N2: int) -> CheckResult:
     """Duality total of the join with a full linear subspace versus the
     duality total in the original ambient space."""
     if N2 < 1:
@@ -220,9 +218,7 @@ def check_thm_cone_part2(
     return _result("cone_part2", lhs, rhs, (INVARIANT_LEVEL_NOTE,))
 
 
-def check_join_linear(
-    profiles: Sequence[LefschetzProfile], workspace: Workspace
-) -> CheckResult:
+def check_join_linear(profiles: Sequence[LefschetzProfile]) -> CheckResult:
     """For categories in complementary linear subspaces: duality total of
     their join versus the join of their small duals.
 
@@ -230,10 +226,6 @@ def check_join_linear(
     over its own subspace, center equivalence). When at least two inputs are
     given, the deep component of the simultaneous universal hyperplane is also
     derived and compared, using the splitting-induced disjointness total.
-
-    `workspace` is unused: it is kept only for the uniform runner signature of
-    `dsl._CHECKS`. The deep component is resolved in a split workspace built
-    from the enlarged profiles, so the caller's declarations cannot affect it.
     """
     if not profiles:
         raise ValueError("need at least one profile")

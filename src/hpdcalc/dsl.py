@@ -75,8 +75,8 @@ _CHECKS = {
     "main_theorem": (2, 2, False, lambda ps, stmt, ws: check_main_theorem(ps[0], ps[1], ws)),
     "n_hpd_center": (1, None, False, lambda ps, stmt, ws: check_n_hpd_center(ps, ws)),
     "cone_part1": (1, 1, True, lambda ps, stmt, ws: check_thm_cone_part1(ps[0], stmt.n2, ws)),
-    "cone_part2": (1, 1, True, lambda ps, stmt, ws: check_thm_cone_part2(ps[0], stmt.n2, ws)),
-    "join_linear": (1, None, False, lambda ps, stmt, ws: check_join_linear(ps, ws)),
+    "cone_part2": (1, 1, True, lambda ps, stmt, ws: check_thm_cone_part2(ps[0], stmt.n2)),
+    "join_linear": (1, None, False, lambda ps, stmt, ws: check_join_linear(ps)),
     "dual_profile": (1, 1, False, _run_dual_profile),
 }
 

@@ -110,50 +110,34 @@ def _pullback(label: str, morphism: str) -> str:
 # -- bundle formulas ----------------------------------------------------------
 
 
-def projective_bundle_sod(cat: str, inv: Coercible, r: int, base: str = BASE_V) -> SodExpr:
+def projective_bundle_sod(cat: str, inv: Coercible, r: int) -> SodExpr:
     """P^{r-1}-bundle decomposition: r twists of the pulled-back category."""
     if r < 1:
         raise ValueError("bundle rank must be at least 1")
     inv = _coerce(inv)
     pulled = _pullback(cat, "pi")
-    return SodExpr(base, tuple(SodBlock(pulled, t, inv) for t in range(r)))
+    return SodExpr(BASE_V, tuple(SodBlock(pulled, t, inv) for t in range(r)))
 
 
-def blowup_sod(
-    cat_inv: Coercible,
-    center_inv: Coercible,
-    r: int,
-    *,
-    cat: str = "cat",
-    center: str = "center",
-    base: str = BASE_V,
-) -> SodExpr:
+def blowup_sod(cat_inv: Coercible, center_inv: Coercible, r: int) -> SodExpr:
     """Blow-up along a center of codimension r: one pullback block, r-1 center copies."""
     if r < 2:
         raise ValueError("center codimension must be at least 2")
     cat_inv = _coerce(cat_inv)
     center_inv = _coerce(center_inv)
-    blocks = [SodBlock(_pullback(cat, "beta"), 0, cat_inv)]
-    blocks += [SodBlock(center, t, center_inv) for t in range(r - 1)]
-    return SodExpr(base, tuple(blocks))
+    blocks = [SodBlock(_pullback("cat", "beta"), 0, cat_inv)]
+    blocks += [SodBlock("center", t, center_inv) for t in range(r - 1)]
+    return SodExpr(BASE_V, tuple(blocks))
 
 
-def hyperplane_sod(
-    cat_inv: Coercible,
-    base_locus_inv: Coercible,
-    r: int,
-    *,
-    cat: str = "cat",
-    base_locus: str = "base_locus",
-    base: str = BASE_V,
-) -> SodExpr:
+def hyperplane_sod(cat_inv: Coercible, base_locus_inv: Coercible, r: int) -> SodExpr:
     """Generalized hyperplane section for a rank-r bundle: base locus plus r-1 twists."""
     if r < 2:
         raise ValueError("bundle rank must be at least 2")
     cat_inv = _coerce(cat_inv)
-    blocks = [SodBlock(_pullback(base_locus, "j.rho"), 0, _coerce(base_locus_inv))]
-    blocks += [SodBlock(_pullback(cat, "pi"), t, cat_inv) for t in range(1, r)]
-    return SodExpr(base, tuple(blocks))
+    blocks = [SodBlock(_pullback("base_locus", "j.rho"), 0, _coerce(base_locus_inv))]
+    blocks += [SodBlock(_pullback("cat", "pi"), t, cat_inv) for t in range(1, r)]
+    return SodExpr(BASE_V, tuple(blocks))
 
 
 # -- universal hyperplanes and duality totals ---------------------------------

@@ -295,7 +295,8 @@ class Workspace:
         return value
 
     def are_disjoint(self, names: Iterable[str]) -> bool:
-        """Pairwise disjointness: at most one name, or distinct names all in one group."""
+        """Whether the names are declared disjoint: at most one name, or
+        distinct names that are all members of one shared group."""
         names = list(names)
         wanted = set(names)
         if len(wanted) < len(names):

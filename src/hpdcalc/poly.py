@@ -17,8 +17,8 @@ convolution of value lists (`InvariantExpr._convolve`) sorts each entry once.
 
 The text front end does the same. `PolyParser` accumulates each polynomial
 into one raw term dict and makes it canonical once, at the end; a product of
-integers and names folds into one coefficient and one monomial, and only a
-parenthesized or signed factor multiplies term dicts. `tokenize` lexes each
+integers, names and unary signs folds into one coefficient and one monomial,
+and only a parenthesized factor multiplies term dicts. `tokenize` lexes each
 line with one `findall` of a compiled pattern and takes the columns from the
 lengths of the pieces. A line the pieces do not cover, because it holds a
 non-ASCII or unexpected character, is lexed one token at a time instead, and
@@ -50,10 +50,6 @@ Monomial = tuple[str, ...]
 Coercible = Union["InvariantExpr", int]
 
 
-def _is_identifier(name: str) -> bool:
-    return name.isidentifier()
-
-
 @dataclass(frozen=True)
 class Symbol:
     """A declared unknown, such as the invariant of an undetermined intersection."""
@@ -61,7 +57,7 @@ class Symbol:
     name: str
 
     def __post_init__(self) -> None:
-        if not self.name or not _is_identifier(self.name):
+        if not self.name or not self.name.isidentifier():
             raise ValueError(f"symbol name must be an identifier, got {self.name!r}")
 
     def __str__(self) -> str:
@@ -176,9 +172,6 @@ class InvariantExpr:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return self._terms[0][1] if self._terms else 0
-
-    def total_degree(self) -> int:
-        return max((len(mono) for mono, _ in self._terms), default=0)
 
     def degree_in(self, name: str) -> int:
         return max((mono.count(name) for mono, _ in self._terms), default=0)
@@ -391,7 +384,10 @@ class PolyParser:
     Errors are DslSyntaxError with the offending token's span; the
     declaration parser extends this class with its statements. A polynomial
     accumulates in raw term dicts keyed by sorted monomials, and becomes a
-    canonical value once, at the end of `poly_sum`.
+    canonical value once, at the end of `poly_sum`. `_product` reads every
+    integer, name and unary sign, and `_factor` only a parenthesized group. A
+    sign multiplies the product's coefficient by -1: it applies to the next
+    factor, and the product commutes, so this is exact.
     """
 
     def __init__(self, tokens: list[Token]) -> None:
@@ -445,9 +441,8 @@ class PolyParser:
             self.pos += 1
 
     def _product(self, uses, acc: dict[Monomial, int], sign: int) -> None:
-        """product := factor ('*' factor)*, added `sign` times into `acc`.
-        Integers and names fold into one coefficient and one monomial; only
-        parenthesized and signed factors multiply term dicts."""
+        """product := factor ('*' factor)*, with factor := ('+' | '-')* (int |
+        name | '(' sum ')'), added `sign` times into `acc`."""
         tokens = self.tokens
         coeff, names, factors = sign, [], None
         while True:
@@ -459,6 +454,12 @@ class PolyParser:
                 self.pos += 1
                 uses.append((tok.text, tok.span))
                 names.append(tok.text)
+            elif tok.text == "-" or tok.text == "+":
+                # A sign binds to the factor after it, so no '*' may follow yet.
+                self.pos += 1
+                if tok.text == "-":
+                    coeff = -coeff
+                continue
             elif factors is None:
                 factors = self._factor(uses)
             else:
@@ -475,35 +476,22 @@ class PolyParser:
             _multiply_into(acc, factors.items(), ((mono, coeff),))
 
     def _factor(self, uses) -> dict[Monomial, int]:
+        """The parenthesized factor; `_product` reads every other one."""
         tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return {(): self.int_value(tok)}
-        if tok.kind == "ident":
-            self.advance()
-            uses.append((tok.text, tok.span))
-            return {(tok.text,): 1}
-        if self.at_punct("("):
-            if self.depth == MAX_NESTING:
-                raise DslSyntaxError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", tok.span
-                )
-            self.advance()
-            self.depth += 1
-            acc = self._sum(uses)
-            self.depth -= 1
-            self.expect_punct(")")
-            return acc
-        if self.at_punct("-") or self.at_punct("+"):
-            negate = False
-            while self.at_punct("-") or self.at_punct("+"):
-                negate ^= self.advance().text == "-"
-            # The next token is not a sign, so this call never re-enters this branch.
-            acc = self._factor(uses)
-            return {mono: -coeff for mono, coeff in acc.items()} if negate else acc
-        raise DslSyntaxError(
-            f"expected polynomial, found {tok.text or 'end of input'!r}", tok.span
-        )
+        if not self.at_punct("("):
+            raise DslSyntaxError(
+                f"expected polynomial, found {tok.text or 'end of input'!r}", tok.span
+            )
+        if self.depth == MAX_NESTING:
+            raise DslSyntaxError(
+                f"parentheses nested deeper than {MAX_NESTING} levels", tok.span
+            )
+        self.advance()
+        self.depth += 1
+        acc = self._sum(uses)
+        self.depth -= 1
+        self.expect_punct(")")
+        return acc
 
 
 class PolySyntaxError(ValueError):

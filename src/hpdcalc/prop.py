@@ -8,6 +8,7 @@ integer witness separating the two sides.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -165,13 +166,7 @@ def _draw_profile(
 
 
 def _padded_eq(a: Sequence[InvariantExpr], b: Sequence[InvariantExpr]) -> bool:
-    width = max(len(a), len(b))
-    for i in range(width):
-        left = a[i] if i < len(a) else _ZERO
-        right = b[i] if i < len(b) else _ZERO
-        if left != right:
-            return False
-    return True
+    return all(x == y for x, y in itertools.zip_longest(a, b, fillvalue=_ZERO))
 
 
 # -- the conservation suite ----------------------------------------------------------
@@ -317,7 +312,7 @@ def _splitting_case(rng: random.Random, bounds: _Bounds):
     if cone_one.status != "pass":
         return ("ambient enlargement, dual side", cone_one.lhs, cone_one.rhs)
 
-    cone_two = check_thm_cone_part2(p, added, ws)
+    cone_two = check_thm_cone_part2(p, added)
     if cone_two.status != "pass":
         return ("ambient enlargement, join side", cone_two.lhs, cone_two.rhs)
 
@@ -328,7 +323,7 @@ def _splitting_case(rng: random.Random, bounds: _Bounds):
         parts.append(
             _draw_profile(rng, symbols, bounds, f"S{index}", rank=sub_rank, max_length=3)
         )
-    linear = check_join_linear(parts, ws)
+    linear = check_join_linear(parts)
     if linear.status != "pass":
         return ("join of complementary subspaces", linear.lhs, linear.rhs)
 

@@ -132,7 +132,7 @@ def test_criterion_6_splitting_identities_500_cases_plus_fixtures():
     ws = Workspace.build()
     point = build_profile("pt", 3, [1])
     assert check_thm_cone_part1(point, 2, ws).lhs == 4
-    assert check_thm_cone_part2(point, 2, ws).lhs == 2
+    assert check_thm_cone_part2(point, 2).lhs == 2
     gr25 = build_profile("Gr25", 10, [0, 0, 0, 0, 2])
     enlarged = check_thm_cone_part1(gr25, 3, ws)
     assert enlarged.status == "pass"

@@ -247,16 +247,14 @@ def test_cone_part1_rank_ten():
 
 def test_cone_part2_point():
     p = point("pt", 2)
-    ws = Workspace.build(categories=[p])
-    result = check_thm_cone_part2(p, 1, ws)
+    result = check_thm_cone_part2(p, 1)
     assert result.status == "pass"
     assert result.lhs == 1
     assert result.rhs == 1
 
 
 def test_cone_part2_rank_ten():
-    ws = Workspace.build(categories=[gr25()])
-    result = check_thm_cone_part2(gr25(), 2, ws)
+    result = check_thm_cone_part2(gr25(), 2)
     assert result.status == "pass"
     assert result.lhs == 10
 
@@ -265,9 +263,8 @@ def test_cone_part2_guards_join_length():
     # Unreachable for moderate inputs (length < own rank), so only a
     # non-moderate profile can trip the guard.
     p = build_profile("A", 3, [1, 1, 1], allow_nonmoderate=True)
-    ws = Workspace.build(categories=[p])
     with pytest.raises(JoinNotModerate):
-        check_thm_cone_part2(p, 1, ws)
+        check_thm_cone_part2(p, 1)
 
 
 @given(st.data())
@@ -277,7 +274,7 @@ def test_cone_parts_random(data):
     p = data.draw(profile_st(name="A", N=N1, max_m=5), label="p")
     ws = Workspace.build(categories=[p])
     assert check_thm_cone_part1(p, N2, ws).status == "pass"
-    assert check_thm_cone_part2(p, N2, ws).status == "pass"
+    assert check_thm_cone_part2(p, N2).status == "pass"
 
 
 # -- linear splitting --------------------------------------------------------------
@@ -285,8 +282,7 @@ def test_cone_parts_random(data):
 
 def test_join_linear_two_points():
     p, q = point("A", 2), point("B", 2)
-    ws = Workspace.build(categories=[p, q])
-    result = check_join_linear([p, q], ws)
+    result = check_join_linear([p, q])
     assert result.status == "pass"
     assert result.lhs == 2
     assert result.rhs == 2
@@ -295,15 +291,13 @@ def test_join_linear_two_points():
 
 def test_join_linear_rank_ten_plus_point():
     p, q = gr25(), point("pt", 2)
-    ws = Workspace.build(categories=[p, q])
-    result = check_join_linear([p, q], ws)
+    result = check_join_linear([p, q])
     assert result.status == "pass"
     assert result.lhs == 12
 
 
 def test_join_linear_single_input():
-    ws = Workspace.build(categories=[gr25()])
-    result = check_join_linear([gr25()], ws)
+    result = check_join_linear([gr25()])
     assert result.status == "pass"
     assert result.lhs == 10
 
@@ -318,8 +312,7 @@ def test_join_linear_random(data):
         )
         for i in range(n)
     ]
-    ws = Workspace.build(categories=profiles)
-    assert check_join_linear(profiles, ws).status == "pass"
+    assert check_join_linear(profiles).status == "pass"
 
 
 # -- dual profile validation --------------------------------------------------------

@@ -195,6 +195,12 @@ def test_deep_nesting_exits_two_with_span(tmp_path, capsys):
     assert f"deep.hpd:1:{len(prefix) + MAX_NESTING + 1}: parentheses nested deeper" in err
 
 
+def test_missing_factor_after_a_sign_exits_two_with_span(tmp_path, capsys):
+    path = write(tmp_path, "sign.hpd", "symbol x;\ncategory A over P(3) primitive [x*-];\n")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"{path}:2:36: expected polynomial, found ']'\n"
+
+
 @pytest.mark.parametrize(
     "source, where",
     [

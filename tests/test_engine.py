@@ -498,7 +498,7 @@ def test_malformed_workspaces_through_join_linear_and_the_cli(case, tmp_path, ca
     # subspaces make every sub-collection disjoint, so the declarations above
     # cannot reach it.
     profiles, ws, _ = _malformed(case)
-    result = check_join_linear(profiles, ws)
+    result = check_join_linear(profiles)
     assert result.status == "pass"
     assert str(result.lhs) == str(result.rhs) == _JOIN_LINEAR_DEEP[len(profiles)]
 
@@ -727,7 +727,7 @@ def test_checks_build_no_blocks(monkeypatch):
     pair = Workspace.build(symbols=["e"], categories=[p, q], intersections={("Gr25", "Gr25g"): E})
     parts = [build_profile(f"P{i}", 4, [1, sym("x"), 2]) for i in range(4)]
     built = count_calls(monkeypatch, engine, "SodBlock")
-    results = [check_main_theorem(p, q, pair), check_join_linear(parts, Workspace())]
+    results = [check_main_theorem(p, q, pair), check_join_linear(parts)]
     assert [r.status for r in results] == ["pass", "pass"]
     assert built == []
 

