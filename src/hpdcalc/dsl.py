@@ -8,6 +8,7 @@ validation error carries a (line, column) span.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -332,8 +333,19 @@ class _Parser(PolyParser):
 
 
 def parse(text: str) -> Ast:
-    """Parse source text into a statement list; raises DslSyntaxError with a span."""
-    return _Parser(tokenize(text)).parse_file()
+    """Parse source text into a statement list; raises DslSyntaxError with a span.
+
+    Parsing allocates many tokens and nodes and no reference cycles, so the
+    cyclic garbage collector, whose passes would rescan every node built so
+    far, is paused while it runs and left after as it was found.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Parser(tokenize(text)).parse_file()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- validation ---------------------------------------------------------------------

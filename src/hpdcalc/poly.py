@@ -1,19 +1,25 @@
 """Exact multivariate integer polynomials: the value domain for additive invariants.
 
 Values are immutable and kept in canonical form, so structural equality decides
-polynomial equality and printing is byte-stable. A canonical term tuple has:
+polynomial equality and printing is byte-stable. The canonical form is a term
+dict from monomial to coefficient with:
 
-- each monomial's symbol names in sorted order;
-- the terms in graded lexicographic order of their monomials (`_term_key`),
-  each monomial once;
-- no zero coefficient (zero is the empty tuple).
+- each monomial's symbol names in sorted order, so a monomial is one key;
+- no zero coefficient (zero is the empty dict).
+
+The order of a dict's terms is not part of the value. Graded lexicographic
+order of the monomials (`_term_key`) is applied only at the print boundary, by
+the `terms` property and so by `__str__`; arithmetic finds each term by its
+hash and sorts no terms.
 
 `InvariantExpr(mapping)` normalizes arbitrary input into that form. The
 arithmetic operators instead build results with `InvariantExpr._canonical`,
-which trusts its caller: their operands are canonical already, so a sum only
-needs its surviving terms sorted once, a negation or a scaling keeps the order,
-and a product sorts each new monomial and then the term list once. A
-convolution of value lists (`InvariantExpr._convolve`) sorts each entry once.
+which trusts its caller: their operands are canonical already, so a sum copies
+one term dict, adds the other's terms into it and deletes each term that
+cancels; a negation or a scaling maps the coefficients; a product sorts each
+new monomial and drops the zero coefficients once (`_collected`). A
+convolution of value lists (`InvariantExpr._convolve`) collects each entry
+once. A result shares no term dict with an operand, unless it is that operand.
 
 The text front end does the same. `PolyParser` accumulates each polynomial
 into one raw term dict and makes it canonical once, at the end; a product of
@@ -69,13 +75,16 @@ def _term_key(term: tuple[Monomial, int]) -> tuple[int, Monomial]:
     return (-len(term[0]), term[0])
 
 
-def _constant_terms(value: int) -> tuple[tuple[Monomial, int], ...]:
-    return (((), value),) if value else ()
+def _constant_terms(value: int) -> dict[Monomial, int]:
+    return {(): value} if value else {}
 
 
-def _collected(acc: dict[Monomial, int]) -> tuple[tuple[Monomial, int], ...]:
-    """The canonical terms of a dict keyed by sorted monomials."""
-    return tuple(sorted([term for term in acc.items() if term[1]], key=_term_key))
+def _collected(acc: dict[Monomial, int]) -> dict[Monomial, int]:
+    """The canonical terms of a fresh dict keyed by sorted monomials: its
+    nonzero ones. Without a zero coefficient the dict itself is returned."""
+    if 0 in acc.values():
+        return {mono: coeff for mono, coeff in acc.items() if coeff}
+    return acc
 
 
 def _multiply_into(
@@ -111,11 +120,16 @@ def _decimal(value: int) -> str:
 
 
 class InvariantExpr:
-    """An integer polynomial over named symbols, canonical by construction."""
+    """An integer polynomial over named symbols, canonical by construction.
+
+    `_terms` is a zero-free dict from sorted monomial to coefficient, in no
+    particular order, and no operation mutates it once a value holds it.
+    `terms` lists it in graded lexicographic order, the order values print in.
+    """
 
     __slots__ = ("_terms",)
 
-    _terms: tuple[tuple[Monomial, int], ...]
+    _terms: dict[Monomial, int]
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None) -> None:
         cleaned = {}
@@ -126,11 +140,11 @@ class InvariantExpr:
         self._terms = _collected(cleaned)
 
     @staticmethod
-    def _canonical(items: tuple[tuple[Monomial, int], ...]) -> InvariantExpr:
-        """Wrap a term tuple that is canonical already (see the module
-        docstring), with no sort and no filter. Internal to the operators."""
+    def _canonical(terms: dict[Monomial, int]) -> InvariantExpr:
+        """Wrap a zero-free dict keyed by sorted monomials, which the new value
+        then owns, with no filter. Internal to the operators."""
         expr = object.__new__(InvariantExpr)
-        expr._terms = items
+        expr._terms = terms
         return expr
 
     # -- constructors ------------------------------------------------------
@@ -155,31 +169,32 @@ class InvariantExpr:
 
     @property
     def terms(self) -> tuple[tuple[Monomial, int], ...]:
-        return self._terms
+        """The (monomial, coefficient) pairs in graded lexicographic order."""
+        return tuple(sorted(self._terms.items(), key=_term_key))
 
     def symbols(self) -> frozenset[str]:
-        return frozenset(name for mono, _ in self._terms for name in mono)
+        return frozenset(name for mono in self._terms for name in mono)
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        # The first term has the highest degree.
-        return not self._terms or not self._terms[0][0]
+        terms = self._terms
+        return not terms or (len(terms) == 1 and () in terms)
 
     def constant_value(self) -> int:
         """The value of a constant polynomial; raises otherwise."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self._terms[0][1] if self._terms else 0
+        return self._terms.get((), 0)
 
     def degree_in(self, name: str) -> int:
-        return max((mono.count(name) for mono, _ in self._terms), default=0)
+        return max((mono.count(name) for mono in self._terms), default=0)
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Integer value at the given symbol assignment; all symbols must be covered."""
         value = 0
-        for mono, coeff in self._terms:
+        for mono, coeff in self._terms.items():
             term = coeff
             for name in mono:
                 term *= assignment[name]
@@ -188,7 +203,7 @@ class InvariantExpr:
 
     def at_ones(self) -> int:
         """Evaluation with every symbol set to 1, used for plausibility screening."""
-        return sum(coeff for _, coeff in self._terms)
+        return sum(self._terms.values())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -198,15 +213,19 @@ class InvariantExpr:
             return self
         if not self._terms:
             return other
-        acc = dict(self._terms)
-        for mono, coeff in other._terms:
-            acc[mono] = acc.get(mono, 0) + coeff
-        return InvariantExpr._canonical(_collected(acc))
+        acc = self._terms.copy()
+        for mono, coeff in other._terms.items():
+            total = acc.get(mono, 0) + coeff
+            if total:
+                acc[mono] = total
+            else:  # the term cancels; coeff is nonzero, so mono is in acc
+                del acc[mono]
+        return InvariantExpr._canonical(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> InvariantExpr:
-        return InvariantExpr._canonical(tuple((mono, -coeff) for mono, coeff in self._terms))
+        return InvariantExpr._canonical({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other: Coercible) -> InvariantExpr:
         return self + (-InvariantExpr._coerce(other))
@@ -216,11 +235,11 @@ class InvariantExpr:
 
     def _scaled(self, factor: int) -> InvariantExpr:
         if not factor:
-            return InvariantExpr._canonical(())
+            return InvariantExpr._canonical({})
         if factor == 1:
             return self
         return InvariantExpr._canonical(
-            tuple((mono, coeff * factor) for mono, coeff in self._terms)
+            {mono: coeff * factor for mono, coeff in self._terms.items()}
         )
 
     def __mul__(self, other: Coercible) -> InvariantExpr:
@@ -231,7 +250,7 @@ class InvariantExpr:
         if self.is_constant():
             return other._scaled(self.constant_value())
         acc: dict[Monomial, int] = {}
-        _multiply_into(acc, self._terms, other._terms)
+        _multiply_into(acc, self._terms.items(), other._terms.items())
         return InvariantExpr._canonical(_collected(acc))
 
     __rmul__ = __mul__
@@ -240,11 +259,11 @@ class InvariantExpr:
     def _convolve(xs: Sequence[InvariantExpr], ys: Sequence[InvariantExpr]) -> list[InvariantExpr]:
         """The convolution of two value lists: entry s is the sum of xs[i] * ys[j]
         over i + j = s. Each entry's products accumulate in one term dict, which
-        is sorted once, in place of one canonical value per `+` and `*`."""
+        is collected once, in place of one canonical value per `+` and `*`."""
         accs: list[dict[Monomial, int]] = [{} for _ in range(len(xs) + len(ys) - 1)]
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                _multiply_into(accs[i + j], x._terms, y._terms)
+                _multiply_into(accs[i + j], x._terms.items(), y._terms.items())
         return [InvariantExpr._canonical(_collected(acc)) for acc in accs]
 
     def __eq__(self, other: object) -> bool:
@@ -256,9 +275,11 @@ class InvariantExpr:
 
     def __hash__(self) -> int:
         # Equal to hash(value) for a constant, so hashing agrees with == on ints.
+        # Otherwise the hash of the set of terms, which the dict's insertion
+        # order does not change, as it does not change dict equality.
         if self.is_constant():
             return hash(self.constant_value())
-        return hash(self._terms)
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -269,7 +290,7 @@ class InvariantExpr:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for index, (mono, coeff) in enumerate(self._terms):
+        for index, (mono, coeff) in enumerate(self.terms):
             magnitude = abs(coeff)
             factors = list(mono)
             if magnitude != 1 or not factors:

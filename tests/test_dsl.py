@@ -5,6 +5,8 @@ so the tests state which token each diagnostic should blame rather than
 hard-coding coordinates.
 """
 
+import gc
+
 import pytest
 
 import hpdcalc.checks
@@ -107,6 +109,30 @@ def test_empty_file_gives_empty_workspace_and_empty_canonical():
 
 def test_comment_only_file_is_empty():
     assert parse("# nothing here\n   # still nothing").statements == ()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_parse_pauses_the_collector_and_restores_it(enabled, monkeypatch):
+    seen = []
+    tokenize = hpdcalc.dsl.tokenize
+
+    def watched(text):
+        seen.append(gc.isenabled())
+        return tokenize(text)
+
+    monkeypatch.setattr(hpdcalc.dsl, "tokenize", watched)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse("symbol a;\ncategory A over P(3) primitive [1, a];\n")
+        after_parse = gc.isenabled()
+        with pytest.raises(DslSyntaxError):
+            parse("category A over P(3) primitive [1 $];\n")
+        after_error = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
+    assert after_parse == after_error == enabled
 
 
 def test_crlf_sources_are_accepted():

@@ -710,15 +710,15 @@ def test_flat_join_multiplications_scale_with_output(monkeypatch):
 
 
 def test_flat_join_canonicalizes_once_per_index_sum(monkeypatch):
-    # Companion to the guard above, which counts `*`: the convolutions sort
-    # one term dict per output index sum (7 + 10 + 13 + 16 + 19), and the
-    # tail sums add 18 pairs.
+    # Companion to the guard above, which counts `*`: the convolutions collect
+    # one term dict per output index sum (7 + 10 + 13 + 16 + 19). The 18 tail
+    # sums collect nothing: an addition deletes a cancelled term in place.
     x = sym("x")
     profiles = [build_profile(f"P{i}", 5, [x, 1, x + 1, 2]) for i in range(6)]
     collected = count_calls(monkeypatch, poly, "_collected")
     comps = n_join_components(profiles)
     assert len(comps) == 24
-    assert len(collected) <= 65 + 18
+    assert len(collected) == 65
 
 
 def test_checks_build_no_blocks(monkeypatch):

@@ -240,6 +240,11 @@ def raw_value(terms, point):
     return total
 
 
+def observed(value):
+    """What a value shows: its ordered terms, its text and its hash."""
+    return value.terms, str(value), hash(value)
+
+
 scalars = st.sampled_from([0, 1, -1]) | st.integers(-20, 20)
 points = st.lists(
     st.fixed_dictionaries({name: st.integers(-9, 9) for name in "abcd"}), min_size=1, max_size=4
@@ -288,6 +293,82 @@ def test_convolve_equals_the_operator_loop(xs, ys):
             expected[i + j] = expected[i + j] + x * y
     result = InvariantExpr._convolve(xs, ys)
     assert [r.terms for r in result] == [e.terms for e in expected]
+    assert [observed(r) for r in result] == [observed(e) for e in expected]
+    assert [observed(r) for r in InvariantExpr._convolve(ys, xs)] == [observed(e) for e in expected]
+
+
+# -- the term dict --------------------------------------------------------------
+#
+# A value keeps its terms in a dict whose insertion order depends on how the
+# value was built. Nothing observable may depend on that order, and no
+# operator may mutate a dict that an operand holds.
+
+
+@given(raw_terms(), raw_terms())
+def test_insertion_order_is_not_observable(ra, rb):
+    a, b = InvariantExpr(ra), InvariantExpr(rb)
+    assert observed(a) == observed(InvariantExpr(dict(reversed(ra.items()))))
+    assert a + b == b + a and observed(a + b) == observed(b + a)
+    assert a * b == b * a and observed(a * b) == observed(b * a)
+    assert observed((a + b) - b) == observed(a)
+
+
+@given(raw_terms(), raw_terms(), scalars)
+def test_operators_leave_their_operands_unchanged(ra, rb, k):
+    a, b = InvariantExpr(ra), InvariantExpr(rb)
+    before = [a.terms, b.terms]
+    results = [
+        a + b, b + a, a - b, b - a, -a, a - a, a * b, b * a,
+        a * k, k * a, a + k, k + a, a - k, k - a, a + 0, 0 + a, a * 1,
+        *InvariantExpr._convolve([a, b], [b, a, a]),
+    ]
+    assert [a.terms, b.terms] == before
+    # A second round on the results: were any dict shared with an operand and
+    # then written through, an operand or an earlier result would change.
+    snapshot = [r.terms for r in results]
+    for r in results:
+        _ = [r + a, a + r, r - b, b - r, r + r, r - r, -r, r * a, r + k]
+    assert [a.terms, b.terms] == before
+    assert [r.terms for r in results] == snapshot
+
+
+@given(raw_terms(), st.integers(-5, 5))
+@example({("a",): 1, (): 3}, -3)
+@example({("a",): 1, (): 3}, 0)
+@example({(): 2}, -2)
+def test_constant_where_the_constant_term_cancels_or_survives(ra, k):
+    a = InvariantExpr(ra)
+    # Each symbol has degree at most 3, so a grid of 4 points per axis decides
+    # whether a is constant.
+    origin = dict.fromkeys("abcd", 0)
+    constant = len({raw_value(ra.items(), pt) for pt in grid("abcd", 0, 3)}) == 1
+    c = raw_value(ra.items(), origin)
+    assert a.is_constant() == (a + k).is_constant() == constant
+    if constant:
+        assert (a + k).constant_value() == c + k
+        assert (a + k) == c + k and hash(a + k) == hash(c + k)
+    else:
+        with pytest.raises(ValueError):
+            (a + k).constant_value()
+    rest = a - c  # the constant term cancels
+    assert rest.is_constant() == rest.is_zero() == constant
+    assert rest.evaluate(origin) == 0
+    only = a - rest  # the constant term is the only survivor
+    assert only.is_constant() and only.constant_value() == c
+    assert only == c and hash(only) == hash(c)
+
+
+def test_arithmetic_and_parsing_order_no_terms(monkeypatch):
+    ordered = count_calls(monkeypatch, poly, "_term_key")
+    a = parse_expr("2*a*b - b + 3 + (a - 1) * (b + c*c)")
+    b = parse_expr("a - 1")
+    _ = [
+        a + b, a - b, b - a, -a, a * b, a * 3, a + 2, 2 - a, a - a,
+        InvariantExpr._convolve([a, b], [b, a, a]),
+    ]
+    assert ordered == []
+    assert str(a) == "a*c*c + 3*a*b - c*c - 2*b + 3"
+    assert ordered  # printing orders the terms
 
 
 # -- evaluation helpers -------------------------------------------------------
