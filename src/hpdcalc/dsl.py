@@ -510,7 +510,8 @@ def _poly_list_text(values: Sequence[InvariantExpr]) -> str:
 
 
 def print_canonical(ws: Workspace) -> str:
-    """Deterministic source text that validates back to an equal workspace."""
+    """Deterministic source text that validates back to an equal workspace.
+    A disjoint group is one `disjoint` line; its pairs' zeros are not listed."""
     lines: list[str] = []
     if ws.symbols:
         lines.append("symbol " + ", ".join(sorted(ws.symbols)) + ";")
@@ -523,8 +524,7 @@ def print_canonical(ws: Workspace) -> str:
         if p.primitive_left != p.primitive_right:
             stmt += f" left {_poly_list_text(p.primitive_left)}"
         lines.append(stmt + ";")
-    implied = {(a, b): 0 for group in ws.disjoint_sets for a in group for b in group if a < b}
-    for (a, b), value in sorted({**implied, **ws.intersections}.items()):
+    for (a, b), value in sorted(ws.intersections.items()):
         rank = ws.categories[a].ambient_rank_N
         lines.append(f"intersect {a}, {b} over P({rank}) = {value};")
     for group in sorted(sorted(g) for g in ws.disjoint_sets):

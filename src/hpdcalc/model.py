@@ -218,7 +218,7 @@ class Workspace:
     """Frozen set of declarations consumed by the engine and the checks.
 
     Intersections are symmetric. A disjoint group is stored once: its pairs' zeros
-    are looked up, so validation is linear in its size, and only canonical text lists them.
+    are looked up, not stored, so validation is linear in its size.
     """
 
     symbols: frozenset[str] = frozenset()

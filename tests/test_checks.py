@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hpdcalc import checks
 from hpdcalc.checks import (
+    INVARIANT_LEVEL_NOTE,
     check_dual_profile,
     check_join_linear,
     check_main_theorem,
@@ -14,6 +16,7 @@ from hpdcalc.checks import (
     check_thm_cone_part2,
     find_witness,
 )
+from hpdcalc.engine import SUBSET_READING_NOTE
 from hpdcalc.errors import JoinNotModerate, MissingDisjointness
 from hpdcalc.model import Workspace, build_profile
 from hpdcalc.poly import InvariantExpr, const, sym
@@ -280,13 +283,57 @@ def test_cone_parts_random(data):
 # -- linear splitting --------------------------------------------------------------
 
 
+_JOIN_LINEAR_NOTES = (
+    INVARIANT_LEVEL_NOTE,
+    "splitting of the ambient space taken from the declared per-category ranks",
+    SUBSET_READING_NOTE,
+)
+
+
 def test_join_linear_two_points():
     p, q = point("A", 2), point("B", 2)
     result = check_join_linear([p, q])
     assert result.status == "pass"
     assert result.lhs == 2
     assert result.rhs == 2
-    assert any("agrees" in note for note in result.notes)
+    assert result.notes == _JOIN_LINEAR_NOTES + (
+        "simultaneous-hyperplane route agrees: deep component 2",
+    )
+
+
+@pytest.mark.parametrize(
+    "profiles, lhs, rhs",
+    [
+        (
+            [point("A", 2), build_profile("B", 3, [1, sym("y")])],
+            "2*y + 3",
+            "4*x + 2*y + 3",
+        ),
+        (
+            [point("A", 2), build_profile("B", 3, [sym("y"), 1]), build_profile("C", 4, [2, 0, 1])],
+            "16*y + 13",
+            "8*x + 16*y + 13",
+        ),
+    ],
+)
+def test_join_linear_fail_branch_is_pinned(profiles, lhs, rhs, monkeypatch):
+    # A join whose component 0 gains x disagrees with the small duals: the row
+    # shows the small duals first, the join's duality total second.
+    original = checks.n_join_components
+
+    def bumped(enlarged):
+        components = original(enlarged)
+        return [components[0] + sym("x")] + components[1:]
+
+    monkeypatch.setattr(checks, "n_join_components", bumped)
+    result = check_join_linear(profiles)
+    assert (str(result.lhs), str(result.rhs)) == (lhs, rhs)
+    assert result.status == "fail"
+    assert result.witness == {"x": 1, "y": 0}
+    assert result.notes == _JOIN_LINEAR_NOTES + (
+        "simultaneous-hyperplane route disagrees with the join route; "
+        "comparing those two sides instead",
+    )
 
 
 def test_join_linear_rank_ten_plus_point():

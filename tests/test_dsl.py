@@ -39,6 +39,8 @@ from hpdcalc.errors import (
 from hpdcalc.model import Workspace
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, parse_expr
 
+from support import time_budget
+
 
 def pos(src, needle, occurrence=1):
     """(line, column) of the n-th occurrence of needle in src, 1-based."""
@@ -193,14 +195,29 @@ def test_round_trip_is_a_fixed_point_after_one_pass():
     assert print_canonical(second) == canonical
 
 
-def test_canonical_output_materializes_forced_zero_intersections():
+def test_canonical_output_states_a_group_once():
+    # The disjoint line alone forces the pairs' zeros: none is printed, not
+    # even one declared in the source.
     src = (
         "symbol e; category A over P(4) primitive [e]; "
-        "category B over P(4) primitive [1]; disjoint A, B;"
+        "category B over P(4) primitive [1]; category C over P(4) primitive [1]; "
+        "intersect A, B over P(4) = 0; disjoint A, B, C;"
     )
-    text = print_canonical(validate(parse(src)))
-    assert "intersect A, B over P(4) = 0;\n" in text
-    assert "disjoint A, B;\n" in text
+    ws = validate(parse(src))
+    text = print_canonical(ws)
+    assert "intersect" not in text
+    assert "disjoint A, B, C;\n" in text
+    assert validate(parse(text)) == ws
+
+
+def test_canonical_text_of_a_large_group_round_trips_in_linear_time():
+    names = [f"A{i}" for i in range(2000)]
+    src = "".join(f"category {name} over P(5) primitive [1, 2];\n" for name in names)
+    ws = validate(parse(src + "disjoint " + ", ".join(names) + ";\n"))
+    with time_budget(1.0, "canonical text of a 2000-member group"):
+        text = print_canonical(ws)
+        assert validate(parse(text)) == ws
+    assert len(text.splitlines()) == 2001
 
 
 def test_statement_order_does_not_change_the_result():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpdcalc import engine, poly
+from hpdcalc import checks, engine, poly
 from hpdcalc.checks import check_join_linear, check_main_theorem
 from hpdcalc.cli import main
 from hpdcalc.dsl import print_canonical
@@ -494,9 +494,8 @@ _CLI_OUTCOME = {
 
 @pytest.mark.parametrize("case", sorted(_CLI_OUTCOME))
 def test_malformed_workspaces_through_join_linear_and_the_cli(case, tmp_path, capsys):
-    # join_linear resolves in a workspace of its own, in which the complementary
-    # subspaces make every sub-collection disjoint, so the declarations above
-    # cannot reach it.
+    # join_linear reads no workspace: it compares the join with the small duals
+    # of its inputs, so the declarations above cannot reach it.
     profiles, ws, _ = _malformed(case)
     result = check_join_linear(profiles)
     assert result.status == "pass"
@@ -722,7 +721,8 @@ def test_flat_join_canonicalizes_once_per_index_sum(monkeypatch):
 
 
 def test_checks_build_no_blocks(monkeypatch):
-    # main_theorem and join_linear compare deep components only.
+    # main_theorem compares a deep component, join_linear the join's duality
+    # total with the small duals: neither builds a block.
     p, q = gr25(), gr25().renamed("Gr25g")
     pair = Workspace.build(symbols=["e"], categories=[p, q], intersections={("Gr25", "Gr25g"): E})
     parts = [build_profile(f"P{i}", 4, [1, sym("x"), 2]) for i in range(4)]
@@ -730,6 +730,45 @@ def test_checks_build_no_blocks(monkeypatch):
     results = [check_main_theorem(p, q, pair), check_join_linear(parts)]
     assert [r.status for r in results] == ["pass", "pass"]
     assert built == []
+
+
+def test_join_linear_builds_no_workspace_and_no_deep_component(monkeypatch):
+    # Over the split ambient space the deep component is the join of the small
+    # duals (test_split_deep_component_is_the_join_of_small_duals), so the
+    # check does not build it.
+    parts = [build_profile(f"P{i}", 4, [1, sym("x"), 2]) for i in range(4)]
+    built = count_calls(monkeypatch, Workspace, "build")
+    deep = count_calls(monkeypatch, engine, "deep_component")
+    deep_in_checks = count_calls(monkeypatch, checks, "deep_component")
+    assert check_join_linear(parts).status == "pass"
+    assert built == deep == deep_in_checks == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_split_deep_component_is_the_join_of_small_duals(data):
+    # With N the sum of the ranks N_k and every input regarded over P(N) in one
+    # disjoint group, the deep component equals sum_k hpd_total(p_k) times the
+    # other inputs' component 0, and the subset walk agrees.
+    n = data.draw(st.integers(2, 4), label="n")
+    profiles = [
+        data.draw(
+            profile_st(name=f"A{k}", N=data.draw(st.integers(2, 4), label=f"N{k}"), max_m=3),
+            label=f"p{k}",
+        )
+        for k in range(n)
+    ]
+    N = sum(p.ambient_rank_N for p in profiles)
+    enlarged = [
+        build_profile(f"part{k}", N, p.primitive_right, p.primitive_left)
+        for k, p in enumerate(profiles)
+    ]
+    split_ws = Workspace.build(categories=enlarged, disjoint_sets=[[p.name for p in enlarged]])
+    _, rhs = engine._leave_one_out(
+        [p.component_rank(0) for p in profiles], [hpd_total(p) for p in profiles]
+    )
+    deep, _ = deep_component(enlarged, split_ws)
+    assert deep == rhs == ref_deep_component_walk(enlarged, split_ws)
 
 
 def _six_disjoint_triples():
