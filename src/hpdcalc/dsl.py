@@ -36,7 +36,7 @@ from .errors import (
     UnresolvedIntersection,
 )
 from .model import LefschetzProfile, Workspace, _drop_grouped_pairs, _group_index, build_profile
-from .poly import InvariantExpr, PolyParser, Token, tokenize
+from .poly import InvariantExpr, PolyParser, tokenize
 from .report import check_row
 
 __all__ = [
@@ -159,183 +159,174 @@ class Ast:
 class _Parser(PolyParser):
     """The statement grammar on top of the shared polynomial grammar."""
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise DslSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
+    def expect_ident(self, what: str = "identifier") -> int:
+        """Pass the identifier at the cursor; its piece index."""
+        i = self.pos
+        if not self.words[i].isidentifier():
+            raise self.unexpected(what)
+        self.pos = i + 1
+        return i
 
-    def expect_word(self, word: str) -> None:
-        tok = self.expect_ident(repr(word))
-        if tok.text != word:
-            raise DslSyntaxError(f"expected {word!r}, found {tok.text!r}", tok.span)
+    def expect_int(self) -> tuple[int, int]:
+        """Pass the integer at the cursor; its value and piece index."""
+        i = self.pos
+        if not self.words[i].isdigit():
+            raise self.unexpected("integer")
+        self.pos = i + 1
+        return self.int_value(i), i
 
-    def expect_int(self) -> tuple[int, Span]:
-        tok = self.peek()
-        if tok.kind != "int":
-            raise DslSyntaxError(f"expected integer, found {tok.text or 'end of input'!r}", tok.span)
-        self.advance()
-        return self.int_value(tok), tok.span
+    def named(self, i: int) -> tuple[str, Span]:
+        """The word of piece `i` and its span."""
+        return self.words[i], self.span(i)
 
     def parse_poly(self) -> PolyNode:
         uses: list[tuple[str, Span]] = []
-        start = self.peek().span
+        start = self.span(self.pos)
         expr = self.poly_sum(uses)
         return PolyNode(expr, start, tuple(uses))
 
     def parse_poly_list(self) -> tuple[PolyNode, ...]:
-        self.expect_punct("[")
+        self.expect("[")
         items = [self.parse_poly()]
-        while self.at_punct(","):
-            self.advance()
+        while self.accept(","):
             items.append(self.parse_poly())
-        self.expect_punct("]")
+        self.expect("]")
         return tuple(items)
 
-    def parse_rank(self) -> tuple[int, Span]:
-        self.expect_word("P")
-        self.expect_punct("(")
-        rank, span = self.expect_int()
-        self.expect_punct(")")
-        return rank, span
+    def parse_rank(self) -> int:
+        self.expect("P")
+        self.expect("(")
+        rank, _ = self.expect_int()
+        self.expect(")")
+        return rank
 
     def parse_name_list(self) -> tuple[tuple[str, Span], ...]:
-        first = self.expect_ident()
-        names = [(first.text, first.span)]
-        while self.at_punct(","):
-            self.advance()
-            tok = self.expect_ident()
-            names.append((tok.text, tok.span))
+        names = [self.named(self.expect_ident())]
+        while self.accept(","):
+            names.append(self.named(self.expect_ident()))
         return tuple(names)
 
     # -- statements ----------------------------------------------------------------
 
     def parse_file(self) -> Ast:
         statements: list[Statement] = []
-        while self.peek().kind != "end":
+        while self.words[self.pos]:
             statements.append(self.parse_statement())
         return Ast(tuple(statements))
 
     def parse_statement(self) -> Statement:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text not in _KEYWORDS:
-            raise DslSyntaxError(
-                f"expected a statement keyword, found {tok.text or 'end of input'!r}", tok.span
-            )
-        handler = {
-            "symbol": self._stmt_symbol,
-            "category": self._stmt_category,
-            "intersect": self._stmt_intersect,
-            "disjoint": self._stmt_disjoint,
-            "dual": self._stmt_dual,
-            "check": self._stmt_check,
-        }.get(tok.text)
+        i = self.pos
+        word = self.words[i]
+        handler = self._STATEMENTS.get(word)
         if handler is None:
-            raise DslSyntaxError(f"{tok.text!r} cannot start a statement", tok.span)
-        return handler()
+            if word in _KEYWORDS:
+                raise DslSyntaxError(f"{word!r} cannot start a statement", self.span(i))
+            raise self.unexpected("a statement keyword")
+        self.pos = i + 1
+        return handler(self, self.span(i))
 
-    def _stmt_symbol(self) -> SymbolDecl:
-        span = self.advance().span
+    # Each handler starts past its keyword, whose span it is given.
+
+    def _stmt_symbol(self, span: Span) -> SymbolDecl:
         names = self.parse_name_list()
-        self.expect_punct(";")
+        self.expect(";")
         return SymbolDecl(names, span)
 
-    def _stmt_category(self) -> CategoryDecl:
-        span = self.advance().span
-        name = self.expect_ident("category name")
-        self.expect_word("over")
-        rank, _ = self.parse_rank()
-        self.expect_word("primitive")
+    def _stmt_category(self, span: Span) -> CategoryDecl:
+        name = self.words[self.expect_ident("category name")]
+        self.expect("over")
+        rank = self.parse_rank()
+        self.expect("primitive")
         primitives = self.parse_poly_list()
         left = None
-        if self.peek().kind == "ident" and self.peek().text == "left":
-            self.advance()
+        if self.accept("left"):
             left = self.parse_poly_list()
-        self.expect_punct(";")
-        return CategoryDecl(name.text, rank, primitives, left, span)
+        self.expect(";")
+        return CategoryDecl(name, rank, primitives, left, span)
 
-    def _stmt_intersect(self) -> IntersectDecl:
-        span = self.advance().span
-        first = self.expect_ident("category name")
-        self.expect_punct(",")
-        second = self.expect_ident("category name")
-        self.expect_word("over")
-        rank, _ = self.parse_rank()
-        self.expect_punct("=")
+    def _stmt_intersect(self, span: Span) -> IntersectDecl:
+        first = self.words[self.expect_ident("category name")]
+        self.expect(",")
+        second = self.words[self.expect_ident("category name")]
+        self.expect("over")
+        rank = self.parse_rank()
+        self.expect("=")
         value = self.parse_poly()
-        self.expect_punct(";")
-        return IntersectDecl(first.text, second.text, rank, value, span)
+        self.expect(";")
+        return IntersectDecl(first, second, rank, value, span)
 
-    def _stmt_disjoint(self) -> DisjointDecl:
-        span = self.advance().span
+    def _stmt_disjoint(self, span: Span) -> DisjointDecl:
         names = self.parse_name_list()
         if len(names) < 2:
             raise DslSyntaxError("disjoint declarations need at least two names", span)
-        self.expect_punct(";")
+        self.expect(";")
         return DisjointDecl(names, span)
 
-    def _stmt_dual(self) -> DualDecl:
-        span = self.advance().span
-        name = self.expect_ident("category name")
-        self.expect_word("primitive")
+    def _stmt_dual(self, span: Span) -> DualDecl:
+        name = self.words[self.expect_ident("category name")]
+        self.expect("primitive")
         primitives = self.parse_poly_list()
-        self.expect_punct(";")
-        return DualDecl(name.text, primitives, span)
+        self.expect(";")
+        return DualDecl(name, primitives, span)
 
-    def _stmt_check(self) -> CheckStmt:
-        span = self.advance().span
-        name = self.expect_ident("check name")
-        if name.text not in CHECK_NAMES:
+    def _stmt_check(self, span: Span) -> CheckStmt:
+        i = self.expect_ident("check name")
+        name = self.words[i]
+        if name not in CHECK_NAMES:
             raise DslSyntaxError(
-                f"unknown check name {name.text!r}; expected one of {', '.join(CHECK_NAMES)}",
-                name.span,
+                f"unknown check name {name!r}; expected one of {', '.join(CHECK_NAMES)}",
+                self.span(i),
             )
-        lo, hi, takes_n2, _ = _CHECKS[name.text]
-        self.expect_punct("(")
+        lo, hi, takes_n2, _ = _CHECKS[name]
+        self.expect("(")
         args: list[tuple[str, Span]] = []
         n2: int | None = None
-        saw_keyword = False
         while True:
-            tok = self.expect_ident("category name or keyword")
-            if self.at_punct("="):
-                self.advance()
-                if tok.text != "n2" or not takes_n2:
+            i = self.expect_ident("category name or keyword")
+            word = self.words[i]
+            if self.accept("="):
+                if word != "n2" or not takes_n2:
                     raise DslSyntaxError(
-                        f"check {name.text!r} does not take keyword {tok.text!r}", tok.span
+                        f"check {name!r} does not take keyword {word!r}", self.span(i)
                     )
-                value, vspan = self.expect_int()
+                value, j = self.expect_int()
                 if value < 1:
-                    raise DslSyntaxError("n2 must be a positive integer", vspan)
+                    raise DslSyntaxError("n2 must be a positive integer", self.span(j))
                 if n2 is not None:
-                    raise DslSyntaxError("duplicate keyword 'n2'", tok.span)
+                    raise DslSyntaxError("duplicate keyword 'n2'", self.span(i))
                 n2 = value
-                saw_keyword = True
             else:
-                if saw_keyword:
+                if n2 is not None:
                     raise DslSyntaxError(
-                        "positional arguments may not follow keyword arguments", tok.span
+                        "positional arguments may not follow keyword arguments", self.span(i)
                     )
-                args.append((tok.text, tok.span))
-            if self.at_punct(","):
-                self.advance()
-                continue
-            break
-        self.expect_punct(")")
-        self.expect_punct(";")
+                args.append(self.named(i))
+            if not self.accept(","):
+                break
+        self.expect(")")
+        self.expect(";")
         if len(args) < lo or (hi is not None and len(args) > hi):
             wanted = str(lo) if hi == lo else f"at least {lo}"
-            raise DslSyntaxError(
-                f"check {name.text!r} takes {wanted} categories, got {len(args)}", span
-            )
+            raise DslSyntaxError(f"check {name!r} takes {wanted} categories, got {len(args)}", span)
         if takes_n2 and n2 is None:
-            raise DslSyntaxError(f"check {name.text!r} requires n2=<rank>", span)
-        return CheckStmt(name.text, tuple(args), n2, span)
+            raise DslSyntaxError(f"check {name!r} requires n2=<rank>", span)
+        return CheckStmt(name, tuple(args), n2, span)
+
+    # Statement keyword -> handler, built once with the class.
+    _STATEMENTS = {
+        "symbol": _stmt_symbol,
+        "category": _stmt_category,
+        "intersect": _stmt_intersect,
+        "disjoint": _stmt_disjoint,
+        "dual": _stmt_dual,
+        "check": _stmt_check,
+    }
 
 
 def parse(text: str) -> Ast:
     """Parse source text into a statement list; raises DslSyntaxError with a span.
 
-    Parsing allocates many tokens and nodes and no reference cycles, so the
+    Parsing allocates many words and nodes and no reference cycles, so the
     cyclic garbage collector, whose passes would rescan every node built so
     far, is paused while it runs and left after as it was found.
     """

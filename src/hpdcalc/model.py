@@ -97,9 +97,6 @@ class LefschetzProfile:
         """Sum over the twisted chain: equals sum_j (j+1) * primitive_right[j]."""
         return self._total
 
-    def renamed(self, name: str) -> LefschetzProfile:
-        return LefschetzProfile(name, self.ambient_rank_N, self.primitive_right, self.primitive_left)
-
 
 def build_profile(
     name: str,
@@ -243,10 +240,15 @@ class Workspace:
         # Deduplicate and order groups canonically so workspace equality does
         # not depend on declaration order.
         groups = tuple(sorted({frozenset(group) for group in disjoint_sets}, key=sorted))
+        for group in groups:
+            for member in group:
+                if member not in names:
+                    raise UnknownCategory(
+                        f"disjoint declaration names unknown category {member!r}"
+                    )
+        # A group of fewer than two distinct names states nothing.
+        groups = tuple(group for group in groups if len(group) > 1)
         index = _group_index(groups)
-        for member in index:
-            if member not in names:
-                raise UnknownCategory(f"disjoint declaration names unknown category {member!r}")
 
         pairs: dict[tuple[str, str], InvariantExpr] = {}
         for (a, b), value in (intersections or {}).items():

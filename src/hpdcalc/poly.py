@@ -25,17 +25,23 @@ The text front end does the same. `PolyParser` accumulates each polynomial
 into one raw term dict and makes it canonical once, at the end; a product of
 integers, names and unary signs folds into one coefficient and one monomial,
 and only a parenthesized factor multiplies term dicts. `tokenize` lexes each
-line with one `findall` of a compiled pattern and takes the columns from the
-lengths of the pieces. A line the pieces do not cover, because it holds a
-non-ASCII or unexpected character, is lexed one token at a time instead, and
-identifiers with non-ASCII characters follow the `str.isidentifier` rule.
+line with one `findall` of a compiled pattern whose pieces include their
+leading blanks, into three flat lists: the words, each piece's end offset (the
+running sum of the piece lengths) and its line. It builds no object per piece.
+The parser reads the words with a piece index as its cursor and tells a word's
+kind from the word itself; a (line, column) position is computed only for a
+span the syntax tree keeps or an error reports. A line the pieces do not
+cover, because it holds a non-ASCII or unexpected character, is lexed one word
+at a time instead, and identifiers with non-ASCII characters follow the
+`str.isidentifier` rule.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
+from itertools import accumulate, repeat
+from typing import Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import DslSyntaxError, Span
 
@@ -336,73 +342,78 @@ MAX_NESTING = 100
 MAX_INT_DIGITS = 4300
 
 
-class Token(NamedTuple):
-    kind: str  # ident | int | punct | end
-    text: str
-    span: Span
+# The lexer's output: each piece's word, the column just past the piece's end
+# (0-based) and its line. The last piece is the empty word, the end of input.
+Lexed = tuple[list[str], list[int], list[int]]
 
-
-# Optional horizontal whitespace (" \t\r" only), then one token of the ASCII
+# Optional horizontal whitespace (" \t\r" only), then one word of the ASCII
 # grammar: an integer of ASCII digits, an ASCII identifier or a punctuation
 # mark. `tokenize` cuts each line's comment off and finds these pieces in the
 # rest; where they do not cover it, the line has a character outside ASCII or
-# outside the grammar, and `_lex_stepwise` reads it one token at a time.
-_TOKEN = re.compile(r"([ \t\r]*)([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[,;\[\]()=+*-])")
+# outside the grammar, and `_lex_stepwise` reads it one word at a time.
+_PIECES = re.compile(r"[ \t\r]*(?:[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[,;\[\]()=+*-])")
 _BLANKS = re.compile(r"[ \t\r]*")
-# A token's kind, by its first character.
-_KIND = dict.fromkeys("0123456789", "int")
-_KIND.update(dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"))
-_KIND.update(dict.fromkeys(",;[]()=+*-", "punct"))
-# Builds a Token from its fields without a Python-level `Token.__new__` call.
-_new_token = tuple.__new__
 
 
-def tokenize(text: str) -> list[Token]:
-    """Declaration-language tokens with (line, column) spans; `#` starts a comment."""
-    tokens: list[Token] = []
-    append, findall, kinds = tokens.append, _TOKEN.findall, _KIND
+def tokenize(text: str) -> Lexed:
+    """The declaration language's words, with the end column and line of each
+    (`#` starts a comment). A word's kind is read from the word itself: the
+    empty word is the end of input, ASCII digits an integer, an identifier a
+    name or keyword, and any other word a punctuation mark."""
+    lexed: Lexed = ([], [], [])
+    words, ends, lines = lexed
+    findall = _PIECES.findall
     for line, row in enumerate(text.split("\n"), 1):
         code = row.partition("#")[0].rstrip(" \t\r")
-        mark, col = len(tokens), 1
-        for blanks, word in findall(code):
-            col += len(blanks)
-            append(_new_token(Token, (kinds[word[0]], word, (line, col))))
-            col += len(word)
-        # The pieces never overlap, so they cover the line when their lengths add up.
-        if col <= len(code):
-            del tokens[mark:]
-            _lex_stepwise(code, line, tokens)
-    # The `end` token follows the last line, or starts where its comment does.
-    tokens.append(Token("end", "", (line, len(row.partition("#")[0]) + 1)))
-    return tokens
+        pieces = findall(code)
+        if pieces:
+            mark = len(ends)
+            ends.extend(accumulate(map(len, pieces)))
+            # The pieces never overlap, so they cover the line when their lengths add up.
+            if ends[-1] == len(code):
+                words.extend(map(str.lstrip, pieces))
+                lines.extend(repeat(line, len(pieces)))
+                continue
+            del ends[mark:]
+        if code:
+            _lex_stepwise(code, line, lexed)
+    # The end of input follows the last line, or starts where its comment does.
+    words.append("")
+    ends.append(len(row.partition("#")[0]))
+    lines.append(line)
+    return lexed
 
 
-def _lex_stepwise(code: str, line: int, tokens: list[Token]) -> None:
-    """Tokens of one line's code, matched one at a time: identifiers take the
-    characters that keep them valid identifiers by the `str.isidentifier` rule,
-    and any other character outside the grammar is an error."""
+def _lex_stepwise(code: str, line: int, lexed: Lexed) -> None:
+    """Add the words of one line's code, matched one at a time: identifiers
+    take the characters that keep them valid identifiers by the
+    `str.isidentifier` rule, and any other character outside the grammar is
+    an error."""
+    words, ends, lines = lexed
     n = len(code)
     i = 0
     while i < n:
-        m = _TOKEN.match(code, i)
-        if m:
-            start, i = m.span(2)
-            kind = _KIND[code[start]]
-        else:
-            start = _BLANKS.match(code, i).end()
-            if not code[start].isidentifier():
-                raise DslSyntaxError(f"unexpected character {code[start]!r}", (line, start + 1))
-            kind, i = "ident", start + 1
-        if kind == "ident":
+        start = _BLANKS.match(code, i).end()
+        if code[start].isidentifier():
+            i = start + 1
             while i < n and ("_" + code[i]).isidentifier():
                 i += 1
-        tokens.append(Token(kind, code[start:i], (line, start + 1)))
+        else:
+            m = _PIECES.match(code, start)
+            if not m:
+                raise DslSyntaxError(f"unexpected character {code[start]!r}", (line, start + 1))
+            i = m.end()
+        words.append(code[start:i])
+        ends.append(i)
+        lines.append(line)
 
 
 class PolyParser:
-    """Token cursor plus the recursive-descent polynomial grammar.
+    """Cursor over the lexed words plus the recursive-descent polynomial grammar.
 
-    Errors are DslSyntaxError with the offending token's span; the
+    The cursor `pos` is a piece index. A piece's (line, column) span is
+    computed by `span` only where the syntax tree keeps it or an error reports
+    it. Errors are DslSyntaxError with the offending piece's span; the
     declaration parser extends this class with its statements. A polynomial
     accumulates in raw term dicts keyed by sorted monomials, and becomes a
     canonical value once, at the end of `poly_sum`. `_product` reads every
@@ -411,38 +422,42 @@ class PolyParser:
     factor, and the product commutes, so this is exact.
     """
 
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, lexed: Lexed) -> None:
+        self.words, self.ends, self.lines = lexed
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def span(self, i: int) -> Span:
+        """The (line, column) where piece `i` starts."""
+        return (self.lines[i], self.ends[i] - len(self.words[i]) + 1)
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
+    def unexpected(self, what: str) -> DslSyntaxError:
+        """The error for a word at the cursor that is not `what`."""
+        word = self.words[self.pos]
+        return DslSyntaxError(
+            f"expected {what}, found {word or 'end of input'!r}", self.span(self.pos)
+        )
+
+    def accept(self, word: str) -> bool:
+        """Pass `word` if it is at the cursor; whether it was."""
+        if self.words[self.pos] == word:
             self.pos += 1
-        return tok
+            return True
+        return False
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+    def expect(self, word: str) -> None:
+        """Pass the punctuation mark or keyword `word` at the cursor."""
+        if not self.accept(word):
+            raise self.unexpected(repr(word))
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise DslSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
-
-    @staticmethod
-    def int_value(tok: Token) -> int:
-        """The value of an `int` token, at most MAX_INT_DIGITS digits long."""
-        if len(tok.text) > MAX_INT_DIGITS:
+    def int_value(self, i: int) -> int:
+        """The value of integer piece `i`, at most MAX_INT_DIGITS digits long."""
+        word = self.words[i]
+        if len(word) > MAX_INT_DIGITS:
             raise DslSyntaxError(
-                f"integer literal longer than {MAX_INT_DIGITS} digits", tok.span
+                f"integer literal longer than {MAX_INT_DIGITS} digits", self.span(i)
             )
-        return int(tok.text)
+        return int(word)
 
     def poly_sum(self, uses: list[tuple[str, Span]]) -> InvariantExpr:
         """sum := product (('+' | '-') product)*; appends each symbol use to `uses`."""
@@ -450,35 +465,38 @@ class PolyParser:
 
     def _sum(self, uses) -> dict[Monomial, int]:
         acc: dict[Monomial, int] = {}
-        tokens = self.tokens
+        words = self.words
         sign = 1
         while True:
             self._product(uses, acc, sign)
-            # Only a punctuation token's text is "+" or "-" (or "*", below).
-            text = tokens[self.pos].text
-            if text != "+" and text != "-":
+            word = words[self.pos]
+            if word == "+":
+                sign = 1
+            elif word == "-":
+                sign = -1
+            else:
                 return acc
-            sign = 1 if text == "+" else -1
             self.pos += 1
 
     def _product(self, uses, acc: dict[Monomial, int], sign: int) -> None:
         """product := factor ('*' factor)*, with factor := ('+' | '-')* (int |
         name | '(' sum ')'), added `sign` times into `acc`."""
-        tokens = self.tokens
+        words = self.words
         coeff, names, factors = sign, [], None
         while True:
-            tok = tokens[self.pos]
-            if tok.kind == "int":
-                self.pos += 1
-                coeff *= self.int_value(tok)
-            elif tok.kind == "ident":
-                self.pos += 1
-                uses.append((tok.text, tok.span))
-                names.append(tok.text)
-            elif tok.text == "-" or tok.text == "+":
+            i = self.pos
+            word = words[i]
+            if word.isdigit():
+                self.pos = i + 1
+                coeff *= self.int_value(i)
+            elif word.isidentifier():
+                self.pos = i + 1
+                uses.append((word, self.span(i)))
+                names.append(word)
+            elif word == "-" or word == "+":
                 # A sign binds to the factor after it, so no '*' may follow yet.
-                self.pos += 1
-                if tok.text == "-":
+                self.pos = i + 1
+                if word == "-":
                     coeff = -coeff
                 continue
             elif factors is None:
@@ -486,7 +504,7 @@ class PolyParser:
             else:
                 left, right, factors = factors, self._factor(uses), {}
                 _multiply_into(factors, left.items(), right.items())
-            if tokens[self.pos].text != "*":
+            if words[self.pos] != "*":
                 break
             self.pos += 1
         names.sort()
@@ -498,20 +516,17 @@ class PolyParser:
 
     def _factor(self, uses) -> dict[Monomial, int]:
         """The parenthesized factor; `_product` reads every other one."""
-        tok = self.peek()
-        if not self.at_punct("("):
-            raise DslSyntaxError(
-                f"expected polynomial, found {tok.text or 'end of input'!r}", tok.span
-            )
+        i = self.pos
+        if not self.accept("("):
+            raise self.unexpected("polynomial")
         if self.depth == MAX_NESTING:
             raise DslSyntaxError(
-                f"parentheses nested deeper than {MAX_NESTING} levels", tok.span
+                f"parentheses nested deeper than {MAX_NESTING} levels", self.span(i)
             )
-        self.advance()
         self.depth += 1
         acc = self._sum(uses)
         self.depth -= 1
-        self.expect_punct(")")
+        self.expect(")")
         return acc
 
 
@@ -528,9 +543,10 @@ def parse_expr(text: str) -> InvariantExpr:
     try:
         parser = PolyParser(tokenize(text))
         value = parser.poly_sum([])
-        tok = parser.peek()
-        if tok.kind != "end":
-            raise DslSyntaxError(f"unexpected trailing {tok.text!r}", tok.span)
+        if parser.words[parser.pos]:
+            raise DslSyntaxError(
+                f"unexpected trailing {parser.words[parser.pos]!r}", parser.span(parser.pos)
+            )
         return value
     except DslSyntaxError as err:
         line, col = err.span

@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import signal
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
@@ -22,11 +22,12 @@ from hpdcalc.errors import (
     ConflictingIntersection,
     DslSyntaxError,
     NonModerate,
+    Span,
     Underdetermined,
     UnknownCategory,
 )
 from hpdcalc.model import LefschetzProfile, Workspace, build_profile, same_ambient
-from hpdcalc.poly import Coercible, InvariantExpr, Token
+from hpdcalc.poly import Coercible, InvariantExpr, Lexed
 
 SYMBOL_NAMES = ("x", "y")
 
@@ -64,6 +65,11 @@ def assignments(symbols=SYMBOL_NAMES, lo=0, hi=3):
 
 def primitive_values(profile: LefschetzProfile, assignment) -> list[int]:
     return [p.evaluate(assignment) for p in profile.primitive_right]
+
+
+def renamed(p: LefschetzProfile, name: str) -> LefschetzProfile:
+    """The profile `p` under another name."""
+    return LefschetzProfile(name, p.ambient_rank_N, p.primitive_right, p.primitive_left)
 
 
 @contextlib.contextmanager
@@ -385,6 +391,29 @@ def ref_find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
 # -- reference lexer ------------------------------------------------------------
 
 _DIGITS = frozenset("0123456789")
+
+
+class Token(NamedTuple):
+    kind: str  # ident | int | punct | end
+    text: str
+    span: Span
+
+
+def token_tuples(lexed: Lexed) -> list[tuple[str, str, Span]]:
+    """The (kind, text, span) of each piece `hpdcalc.poly.tokenize` lexed, the
+    form of a `ref_tokenize` token. The kind is read from the word."""
+    tokens = []
+    for word, end, line in zip(*lexed):
+        if not word:
+            kind = "end"
+        elif word[0] in _DIGITS:
+            kind = "int"
+        elif word.isidentifier():
+            kind = "ident"
+        else:
+            kind = "punct"
+        tokens.append((kind, word, (line, end - len(word) + 1)))
+    return tokens
 
 
 def ref_tokenize(text: str) -> list[Token]:

@@ -8,6 +8,8 @@ hard-coding coordinates.
 import gc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hpdcalc.checks
 import hpdcalc.dsl
@@ -39,7 +41,7 @@ from hpdcalc.errors import (
 from hpdcalc.model import Workspace
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, parse_expr
 
-from support import time_budget
+from support import ref_tokenize, time_budget
 
 
 def pos(src, needle, occurrence=1):
@@ -140,6 +142,128 @@ def test_parse_pauses_the_collector_and_restores_it(enabled, monkeypatch):
 def test_crlf_sources_are_accepted():
     ws = validate(parse("symbol e;\r\ncategory A over P(3) primitive [e];\r\n"))
     assert sorted(ws.categories) == ["A"]
+
+
+def test_a_long_line_of_names_parses_in_linear_time():
+    # Every name keeps a span, and none may cost a scan of the line before it.
+    names = [f"s{i}" for i in range(40_000)]
+    src = "symbol " + ", ".join(names) + ";\n"
+    with time_budget(1.0, "a symbol line of 40 000 names"):
+        (stmt,) = parse(src).statements
+    assert stmt.names[0] == ("s0", (1, 8))
+    assert stmt.names[-1] == (names[-1], pos(src, names[-1] + ";"))
+
+
+# -- spans the tree keeps, against the reference lexer -----------------------------
+#
+# Random declaration files; every span in the tree must be where the reference
+# lexer puts a token with the same text.
+
+POLY_LEAVES = st.sampled_from(["0", "1", "2", "13", "a", "b", "c", "d"]).map(lambda leaf: [leaf])
+
+
+def _compound_polys(inner):
+    return (
+        st.tuples(st.sampled_from("+-*"), inner, inner).map(lambda t: t[1] + [t[0]] + t[2])
+        | inner.map(lambda p: ["(", *p, ")"])
+        | inner.map(lambda p: ["-", *p])
+    )
+
+
+poly_pieces = st.recursive(POLY_LEAVES, _compound_polys, max_leaves=6)
+CATEGORY_NAMES = ["L0", "L1", "L2", "L3"]
+KEYWORD_OF = {
+    SymbolDecl: "symbol",
+    CategoryDecl: "category",
+    IntersectDecl: "intersect",
+    DisjointDecl: "disjoint",
+    DualDecl: "dual",
+    CheckStmt: "check",
+}
+
+
+@st.composite
+def statement_pieces(draw):
+    """The pieces of one statement, shaped like a generated library's."""
+
+    def polys():
+        items = draw(st.lists(poly_pieces, min_size=1, max_size=3))
+        out = ["["]
+        for index, item in enumerate(items):
+            out += ([","] if index else []) + item
+        return out + ["]"]
+
+    def names(least):
+        picked = draw(st.lists(st.sampled_from(CATEGORY_NAMES), min_size=least, max_size=4, unique=True))
+        return [piece for index, name in enumerate(picked) for piece in ([","] if index else []) + [name]]
+
+    kind = draw(st.sampled_from(["category", "category", "intersect", "disjoint", "dual", "check"]))
+    name = draw(st.sampled_from(CATEGORY_NAMES))
+    if kind == "category":
+        rank = str(draw(st.integers(2, 12)))
+        pieces = ["category", name, "over", "P", "(", rank, ")", "primitive", *polys()]
+        if draw(st.booleans()):
+            pieces += ["left", *polys()]
+    elif kind == "intersect":
+        pieces = ["intersect", "L0", ",", "L1", "over", "P", "(", "5", ")", "=", *draw(poly_pieces)]
+    elif kind == "disjoint":
+        pieces = ["disjoint", *names(2)]
+    elif kind == "dual":
+        pieces = ["dual", name, "primitive", *polys()]
+    elif draw(st.booleans()):
+        pieces = ["check", "cone_part1", "(", name, ",", "n2", "=", str(draw(st.integers(1, 9))), ")"]
+    else:
+        pieces = ["check", "join_linear", "(", *names(1), ")"]
+    return pieces + [";"]
+
+
+@st.composite
+def declaration_files(draw):
+    """(text, statement count): pieces joined by random blanks, tabs, comments
+    and line breaks (LF or CRLF), and sometimes one line with a non-ASCII name."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    statements = [["symbol", "a", ",", "b", ",", "c", ",", "d", ";"]]
+    statements += draw(st.lists(statement_pieces(), max_size=8))
+    lone = draw(st.none() | st.integers(0, len(statements)))
+    if lone is not None:
+        statements.insert(lone, [newline, "symbol", "\u00e9t\u00e9", ",", "x", ";", newline])
+    breaks = [" ", "\t", " \t ", newline, "  # note; [1, x]" + newline, "\t#" + newline]
+    out = [draw(st.sampled_from(["", "# generated" + newline]))]
+    for piece in (piece for statement in statements for piece in statement):
+        if piece == newline:
+            out.append(piece)
+            continue
+        word = piece[0].isalnum() or piece[0] == "_"
+        if word and out[-1][-1:].isalnum():
+            out.append(draw(st.sampled_from(breaks)))
+        elif draw(st.integers(0, 3)) == 0:
+            out.append(draw(st.sampled_from(breaks)))
+        out.append(piece)
+    out.append(draw(st.sampled_from(["", newline, " # end"])))
+    return "".join(out), len(statements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(declaration_files())
+def test_every_kept_span_is_a_reference_token_with_the_same_text(case):
+    text, count = case
+    tokens = ref_tokenize(text)
+    at = {tok.span: index for index, tok in enumerate(tokens)}
+
+    def text_at(span):
+        return tokens[at[span]].text
+
+    statements = parse(text).statements
+    assert len(statements) == count
+    for stmt in statements:
+        assert text_at(stmt.span) == KEYWORD_OF[type(stmt)]
+        for name, span in getattr(stmt, "names", ()) + getattr(stmt, "args", ()):
+            assert text_at(span) == name
+        nodes = getattr(stmt, "primitives", ()) + (getattr(stmt, "left", None) or ())
+        for node in nodes + ((stmt.value,) if isinstance(stmt, IntersectDecl) else ()):
+            assert tokens[at[node.span] - 1].text in ("[", ",", "=")
+            for name, span in node.symbol_uses:
+                assert text_at(span) == name
 
 
 def test_nonmoderate_boundary_parses_then_fails_validation():

@@ -60,6 +60,7 @@ from support import (
     ref_n_hyperplane_walk,
     ref_ruled_join,
     ref_total,
+    renamed,
 )
 
 E = sym("e")
@@ -200,7 +201,7 @@ def test_n_hyperplane_specializes_to_universal():
 
 
 def test_n_hyperplane_pair_fixed_chain():
-    p, q = gr25(), gr25().renamed("Gr25g")
+    p, q = gr25(), renamed(gr25(), "Gr25g")
     ws = Workspace.build(symbols=["e"], categories=[p, q], intersections={("Gr25", "Gr25g"): E})
     result = n_hyperplane_sod([p, q], ws)
 
@@ -522,7 +523,7 @@ def test_malformed_workspaces_through_join_linear_and_the_cli(case, tmp_path, ca
 
 
 def test_ruled_join_fixed_values():
-    comps = ruled_join_components(gr25(), gr25().renamed("Gr25g"))
+    comps = ruled_join_components(gr25(), renamed(gr25(), "Gr25g"))
     assert len(comps) == 10
     assert all(c == 4 for c in comps)
 
@@ -579,7 +580,7 @@ def test_flat_join_requires_disjointness_declaration():
 
 
 def test_join_fixed_rank_ten_pair():
-    p, q = gr25(), gr25().renamed("Gr25g")
+    p, q = gr25(), renamed(gr25(), "Gr25g")
     result = join_components(p, q, E)
     assert all(jp == 0 for jp in result.jprime)
     assert result.e_invariant == E
@@ -628,14 +629,14 @@ def test_join_conservation_identity(pair):
 
 
 def test_join_boundary_mutation_breaks_conservation():
-    p, q = gr25(), gr25().renamed("Gr25g")
+    p, q = gr25(), renamed(gr25(), "Gr25g")
     mutated = join_components(p, q, E, include_boundary_pairs=True)
     assert all(c == E + 4 for c in mutated.components)
     assert mutated.total != mutated.conserved_total()
 
 
 def test_join_profile_resolves_intersection_from_workspace():
-    p, q = gr25(), gr25().renamed("Gr25g")
+    p, q = gr25(), renamed(gr25(), "Gr25g")
     ws = Workspace.build(symbols=["e"], categories=[p, q], intersections={("Gr25", "Gr25g"): E})
     assert join_profile(p, q, ws).total == 9 * E
 
@@ -723,7 +724,7 @@ def test_flat_join_canonicalizes_once_per_index_sum(monkeypatch):
 def test_checks_build_no_blocks(monkeypatch):
     # main_theorem compares a deep component, join_linear the join's duality
     # total with the small duals: neither builds a block.
-    p, q = gr25(), gr25().renamed("Gr25g")
+    p, q = gr25(), renamed(gr25(), "Gr25g")
     pair = Workspace.build(symbols=["e"], categories=[p, q], intersections={("Gr25", "Gr25g"): E})
     parts = [build_profile(f"P{i}", 4, [1, sym("x"), 2]) for i in range(4)]
     built = count_calls(monkeypatch, engine, "SodBlock")
@@ -860,7 +861,7 @@ def test_refined_blowup_validates_inputs():
 
 
 def test_refined_blowup_reproduces_join_step():
-    p, q = gr25(), gr25().renamed("Gr25g")
+    p, q = gr25(), renamed(gr25(), "Gr25g")
     jbar = ruled_join_components(p, q)
     ruled = profile_from_components("RJ", 20, jbar)
     clipped = refined_blowup_profile(ruled, 10, E)

@@ -312,20 +312,23 @@ def _assert_same_workspace(ws, ref, probes):
         assert ws.are_disjoint(names) == ref_are_disjoint(ref, names)
     assert ws.warnings == ref.warnings
     # The reference lists a 0 for each pair in a group; the canonical text
-    # states the group once and lists only the other pairs.
+    # states the group once and lists only the other pairs. A group of one
+    # distinct name states nothing, so the workspace drops it and its text
+    # has no `disjoint` line for it.
     grouped_zeros = {
         f"intersect {a}, {b} over P({ref.categories[a].ambient_rank_N}) = 0;"
         for a, b in ref.intersections
         if a != b and any({a, b} <= group for group in ref.disjoint_sets)
     }
+    lone_groups = {
+        f"disjoint {name};" for group in ref.disjoint_sets if len(group) == 1 for name in group
+    }
+    dropped = grouped_zeros | lone_groups
     ref_lines = ref_print_canonical(ref).splitlines()
-    expected = [line for line in ref_lines if line not in grouped_zeros]
-    assert len(ref_lines) - len(expected) == len(grouped_zeros)
+    expected = [line for line in ref_lines if line not in dropped]
+    assert len(ref_lines) - len(expected) == len(dropped)
     assert print_canonical(ws).splitlines() == expected
-    # A file cannot state a group with one distinct member (`disjoint A, A;`
-    # is an error), so only a workspace without one round-trips as text.
-    if all(len(group) >= 2 for group in ws.disjoint_sets):
-        assert validate(parse(print_canonical(ws))) == ws
+    assert validate(parse(print_canonical(ws))) == ws
 
 
 @settings(max_examples=300, deadline=None)
