@@ -100,8 +100,11 @@ def _emit_sod(ws: Workspace, directive: tuple) -> dict:
 
 def run_case(name: str) -> dict:
     """Execute one case and assemble its report."""
+    return _run_source(name, case_source(name))
+
+
+def _run_source(name: str, source: str) -> dict:
     case = _case(name)
-    source = case_source(name)
     ast = parse(source)
     ws = validate(ast)
     rows = [run_check_row(stmt, ws) for stmt in check_requests(ast)]
@@ -153,8 +156,8 @@ def run_catalog(
     all_ok = True
 
     for name in selected:
-        case_report = run_case(name)
         sources.append(case_source(name))
+        case_report = _run_source(name, sources[-1])
         if update_golden:
             write_golden(name, case_report)
         _, matched, notes = compare_case(name, case_report)

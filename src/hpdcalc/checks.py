@@ -8,6 +8,7 @@ statements about additive data, never claims about the categories themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,7 +76,7 @@ def find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
     witness = {name: 0 for name in sorted(lhs.symbols() | rhs.symbols())}
     diff_names = sorted(diff.symbols())
     bound = max([5] + [diff.degree_in(name) for name in diff_names])
-    terms = dict(diff.terms)
+    terms = diff._terms
     for name in diff_names:
         for value in range(bound + 1):
             fixed: dict[tuple[str, ...], int] = {}
@@ -150,9 +151,7 @@ def check_n_hpd_center(
         )
     same_ambient(*profiles)
 
-    rhs = InvariantExpr.const(1)
-    for p in profiles:
-        rhs = rhs * p.component_rank(0)
+    rhs = math.prod((p.component_rank(0) for p in profiles), start=InvariantExpr.const(1))
 
     duals = [workspace.dual_of(name) for name in names]
     notes = [INVARIANT_LEVEL_NOTE]

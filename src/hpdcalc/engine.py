@@ -88,10 +88,6 @@ def _require_moderate(profile: LefschetzProfile) -> None:
         )
 
 
-def _coerce(value: Coercible) -> InvariantExpr:
-    return InvariantExpr._coerce(value)
-
-
 # -- block labels ---------------------------------------------------------------
 
 
@@ -114,7 +110,7 @@ def projective_bundle_sod(cat: str, inv: Coercible, r: int) -> SodExpr:
     """P^{r-1}-bundle decomposition: r twists of the pulled-back category."""
     if r < 1:
         raise ValueError("bundle rank must be at least 1")
-    inv = _coerce(inv)
+    inv = InvariantExpr._coerce(inv)
     pulled = _pullback(cat, "pi")
     return SodExpr(BASE_V, tuple(SodBlock(pulled, t, inv) for t in range(r)))
 
@@ -123,8 +119,8 @@ def blowup_sod(cat_inv: Coercible, center_inv: Coercible, r: int) -> SodExpr:
     """Blow-up along a center of codimension r: one pullback block, r-1 center copies."""
     if r < 2:
         raise ValueError("center codimension must be at least 2")
-    cat_inv = _coerce(cat_inv)
-    center_inv = _coerce(center_inv)
+    cat_inv = InvariantExpr._coerce(cat_inv)
+    center_inv = InvariantExpr._coerce(center_inv)
     blocks = [SodBlock(_pullback("cat", "beta"), 0, cat_inv)]
     blocks += [SodBlock("center", t, center_inv) for t in range(r - 1)]
     return SodExpr(BASE_V, tuple(blocks))
@@ -134,8 +130,8 @@ def hyperplane_sod(cat_inv: Coercible, base_locus_inv: Coercible, r: int) -> Sod
     """Generalized hyperplane section for a rank-r bundle: base locus plus r-1 twists."""
     if r < 2:
         raise ValueError("bundle rank must be at least 2")
-    cat_inv = _coerce(cat_inv)
-    blocks = [SodBlock(_pullback("base_locus", "j.rho"), 0, _coerce(base_locus_inv))]
+    cat_inv = InvariantExpr._coerce(cat_inv)
+    blocks = [SodBlock(_pullback("base_locus", "j.rho"), 0, InvariantExpr._coerce(base_locus_inv))]
     blocks += [SodBlock(_pullback("cat", "pi"), t, cat_inv) for t in range(1, r)]
     return SodExpr(BASE_V, tuple(blocks))
 
@@ -147,7 +143,7 @@ def duality_total(N: int, components: Sequence[InvariantExpr]) -> InvariantExpr:
     """The duality total over rank N of a component list c: the universal-hyperplane
     total (N - 1) * sum(c) less the twisted blocks N * (c_1 + c_2 + ...), which
     is N * c_0 - sum(c)."""
-    return N * components[0] - sum(components, _zero)
+    return InvariantExpr._combine([(N - 1, components[0])] + [(-1, c) for c in components[1:]])
 
 
 def hpd_total(profile: LefschetzProfile) -> InvariantExpr:
@@ -166,7 +162,7 @@ def universal_hyperplane_sod(profile: LefschetzProfile) -> SodExpr:
 def two_hyperplane_rank(a1: Coercible, a2: Coercible, e: Coercible, N: int) -> InvariantExpr:
     """Invariant of the simultaneous-hyperplane incidence for a pair with totals
     a1, a2 and fiber-product invariant e."""
-    return _coerce(e) + (N - 2) * _coerce(a1) * _coerce(a2)
+    return (N - 2) * InvariantExpr._coerce(a1) * a2 + e
 
 
 @dataclass(frozen=True)
@@ -194,12 +190,9 @@ def _resolve_h_total(
     names = [p.name for p in profiles]
     candidates: list[tuple[str, InvariantExpr]] = []
     if explicit is not None:
-        candidates.append(("explicit declaration", _coerce(explicit)))
+        candidates.append(("explicit declaration", InvariantExpr._coerce(explicit)))
     if workspace.are_disjoint(names):
-        product = InvariantExpr.const(1)
-        for total in totals:
-            product = product * total
-        candidates.append(("disjointness formula", (N - n) * product))
+        candidates.append(("disjointness formula", (N - n) * math.prod(totals, start=_one)))
     if n == 2:
         e = workspace.intersection(names[0], names[1])
         if e is not None:
@@ -291,7 +284,7 @@ def _hyperplanes(
         return resolved - (N - len(subset)) * math.prod((totals[i] for i in subset), start=_one)
 
     full_total = _resolve_h_total(
-        profiles, totals, workspace, None if h_total is None else _coerce(h_total)
+        profiles, totals, workspace, None if h_total is None else InvariantExpr._coerce(h_total)
     )
     excesses: dict[tuple[int, ...], InvariantExpr] = {}
     if not workspace.are_disjoint(names):
@@ -438,12 +431,8 @@ class JoinResult:
         raw intersection invariant); equals `total` under the perp-consistent
         component bound."""
         N = self.ambient_rank_N
-        value = (N - 1) * self.intersection_invariant
-        for i, jbar in enumerate(self.jbar):
-            value = value + jbar
-            if i >= N - 1:
-                value = value - N * jbar
-        return value
+        parts = [(1 if i < N - 1 else 1 - N, jbar) for i, jbar in enumerate(self.jbar)]
+        return InvariantExpr._combine([(N - 1, self.intersection_invariant)] + parts)
 
     def to_sod(self) -> SodExpr:
         return join_sod([self.p_name, self.q_name], self.components)
@@ -463,7 +452,7 @@ def _refine(
     base-locus part, base less every component from r on."""
     padded = list(components) + [_zero] * (clip + 1 - len(components))
     parts = [padded[i] - padded[clip] for i in range(r - 1)]
-    return parts, base - sum(components[r:], _zero)
+    return parts, InvariantExpr._combine([(1, base)] + [(-1, c) for c in components[r:]])
 
 
 def join_components(
@@ -481,7 +470,7 @@ def join_components(
     default excludes them, as forced by the orthogonality definition.
     """
     N = same_ambient(p, q)
-    e = _coerce(e)
+    e = InvariantExpr._coerce(e)
     jbar = ruled_join_components(p, q)
     jprime, e_part = _refine(jbar, N, e, N if include_boundary_pairs else N - 1)
     components = tuple(jp + e_part for jp in jprime)
@@ -494,7 +483,7 @@ def join_components(
         intersection_invariant=e,
         e_invariant=e_part,
         components=components,
-        total=sum(components, _zero),
+        total=InvariantExpr._combine((1, c) for c in components),
     )
 
 
@@ -519,7 +508,7 @@ def profile_from_components(
     allow_nonmoderate: bool = False,
 ) -> LefschetzProfile:
     """Rebuild a profile from weakly-descending component invariants."""
-    comps = [_coerce(c) for c in components]
+    comps = [InvariantExpr._coerce(c) for c in components]
     while len(comps) > 1 and comps[-1] == _zero:
         comps.pop()
     prims = [a - b for a, b in zip(comps, comps[1:] + [_zero])]
@@ -561,12 +550,13 @@ def refined_blowup_profile(
         raise UnresolvedBaseLocus(
             f"no invariant available for the base locus of {p.name!r}"
         )
-    a_prime, c_l = _refine(p.component_ranks(), ell, _coerce(base_locus_inv), ell - 1)
+    base = InvariantExpr._coerce(base_locus_inv)
+    a_prime, c_l = _refine(p.component_ranks(), ell, base, ell - 1)
     components = tuple(a + c_l for a in a_prime)
     return RefinedBlowupResult(
         name=p.name,
         ambient_rank=ell,
         c_l_invariant=c_l,
         components=components,
-        total=sum(components, _zero),
+        total=InvariantExpr._combine((1, c) for c in components),
     )

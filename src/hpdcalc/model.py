@@ -44,18 +44,14 @@ BASE_L_DUAL = "P(L*)"
 _ZERO = InvariantExpr.const(0)
 
 
-def _coerce_all(values: Iterable[Coercible]) -> tuple[InvariantExpr, ...]:
-    return tuple(InvariantExpr._coerce(v) for v in values)
-
-
 def tail_sums(values: Sequence[InvariantExpr]) -> list[InvariantExpr]:
     """values[k] + values[k + 1] + ... for each k: len(values) - 1 additions."""
     return list(itertools.accumulate(reversed(values)))[::-1]
 
 
 def weighted_total(values: Sequence[InvariantExpr]) -> InvariantExpr:
-    """sum_j (j+1) * values[j], as the sum of the tail sums."""
-    return sum(tail_sums(values), _ZERO)
+    """sum_j (j+1) * values[j], the sum of the tail sums, collected once."""
+    return InvariantExpr._combine(enumerate(values, 1))
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,7 @@ class LefschetzProfile:
 
     @cached_property
     def _total(self) -> InvariantExpr:
-        return sum(self._components, _ZERO)
+        return weighted_total(self.primitive_right)
 
     def component_rank(self, k: int) -> InvariantExpr:
         """Invariant of the k-th component: the tail sum of primitives from k."""
@@ -109,10 +105,10 @@ def build_profile(
     """Validate and freeze a profile; left data defaults to the right data."""
     if N < 2:
         raise ValueError(f"ambient rank must be at least 2, got {N}")
-    right = _coerce_all(primitive_right)
+    right = tuple(map(InvariantExpr._coerce, primitive_right))
     if not right:
         raise ValueError("a profile needs at least one primitive block")
-    left = right if primitive_left is None else _coerce_all(primitive_left)
+    left = right if primitive_left is None else tuple(map(InvariantExpr._coerce, primitive_left))
     profile = LefschetzProfile(name, N, right, left)
     if profile.length_m >= N and not allow_nonmoderate:
         raise NonModerate(
@@ -165,7 +161,7 @@ class SodExpr:
     blocks: tuple[SodBlock, ...]
 
     def total(self) -> InvariantExpr:
-        return sum((block.invariant for block in self.blocks), _ZERO)
+        return InvariantExpr._combine((1, block.invariant) for block in self.blocks)
 
     def to_json_dict(self, name: str = "") -> dict:
         body = {

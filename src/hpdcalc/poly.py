@@ -16,10 +16,12 @@ hash and sorts no terms.
 arithmetic operators instead build results with `InvariantExpr._canonical`,
 which trusts its caller: their operands are canonical already, so a sum copies
 one term dict, adds the other's terms into it and deletes each term that
-cancels; a negation or a scaling maps the coefficients; a product sorts each
-new monomial and drops the zero coefficients once (`_collected`). A
-convolution of value lists (`InvariantExpr._convolve`) collects each entry
-once. A result shares no term dict with an operand, unless it is that operand.
+cancels; a negation or a scaling maps the coefficients, and an `int` factor
+scales them with no wrapper value; a product sorts each new monomial and drops
+the zero coefficients once (`_collected`). `_convolve` fills every entry of a
+convolution in one flat loop over term pairs, and `_combine` adds the terms
+of a sum of scaled values (and of `-`) into one dict; each is collected once.
+A result shares no term dict with an operand, unless it is that operand.
 
 The text front end does the same. `PolyParser` accumulates each polynomial
 into one raw term dict and makes it canonical once, at the end; a product of
@@ -148,7 +150,7 @@ class InvariantExpr:
     @staticmethod
     def _canonical(terms: dict[Monomial, int]) -> InvariantExpr:
         """Wrap a zero-free dict keyed by sorted monomials, which the new value
-        then owns, with no filter. Internal to the operators."""
+        then owns, with no filter. Internal to the package."""
         expr = object.__new__(InvariantExpr)
         expr._terms = terms
         return expr
@@ -214,7 +216,8 @@ class InvariantExpr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: Coercible) -> InvariantExpr:
-        other = InvariantExpr._coerce(other)
+        if other.__class__ is not InvariantExpr:
+            other = InvariantExpr._coerce(other)
         if not other._terms:
             return self
         if not self._terms:
@@ -234,7 +237,7 @@ class InvariantExpr:
         return InvariantExpr._canonical({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other: Coercible) -> InvariantExpr:
-        return self + (-InvariantExpr._coerce(other))
+        return InvariantExpr._combine(((1, self), (-1, InvariantExpr._coerce(other))))
 
     def __rsub__(self, other: Coercible) -> InvariantExpr:
         return InvariantExpr._coerce(other) - self
@@ -249,12 +252,14 @@ class InvariantExpr:
         )
 
     def __mul__(self, other: Coercible) -> InvariantExpr:
+        if other.__class__ is int:  # a bool is coerced, like any other operand
+            return self._scaled(other)
         other = InvariantExpr._coerce(other)
         # A constant factor, zero included, scales the other operand's terms.
         if other.is_constant():
-            return self._scaled(other.constant_value())
+            return self._scaled(other._terms.get((), 0))
         if self.is_constant():
-            return other._scaled(self.constant_value())
+            return other._scaled(self._terms.get((), 0))
         acc: dict[Monomial, int] = {}
         _multiply_into(acc, self._terms.items(), other._terms.items())
         return InvariantExpr._canonical(_collected(acc))
@@ -264,13 +269,36 @@ class InvariantExpr:
     @staticmethod
     def _convolve(xs: Sequence[InvariantExpr], ys: Sequence[InvariantExpr]) -> list[InvariantExpr]:
         """The convolution of two value lists: entry s is the sum of xs[i] * ys[j]
-        over i + j = s. Each entry's products accumulate in one term dict, which
-        is collected once, in place of one canonical value per `+` and `*`."""
+        over i + j = s, filled from one flat (j, monomial, coefficient) list of
+        the terms of ys with no call per term pair, and collected once."""
         accs: list[dict[Monomial, int]] = [{} for _ in range(len(xs) + len(ys) - 1)]
+        flat = [(j, mono, coeff) for j, y in enumerate(ys) for mono, coeff in y._terms.items()]
         for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                _multiply_into(accs[i + j], x._terms.items(), y._terms.items())
+            row = accs[i:]
+            for mono_a, coeff_a in x._terms.items():
+                for j, mono_b, coeff_b in flat:
+                    mono = mono_a or mono_b  # either one, if the other is constant
+                    if mono_a and mono_b:
+                        mono = tuple(sorted(mono_a + mono_b))
+                    acc = row[j]
+                    acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
         return [InvariantExpr._canonical(_collected(acc)) for acc in accs]
+
+    @staticmethod
+    def _combine(pairs: Iterable[tuple[int, InvariantExpr]]) -> InvariantExpr:
+        """The sum of c * v over the (c, v) pairs, added into one dict that starts
+        as the first pair's scaled terms; a single pair gives `v._scaled(c)`."""
+        pairs = iter(pairs)
+        c, first = next(pairs, (0, None))
+        acc = None
+        for k, v in pairs:
+            if acc is None:  # `_scaled` copies no dict for c = 1 only
+                acc = first._terms.copy() if c == 1 else first._scaled(c)._terms
+            for mono, coeff in v._terms.items():
+                acc[mono] = acc.get(mono, 0) + k * coeff
+        if acc is None:
+            return InvariantExpr._canonical({}) if first is None else first._scaled(c)
+        return InvariantExpr._canonical(_collected(acc))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

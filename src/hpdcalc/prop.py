@@ -133,14 +133,16 @@ def _draw_invariant(
     rng: random.Random, symbols: Sequence[str], *, nonzero: bool = False
 ) -> InvariantExpr:
     # Nonnegative coefficients keep every profile plausible by construction.
-    value = InvariantExpr.const(rng.randint(1 if nonzero and not symbols else 0, 3))
+    # The pool names are identifiers, so each drawn term is canonical already.
+    constant = rng.randint(1 if nonzero and not symbols else 0, 3)
+    terms = {(): constant} if constant else {}
     for name in symbols:
         coeff = rng.randint(0, 3)
         if coeff:
-            value = value + coeff * InvariantExpr.symbol(name)
-    if nonzero and value.is_zero():
-        value = value + 1
-    return value
+            terms[(name,)] = coeff
+    if nonzero and not terms:
+        terms[()] = 1
+    return InvariantExpr._canonical(terms)
 
 
 def _draw_profile(

@@ -147,11 +147,11 @@ def test_profile_tail_sums_are_computed_once(monkeypatch):
 
 def test_only_a_distinct_left_list_is_summed(monkeypatch):
     x = sym("x")
-    tails = count_calls(monkeypatch, model, "tail_sums")
+    totals = count_calls(monkeypatch, model, "weighted_total")
     build_profile("X", 9, [x, 1], [x, 1])
-    assert tails == []
+    assert totals == []
     build_profile("X", 9, [x, 1], [x - 2, 2])
-    assert len(tails) == 2
+    assert len(totals) == 2
     with pytest.raises(LeftRightMismatch):
         build_profile("X", 9, [x, 1], [x, 2])
 

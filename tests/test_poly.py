@@ -276,16 +276,18 @@ def test_operator_results_are_canonical_and_evaluate_like_raw_input(ra, rb, k, p
             assert raw_value(terms, pt) == expected(pt)
 
 
-def nonconstant_first(values):
-    """Lists of one to four values whose first value is not constant."""
-    first = values.filter(lambda p: not p.is_constant())
-    return st.tuples(first, st.lists(values, max_size=3)).map(lambda pair: [pair[0], *pair[1]])
-
-
 raw_values = raw_terms().map(InvariantExpr)
 
+# Lists of one to four values, where constants and zero are frequent: the
+# convolution treats a constant monomial on either side apart from the others.
+entries = raw_values | st.integers(-3, 3).map(const)
+value_lists = st.lists(entries, min_size=1, max_size=4)
 
-@given(nonconstant_first(raw_values), nonconstant_first(raw_values))
+
+@given(value_lists, value_lists)
+@example([const(0)], [sym("a")])
+@example([const(2), sym("a")], [const(0), const(-1), sym("a") * sym("b") + 1])
+@example([sym("a") - 1, const(3)], [sym("a") + 1, sym("a")])
 def test_convolve_equals_the_operator_loop(xs, ys):
     expected = [const(0)] * (len(xs) + len(ys) - 1)
     for i, x in enumerate(xs):
@@ -295,6 +297,34 @@ def test_convolve_equals_the_operator_loop(xs, ys):
     assert [r.terms for r in result] == [e.terms for e in expected]
     assert [observed(r) for r in result] == [observed(e) for e in expected]
     assert [observed(r) for r in InvariantExpr._convolve(ys, xs)] == [observed(e) for e in expected]
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), entries), max_size=5))
+@example([])
+@example([(1, sym("a"))])
+@example([(0, sym("a"))])
+@example([(1, sym("a") + 2), (-1, sym("a")), (1, const(-2))])
+@example([(3, sym("a") * sym("b") - 1), (-3, sym("b") * sym("a") - 1)])
+def test_combine_equals_the_operator_fold(pairs):
+    expected = const(0)
+    for c, v in pairs:
+        expected = expected + c * v
+    result = InvariantExpr._combine(pairs)
+    assert observed(result) == observed(expected)
+    assert all(coeff != 0 for _, coeff in result.terms)
+    # The negated pairs cancel every term, whatever the order of the fold.
+    assert InvariantExpr._combine(pairs + [(-c, v) for c, v in reversed(pairs)]).is_zero()
+
+
+@given(raw_values, raw_values, scalars)
+def test_direct_operators_equal_the_coerce_route(a, b, k):
+    coerced = InvariantExpr._coerce(k)
+    assert observed(a - b) == observed(a + (-b))
+    assert observed(a * k) == observed(a * coerced)
+    assert observed(k * a) == observed(coerced * a)
+    assert observed(a + k) == observed(a + coerced)
+    assert observed(k - a) == observed(coerced + (-a))
+    assert observed(a * True) == observed(a) and observed(a * False) == observed(const(0))
 
 
 # -- the term dict --------------------------------------------------------------

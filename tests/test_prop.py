@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,10 @@ from hpdcalc.prop import (
     MAX_RANK_CAP,
     MAX_SYMBOLS_CAP,
     PROPERTY_NAMES,
+    _Bounds,
+    _draw_invariant,
+    _draw_profile,
+    _draw_symbols,
     _oracle_flat_join,
     run_property,
     run_suite,
@@ -78,6 +83,57 @@ def test_prop_report_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(report_path.read_bytes()).hexdigest() == (
         "10af34712d817f8a36c35cbb6e50b18999ea095f710c88218d4d70b4584eadfb"
     )
+
+
+def test_failing_prop_report_bytes_are_pinned(tmp_path, capsys):
+    """`prop --seed 1 --cases 150 --mutate-join-bound --json PATH` prints and
+    writes exactly these bytes. A failing report names the case index, both
+    sides, the witness and the pass counts, so a change to the random draw
+    stream changes it even where every suite still passes."""
+    report_path = tmp_path / "prop.json"
+    argv = ["prop", "--seed", "1", "--cases", "150", "--mutate-join-bound", "--json"]
+    assert main([*argv, str(report_path)]) == 1
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "472927f981b4bd1645b320a37d85dbb5a51001bf81280d8837047e2221f85181"
+    )
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == (
+        "560a7536b587e9334c63c5d5fae21e5cb05e0487c893cebf93210ad15579487b"
+    )
+
+
+def test_the_draw_stream_is_pinned():
+    """300 seeded rounds of symbols, an invariant and a profile at the caps,
+    printed: the values drawn and the state the stream is left in. A report
+    shows a drawn value only where a case fails, so this pins the draws
+    themselves; the digest was recorded when each draw was still a sum of
+    `const` and `symbol` values."""
+    rng = random.Random("draws:1")
+    bounds = _Bounds(MAX_LENGTH_CAP, MAX_RANK_CAP, MAX_SYMBOLS_CAP, False)
+    lines = []
+    for index in range(300):
+        symbols = _draw_symbols(rng, bounds)
+        lines.append(str(_draw_invariant(rng, symbols, nonzero=index % 2 == 0)))
+        p = _draw_profile(rng, symbols, bounds, "P", nonzero_top=index % 3 == 0)
+        lines.append(f"{p.ambient_rank_N} " + ", ".join(map(str, p.primitive_right)))
+    assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() == (
+        "794df11d7bf1303b41c9c1150f01a62a8624b9ceded15c07d2e372cb5d591ff4"
+    )
+    assert rng.random() == 0.44738139557378287
+
+
+def test_suites_at_the_caps_pass_and_the_control_fails():
+    caps = {
+        "max_length": MAX_LENGTH_CAP,
+        "max_rank": MAX_RANK_CAP,
+        "max_symbols": MAX_SYMBOLS_CAP,
+    }
+    report = run_suite(seed=1, cases=100, **caps)
+    assert report.all_passed()
+    assert all(o.passes == 100 for o in report.outcomes)
+    mutated = run_suite(seed=1, cases=100, mutate_join_bound=True, **caps)
+    assert [o.name for o in mutated.outcomes if not o.passed] == ["conservation"]
+    assert mutated.outcomes[0].failure.detail == "join conservation"
 
 
 def test_mutation_does_not_touch_the_other_suites():
