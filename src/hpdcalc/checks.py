@@ -95,8 +95,6 @@ def find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
 
 
 def _result(name: str, lhs, rhs, notes: Sequence[str] = ()) -> CheckResult:
-    lhs = InvariantExpr._coerce(lhs)
-    rhs = InvariantExpr._coerce(rhs)
     if lhs == rhs:
         return CheckResult(name, lhs, rhs, "pass", None, tuple(notes))
     return CheckResult(name, lhs, rhs, "fail", find_witness(lhs, rhs), tuple(notes))

@@ -35,7 +35,9 @@ from .errors import (
     UnresolvedBaseLocus,
     UnresolvedIntersection,
 )
-from .model import LefschetzProfile, Workspace, _drop_grouped_pairs, _group_index, build_profile
+from .model import (
+    LefschetzProfile, Workspace, _drop_grouped_pairs, _group_index, _pair_key, build_profile
+)
 from .poly import InvariantExpr, PolyParser, tokenize
 from .report import check_row
 
@@ -424,7 +426,7 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
                     f"{stmt.second} live over P({a.rank}) and P({b.rank})",
                     stmt.span,
                 )
-            key = tuple(sorted((stmt.first, stmt.second)))
+            key = _pair_key(stmt.first, stmt.second)
             if key in intersect_spans:
                 raise DuplicateDeclaration(
                     f"intersection of {key[0]}, {key[1]} declared twice", stmt.span

@@ -8,10 +8,10 @@ that compares only the deep component of the n-universal hyperplane uses
 resolved subset totals over the subset lattice, which collapses to a closed
 form in O(n) multiplications,
 
-    deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j + excess terms,
+    deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j (+ e),
 
-with c0_i the component 0 and t_i the total invariant of profile i; see
-`_hyperplanes` for the excess terms and the order of resolution errors.
+with c0_i the component 0 and t_i the total invariant of profile i; e is the
+declared intersection of a pair that shares no disjoint group (`_hyperplanes`).
 """
 
 from __future__ import annotations
@@ -179,18 +179,15 @@ def _resolve_h_total(
     profiles: Sequence[LefschetzProfile],
     totals: Sequence[InvariantExpr],
     workspace: Workspace,
-    explicit: InvariantExpr | None,
 ) -> InvariantExpr:
-    """All applicable sources (explicit, disjointness, declared pair intersection)
-    must agree; silence is Underdetermined, disagreement is a hard error. A
-    single category counts as disjoint, so it resolves to (N - 1) * total.
-    `totals` holds the profiles' total invariants."""
+    """All applicable sources (disjointness, declared pair intersection) must
+    agree; silence is Underdetermined, disagreement is a hard error. A single
+    category counts as disjoint, so it resolves to (N - 1) * total. `totals`
+    holds the profiles' total invariants."""
     N = profiles[0].ambient_rank_N
     n = len(profiles)
     names = [p.name for p in profiles]
     candidates: list[tuple[str, InvariantExpr]] = []
-    if explicit is not None:
-        candidates.append(("explicit declaration", InvariantExpr._coerce(explicit)))
     if workspace.are_disjoint(names):
         candidates.append(("disjointness formula", (N - n) * math.prod(totals, start=_one)))
     if n == 2:
@@ -200,7 +197,7 @@ def _resolve_h_total(
     if not candidates:
         raise Underdetermined(
             f"invariant of the simultaneous hyperplane for {', '.join(names)} is not "
-            "derivable: declare disjointness, a pair intersection, or an explicit total"
+            "derivable: declare disjointness or a pair intersection"
         )
     first_source, first_value = candidates[0]
     for source, value in candidates[1:]:
@@ -243,32 +240,25 @@ def _leave_one_out(
 
 
 def _hyperplanes(
-    profiles: Sequence[LefschetzProfile], workspace: Workspace, h_total: Coercible | None
+    profiles: Sequence[LefschetzProfile], workspace: Workspace
 ) -> tuple[InvariantExpr, Callable[[tuple[int, ...]], InvariantExpr], list[list[InvariantExpr]]]:
-    """Validate the profiles and resolve the hyperplane totals; return the
-    full set's total, deep[K] as a function of an index tuple K, and the
+    """Validate the profiles and resolve the full set's hyperplane total;
+    return that total, deep[K] as a function of an index tuple K, and the
     component ranks.
 
     With c0_i the component 0, t_i the total invariant and h_i = t_i - c0_i
     the sum of the components k >= 1 of profile i, a subset J in one disjoint
     group resolves to (N - |J|) * prod_J t_j; so do the empty set (N) and the
-    singletons. Write total[J] as that plus an excess d_J. Inverting
-    total[K] = sum over J in K of deep[J] * prod_{K - J} h_i (Rota's Moebius
-    inversion over the subset lattice) then collapses to
+    singletons. Inverting total[K] = sum over J in K of deep[J] *
+    prod_{K - J} h_i (Rota's Moebius inversion over the subset lattice) then
+    collapses to
 
-        deep[K] = N * prod_K c0_i - sum_{i in K} t_i * prod_{K - i} c0_j
-                  + sum over J in K with an excess of d_J * prod_{K - J} (-h_i).
+        deep[K] = N * prod_K c0_i - sum_{i in K} t_i * prod_{K - i} c0_j.
 
-    Only the full set and, for n = 3, a pair with a declared intersection and
-    no shared group can have an excess: any other subset of size >= 2 resolves
-    by disjointness alone.
-
-    The error raised is the first one met by resolving the full set, with
-    the explicit total, and then depth first each proper subset in block
-    order followed by its own subsets. Past the full set, that is the error
-    of the first (n - 1)-subset in `combinations` order that does not lie in
-    one disjoint group and, for n = 3, has no declared intersection: when
-    every (n - 1)-subset lies in a group, so does every smaller subset.
+    A set of n >= 3 resolves only inside one disjoint group, and then every
+    subset does too. A pair may instead resolve through its declared
+    intersection e; its total then exceeds the disjointness value by e, and
+    so does its deep component.
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -278,35 +268,15 @@ def _hyperplanes(
     ranks = [p.component_ranks() for p in profiles]
     totals = [p.total_invariant() for p in profiles]
     names = [p.name for p in profiles]
-    full = tuple(range(len(profiles)))
-
-    def excess(subset: tuple[int, ...], resolved: InvariantExpr) -> InvariantExpr:
-        return resolved - (N - len(subset)) * math.prod((totals[i] for i in subset), start=_one)
-
-    full_total = _resolve_h_total(
-        profiles, totals, workspace, None if h_total is None else InvariantExpr._coerce(h_total)
-    )
-    excesses: dict[tuple[int, ...], InvariantExpr] = {}
-    if not workspace.are_disjoint(names):
-        for kept in itertools.combinations(full, len(full) - 1):
-            if not workspace.are_disjoint([names[i] for i in kept]):
-                # Past n = 3 this raises: a subset of size >= 3 other than the
-                # full set has only the disjointness formula.
-                chosen = [profiles[i] for i in kept]
-                resolved = _resolve_h_total(chosen, [totals[i] for i in kept], workspace, None)
-                excesses[kept] = excess(kept, resolved)
-        excesses[full] = excess(full, full_total)
+    full_total = _resolve_h_total(profiles, totals, workspace)
+    excess = None if workspace.are_disjoint(names) else workspace.intersection(*names)
 
     def deep(subset: tuple[int, ...]) -> InvariantExpr:
         product, weighted = _leave_one_out(
             [ranks[i][0] for i in subset], [totals[i] for i in subset]
         )
         value = N * product - weighted
-        for part, extra in excesses.items():
-            if set(part) <= set(subset):
-                negated = [ranks[i][0] - totals[i] for i in subset if i not in part]
-                value = value + extra * math.prod(negated, start=_one)
-        return value
+        return value if excess is None or len(subset) < len(names) else value + excess
 
     return full_total, deep, ranks
 
@@ -316,32 +286,25 @@ def _warnings(profiles: Sequence[LefschetzProfile]) -> tuple[str, ...]:
 
 
 def deep_component(
-    profiles: Sequence[LefschetzProfile],
-    workspace: Workspace,
-    h_total: Coercible | None = None,
+    profiles: Sequence[LefschetzProfile], workspace: Workspace
 ) -> tuple[InvariantExpr, tuple[str, ...]]:
     """The deep component of the n-universal hyperplane and its warnings.
 
-    Resolves the same totals, and raises the same first error, as
-    `n_hyperplane_sod`, but builds no block. The closed form
+    Resolves the same total, and raises the same error, as `n_hyperplane_sod`,
+    but builds no block. The closed form
 
-        deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j + excess terms
+        deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j (+ e)
 
     (c0_i the component 0 and t_i the total invariant of profile i) costs
-    O(n) multiplications; the excess terms come from an explicit or
-    pair-declared total of the full set and, for n = 3, declared pair
-    intersections. The first error is that of the full set, then that of the
-    first (n - 1)-subset in `combinations` order that lies in no disjoint
-    group (for n = 3: a pair with no declared intersection either).
+    O(n) multiplications; e is the declared intersection of a pair that shares
+    no disjoint group. The error names the full set.
     """
-    _, deep, _ = _hyperplanes(profiles, workspace, h_total)
+    _, deep, _ = _hyperplanes(profiles, workspace)
     return deep(tuple(range(len(profiles)))), _warnings(profiles)
 
 
 def n_hyperplane_sod(
-    profiles: Sequence[LefschetzProfile],
-    workspace: Workspace,
-    h_total: Coercible | None = None,
+    profiles: Sequence[LefschetzProfile], workspace: Workspace
 ) -> NHyperplaneResult:
     """Decompose the simultaneous universal hyperplane of n categories.
 
@@ -349,11 +312,11 @@ def n_hyperplane_sod(
     per tuple of component indices i_k >= 1 over the complement of I, ordered
     by decreasing subset size. The invariant of such a block is deep[I] times
     the components i_k; deep[I] is derived only for subsets that have blocks,
-    each by the closed form of `deep_component` restricted to I, which also
-    gives the first error. For one category this is the universal hyperplane,
-    whose deep component is the dual.
+    each by the closed form of `deep_component` restricted to I. For one
+    category this is the universal hyperplane, whose deep component is the
+    dual.
     """
-    full_total, deep_of, ranks = _hyperplanes(profiles, workspace, h_total)
+    full_total, deep_of, ranks = _hyperplanes(profiles, workspace)
     names = [p.name for p in profiles]
     full = tuple(range(len(profiles)))
     c_invariant = deep_of(full)

@@ -252,9 +252,10 @@ class InvariantExpr:
         )
 
     def __mul__(self, other: Coercible) -> InvariantExpr:
-        if other.__class__ is int:  # a bool is coerced, like any other operand
-            return self._scaled(other)
-        other = InvariantExpr._coerce(other)
+        if other.__class__ is not InvariantExpr:
+            if other.__class__ is int:  # a bool is coerced, like any other operand
+                return self._scaled(other)
+            other = InvariantExpr._coerce(other)
         # A constant factor, zero included, scales the other operand's terms.
         if other.is_constant():
             return self._scaled(other._terms.get((), 0))

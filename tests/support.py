@@ -209,18 +209,15 @@ def _resolve_h_total(
     profiles: Sequence[LefschetzProfile],
     totals: Sequence[InvariantExpr],
     workspace: Workspace,
-    explicit: InvariantExpr | None,
 ) -> InvariantExpr:
-    """All applicable sources (explicit, disjointness, declared pair intersection)
-    must agree; silence is Underdetermined, disagreement is a hard error. A
-    single category counts as disjoint, so it resolves to (N - 1) * total.
-    `totals` holds the profiles' total invariants."""
+    """All applicable sources (disjointness, declared pair intersection) must
+    agree; silence is Underdetermined, disagreement is a hard error. A single
+    category counts as disjoint, so it resolves to (N - 1) * total. `totals`
+    holds the profiles' total invariants."""
     N = profiles[0].ambient_rank_N
     n = len(profiles)
     names = [p.name for p in profiles]
     candidates: list[tuple[str, InvariantExpr]] = []
-    if explicit is not None:
-        candidates.append(("explicit declaration", _coerce(explicit)))
     if workspace.are_disjoint(names):
         product = InvariantExpr.const(1)
         for total in totals:
@@ -233,7 +230,7 @@ def _resolve_h_total(
     if not candidates:
         raise Underdetermined(
             f"invariant of the simultaneous hyperplane for {', '.join(names)} is not "
-            "derivable: declare disjointness, a pair intersection, or an explicit total"
+            "derivable: declare disjointness or a pair intersection"
         )
     first_source, first_value = candidates[0]
     for source, value in candidates[1:]:
@@ -254,17 +251,16 @@ def _proper_subsets(subset: tuple[int, ...]):
 
 
 def _hyperplanes(
-    profiles: Sequence[LefschetzProfile], workspace: Workspace, h_total: Coercible | None
+    profiles: Sequence[LefschetzProfile], workspace: Workspace
 ) -> tuple[dict[tuple[int, ...], InvariantExpr], list[InvariantExpr], list[list[InvariantExpr]]]:
     """Validate the profiles; return the resolved hyperplane total of every
     subset, keyed by index tuple, -h_i for each profile (h_i sums its
     components k >= 1) and the component ranks.
 
     The empty subset's total is N and a singleton's is (N - 1) * total. The
-    full set resolves first, with the explicit total; then, depth first, each
-    proper subset of size >= 2 in block order followed by its own subsets, so
-    the first error raised is that of this order. Each profile's total
-    invariant is computed once.
+    full set resolves first; then, depth first, each proper subset of size
+    >= 2 in block order followed by its own subsets, so the first error raised
+    is that of this order. Each profile's total invariant is computed once.
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -276,14 +272,14 @@ def _hyperplanes(
     total = {(): InvariantExpr.const(N)}
     total.update(((i,), (N - 1) * t) for i, t in enumerate(totals))
 
-    def resolve(subset: tuple[int, ...], explicit: InvariantExpr | None) -> None:
+    def resolve(subset: tuple[int, ...]) -> None:
         chosen = [profiles[i] for i in subset]
-        total[subset] = _resolve_h_total(chosen, [totals[i] for i in subset], workspace, explicit)
+        total[subset] = _resolve_h_total(chosen, [totals[i] for i in subset], workspace)
         for kept, _ in _proper_subsets(subset):
             if kept not in total:
-                resolve(kept, None)
+                resolve(kept)
 
-    resolve(tuple(range(len(profiles))), None if h_total is None else _coerce(h_total))
+    resolve(tuple(range(len(profiles))))
     return total, [r[0] - t for r, t in zip(ranks, totals)], ranks
 
 
@@ -314,23 +310,19 @@ def _deep(
 
 
 def ref_deep_component_walk(
-    profiles: Sequence[LefschetzProfile],
-    workspace: Workspace,
-    h_total: Coercible | None = None,
+    profiles: Sequence[LefschetzProfile], workspace: Workspace
 ) -> InvariantExpr:
-    total, negated, _ = _hyperplanes(profiles, workspace, h_total)
+    total, negated, _ = _hyperplanes(profiles, workspace)
     full = tuple(range(len(profiles)))
     return _deep(full, total, negated, {(): InvariantExpr.const(1)})
 
 
 def ref_n_hyperplane_walk(
-    profiles: Sequence[LefschetzProfile],
-    workspace: Workspace,
-    h_total: Coercible | None = None,
+    profiles: Sequence[LefschetzProfile], workspace: Workspace
 ) -> tuple[InvariantExpr, InvariantExpr, list[InvariantExpr]]:
     """The deep component, the full set's total and every block invariant, in
     block order."""
-    total, negated, ranks = _hyperplanes(profiles, workspace, h_total)
+    total, negated, ranks = _hyperplanes(profiles, workspace)
     products = {(): InvariantExpr.const(1)}
     full = tuple(range(len(profiles)))
     c_invariant = _deep(full, total, negated, products)

@@ -2,7 +2,6 @@
 property tests cross-checked against the integer reference loops in support.py."""
 
 import itertools
-import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,9 +195,6 @@ def test_n_hyperplane_specializes_to_universal():
     assert result.h_total == 90
     assert result.warnings == ()
 
-    with pytest.raises(ConflictingDeclarations):
-        n_hyperplane_sod([gr25()], ws, h_total=89)
-
 
 def test_n_hyperplane_pair_fixed_chain():
     p, q = gr25(), renamed(gr25(), "Gr25g")
@@ -229,26 +225,15 @@ def test_n_hyperplane_disjoint_length_one_profiles():
     assert result.c_invariant == 4 * x * y
 
 
-def _three_triangle(intersections):
-    profiles = [build_profile(name, 5, [1, 1]) for name in "ABC"]
-    return profiles, Workspace.build(categories=profiles, intersections=intersections)
-
-
 def test_n_hyperplane_three_declared_pairs():
-    profiles, ws = _three_triangle({("A", "B"): 0, ("B", "C"): 2, ("A", "C"): 1})
-    result = n_hyperplane_sod(profiles, ws, h_total=7)
-    # Length-two profiles give one block per proper subset, after the deep one.
-    assert len(result.sod.blocks) == 8
-    assert result.c_invariant == -46
-    assert result.sod.blocks[0].invariant == -46
-    assert result.sod.total() == 7
-    assert result.h_total == 7
-
-
-def test_n_hyperplane_undeclared_pair_names_its_subset():
-    profiles, ws = _three_triangle({("A", "B"): 0, ("B", "C"): 2})
-    with pytest.raises(Underdetermined, match="hyperplane for A, C is not derivable"):
-        n_hyperplane_sod(profiles, ws, h_total=7)
+    # Declared pair intersections resolve pairs only: three categories that
+    # share no disjoint group leave their own total underdetermined.
+    profiles = [build_profile(name, 5, [1, 1]) for name in "ABC"]
+    intersections = {("A", "B"): 0, ("B", "C"): 2, ("A", "C"): 1}
+    ws = Workspace.build(categories=profiles, intersections=intersections)
+    for construction in (n_hyperplane_sod, deep_component):
+        with pytest.raises(Underdetermined, match="hyperplane for A, B, C is not derivable"):
+            construction(profiles, ws)
 
 
 def test_n_hyperplane_resolution_rules():
@@ -261,67 +246,73 @@ def test_n_hyperplane_resolution_rules():
 
     disjoint = Workspace.build(categories=[p, q], disjoint_sets=[("A", "B")])
     assert n_hyperplane_sod([p, q], disjoint).h_total == 2
-    assert n_hyperplane_sod([p, q], disjoint, h_total=2).h_total == 2
-    with pytest.raises(ConflictingDeclarations):
-        n_hyperplane_sod([p, q], disjoint, h_total=3)
+
+
+def test_a_grouped_pair_with_a_declared_intersection_conflicts():
+    # Workspace.build drops the intersection of a grouped pair. A workspace
+    # built directly keeps both routes, and they must agree.
+    profiles = [build_profile(name, 5, [1, 1]) for name in ("P0", "P1")]
+    ws = Workspace(
+        symbols=frozenset(["x"]),
+        categories={p.name: p for p in profiles},
+        intersections={("P0", "P1"): sym("x")},
+        disjoint_sets=(frozenset(["P0", "P1"]),),
+    )
+    message = (
+        "hyperplane total for P0, P1: disjointness formula gives 27 "
+        "but declared intersection gives x + 27"
+    )
+    for construction in (n_hyperplane_sod, deep_component):
+        with pytest.raises(ConflictingDeclarations) as error:
+            construction(profiles, ws)
+        assert str(error.value) == message
 
 
 @st.composite
 def resolving_hyperplanes(draw):
     """n = 2..4 profiles whose simultaneous hyperplane resolves, with the route:
-    an explicit total (every inner subset lies in a declared disjoint group),
     one disjoint group of all n, or for n = 2 a declared pair intersection."""
     n = draw(st.integers(2, 4))
     N = draw(st.integers(2, 6))
     profiles = [draw(profile_st(name=f"P{i}", N=N, max_m=3)) for i in range(n)]
     names = [p.name for p in profiles]
-    routes = ["explicit", "disjoint"] + (["pair"] if n == 2 else [])
-    route = draw(st.sampled_from(routes))
-    explicit, groups, pairs = None, [], {}
-    if route == "explicit":
-        explicit = draw(primitive_exprs())
-        groups = [[name for name in names if name != left_out] for left_out in names]
-    elif route == "disjoint":
+    groups, pairs = [], {}
+    if n > 2 or draw(st.booleans()):
         groups = [names]
     else:
         pairs = {tuple(names): draw(primitive_exprs())}
     ws = Workspace.build(
         symbols=SYMBOL_NAMES, categories=profiles, intersections=pairs, disjoint_sets=groups
     )
-    return profiles, ws, explicit
+    return profiles, ws
 
 
 @given(resolving_hyperplanes())
 def test_n_hyperplane_blocks_sum_to_the_resolved_total(case):
     # The deep components come from factorized sums, the blocks from index
     # tuples; the two must agree on the total.
-    profiles, ws, explicit = case
-    result = n_hyperplane_sod(profiles, ws, h_total=explicit)
+    profiles, ws = case
+    result = n_hyperplane_sod(profiles, ws)
     assert result.sod.total() == result.h_total
     assert result.sod.blocks[0].invariant == result.c_invariant
-    if explicit is not None:
-        assert result.h_total == explicit
 
 
 @st.composite
 def single_profiles(draw):
     p = draw(profile_st(name="P0", max_m=3, max_rank=6))
-    return [p], Workspace.build(symbols=SYMBOL_NAMES, categories=[p]), None
+    return [p], Workspace.build(symbols=SYMBOL_NAMES, categories=[p])
 
 
 @given(st.one_of(single_profiles(), resolving_hyperplanes()), assignments())
 def test_deep_component_matches_the_recursive_reference(case, assignment):
     # The reference subtracts the deep components of every proper subset, over
     # integers; the engine sums signed totals by inclusion-exclusion.
-    profiles, ws, explicit = case
+    profiles, ws = case
     N = profiles[0].ambient_rank_N
     values = [primitive_values(p, assignment) for p in profiles]
     totals = [ref_total(v) for v in values]
-    full = tuple(range(len(profiles)))
 
     def total_of(subset):
-        if subset == full and explicit is not None:
-            return explicit.evaluate(assignment)
         names = [profiles[i].name for i in subset]
         if ws.are_disjoint(names):
             product = 1
@@ -331,70 +322,56 @@ def test_deep_component_matches_the_recursive_reference(case, assignment):
         return ws.intersection(*names).evaluate(assignment) + (N - 2) * totals[0] * totals[1]
 
     expected = ref_deep_component(N, values, total_of)
-    deep, warnings = deep_component(profiles, ws, h_total=explicit)
-    result = n_hyperplane_sod(profiles, ws, h_total=explicit)
+    deep, warnings = deep_component(profiles, ws)
+    result = n_hyperplane_sod(profiles, ws)
     assert deep.evaluate(assignment) == expected
     assert result.c_invariant.evaluate(assignment) == expected
     assert result.sod.blocks[0].invariant == result.c_invariant == deep
     assert warnings == result.warnings
 
 
-# Workspaces in which several subsets fail to resolve, and one whose explicit
-# total conflicts. The first error in the depth-first order (the full set, then
-# each proper subset in block order followed by its own subsets) is the one
-# raised; the messages are those of the earlier recursive derivation.
+# Workspaces in which the full set lies in no disjoint group, though some of
+# its subsets resolve. The error names the full set.
 def _malformed(case):
     x = sym("x")
-    names = {"triangle": "ABC", "conflict": "ABC", "two-pairs": "ABC", "quadruple": "ABCDE"}
-    names = names.get(case, "ABCD")
+    names = {"triangle": "ABC", "two-pairs": "ABC", "quadruple": "ABCDE"}.get(case, "ABCD")
     N = 5 if len(names) == 3 else 6
     profiles = [build_profile(name, N, [x + 1, 1, 2]) for name in names]
-    declared = {
-        # Only B, C is declared: A, B fails first, then A, C.
-        "triangle": ({("B", "C"): 2}, [], 7),
-        # A, B and A, C are declared, so the last pair fails.
-        "two-pairs": ({("A", "B"): x, ("A", "C"): 1}, [], 7),
-        # The third 4-subset is the first outside a group; D, E fails too.
-        "quadruple": ({}, [["A", "B", "C", "D"], ["A", "B", "C", "E"]], x),
-        # A, B, D fails before B, D, although B, D is smaller.
-        "triple": ({("A", "D"): x}, [["A", "B", "C"]], x),
-        # A, B, C fails first; the other triples and the pairs across the two
-        # groups fail too.
-        "pairs": ({}, [["A", "B"], ["C", "D"]], 5),
-        # Every subset resolves, but the explicit total disagrees.
-        "conflict": ({}, [["A", "B", "C"]], 7),
+    intersections, groups = {
+        "triangle": ({("B", "C"): 2}, []),
+        "two-pairs": ({("A", "B"): x, ("A", "C"): 1}, []),
+        "quadruple": ({}, [["A", "B", "C", "D"], ["A", "B", "C", "E"]]),
+        "triple": ({("A", "D"): x}, [["A", "B", "C"]]),
+        "pairs": ({}, [["A", "B"], ["C", "D"]]),
+        "one-group": ({}, [["A", "B", "C"]]),
     }[case]
-    intersections, groups, explicit = declared
     ws = Workspace.build(
         symbols=["x"], categories=profiles, intersections=intersections, disjoint_sets=groups
     )
-    return profiles, ws, explicit
+    return profiles, ws
 
 
-_NO_TOTAL = "invariant of the simultaneous hyperplane"
-_UNDERIVABLE = "is not derivable: declare disjointness, a pair intersection, or an explicit total"
 _FIRST_ERROR = {
-    "triangle": (Underdetermined, f"{_NO_TOTAL} for A, B {_UNDERIVABLE}"),
-    "triple": (Underdetermined, f"{_NO_TOTAL} for A, B, D {_UNDERIVABLE}"),
-    "two-pairs": (Underdetermined, f"{_NO_TOTAL} for B, C {_UNDERIVABLE}"),
-    "quadruple": (Underdetermined, f"{_NO_TOTAL} for A, B, D, E {_UNDERIVABLE}"),
-    "pairs": (Underdetermined, f"{_NO_TOTAL} for A, B, C {_UNDERIVABLE}"),
-    "conflict": (
-        ConflictingDeclarations,
-        "hyperplane total for A, B, C: explicit declaration gives 7 but disjointness "
-        "formula gives 2*x*x*x + 54*x*x + 486*x + 1458",
-    ),
+    "triangle": "A, B, C",
+    "two-pairs": "A, B, C",
+    "quadruple": "A, B, C, D, E",
+    "triple": "A, B, C, D",
+    "pairs": "A, B, C, D",
+    "one-group": "A, B, C, D",
 }
 
 
 @pytest.mark.parametrize("case", sorted(_FIRST_ERROR))
 def test_first_resolution_error_is_pinned(case):
-    profiles, ws, explicit = _malformed(case)
-    error, message = _FIRST_ERROR[case]
-    with pytest.raises(error) as sod_error:
-        n_hyperplane_sod(profiles, ws, h_total=explicit)
-    with pytest.raises(error) as deep_error:
-        deep_component(profiles, ws, h_total=explicit)
+    profiles, ws = _malformed(case)
+    message = (
+        f"invariant of the simultaneous hyperplane for {_FIRST_ERROR[case]} is not "
+        "derivable: declare disjointness or a pair intersection"
+    )
+    with pytest.raises(Underdetermined) as sod_error:
+        n_hyperplane_sod(profiles, ws)
+    with pytest.raises(Underdetermined) as deep_error:
+        deep_component(profiles, ws)
     assert str(sod_error.value) == str(deep_error.value) == message
 
 
@@ -404,8 +381,7 @@ def hyperplane_workspaces(draw):
     in a workspace of mixed declarations: disjoint groups (random ones, every
     (n - 1)-subset, all names or none), declared pair intersections (0 or
     symbolic inside a group, any value outside one, self-intersections
-    included; every pair in the "declared" layout) and an explicit total that
-    is absent, arbitrary or the disjointness formula."""
+    included; every pair in the "declared" layout)."""
     n = draw(st.integers(1, 5))
     N = draw(st.integers(3, 6))
     profiles = [draw(profile_st(name=f"P{i}", N=N, max_m=3)) for i in range(n)]
@@ -425,17 +401,10 @@ def hyperplane_workspaces(draw):
         if layout == "declared" or draw(st.booleans()):
             shared = a != b and any({a, b} <= set(group) for group in groups)
             pairs[a, b] = draw(st.sampled_from([0, sym("x")]) if shared else primitive_exprs())
-    explicit = draw(st.sampled_from(["none", "arbitrary", "disjointness"]))
-    if explicit == "none":
-        explicit = None
-    elif explicit == "arbitrary":
-        explicit = draw(primitive_exprs())
-    else:
-        explicit = (N - n) * math.prod((p.total_invariant() for p in profiles), start=const(1))
     ws = Workspace.build(
         symbols=SYMBOL_NAMES, categories=profiles, intersections=pairs, disjoint_sets=groups
     )
-    return profiles, ws, explicit
+    return profiles, ws
 
 
 def _outcome(construction, *args):
@@ -450,31 +419,26 @@ def _sod_values(result):
     return result.c_invariant, result.h_total, [b.invariant for b in result.sod.blocks]
 
 
-def _repeated_name():
-    # P0 listed twice resolves its own pair through a self-intersection.
+def _self_pair():
+    # P0 listed twice is no disjoint pair: it resolves through its declared
+    # self-intersection, which its deep component exceeds the disjoint value by.
     x = sym("x")
     p = build_profile("P0", 5, [x + 1, 1])
-    q = build_profile("P1", 5, [1, x])
-    ws = Workspace.build(
-        symbols=SYMBOL_NAMES,
-        categories=[p, q],
-        intersections={("P0", "P0"): x, ("P0", "P1"): 0},
-        disjoint_sets=[["P0", "P1"]],
-    )
-    return [p, p, q], ws, 7
+    ws = Workspace.build(symbols=SYMBOL_NAMES, categories=[p], intersections={("P0", "P0"): x})
+    return [p, p], ws
 
 
-@example(_repeated_name())
+@example(_self_pair())
 @settings(max_examples=200, deadline=None)
 @given(hyperplane_workspaces())
 def test_closed_form_matches_the_subset_walk(case):
     # Same value, or the same first error, as the inclusion-exclusion sum over
     # the depth-first subset walk, for the deep component and every block.
-    profiles, ws, explicit = case
-    deep = _outcome(lambda: deep_component(profiles, ws, h_total=explicit)[0])
-    assert deep == _outcome(ref_deep_component_walk, profiles, ws, explicit)
-    sod = _outcome(lambda: _sod_values(n_hyperplane_sod(profiles, ws, h_total=explicit)))
-    assert sod == _outcome(ref_n_hyperplane_walk, profiles, ws, explicit)
+    profiles, ws = case
+    deep = _outcome(lambda: deep_component(profiles, ws)[0])
+    assert deep == _outcome(ref_deep_component_walk, profiles, ws)
+    sod = _outcome(lambda: _sod_values(n_hyperplane_sod(profiles, ws)))
+    assert sod == _outcome(ref_n_hyperplane_walk, profiles, ws)
 
 
 _JOIN_LINEAR_DEEP = {
@@ -489,7 +453,7 @@ _CLI_OUTCOME = {
     "triangle": (3, ["underdetermined", "pass", "pass"]),
     "triple": (0, ["pass", "pass", "pass"]),
     "pairs": (3, ["pass", "underdetermined", "pass"]),
-    "conflict": (0, ["pass", "pass", "pass"]),
+    "one-group": (0, ["pass", "pass", "pass"]),
 }
 
 
@@ -497,7 +461,7 @@ _CLI_OUTCOME = {
 def test_malformed_workspaces_through_join_linear_and_the_cli(case, tmp_path, capsys):
     # join_linear reads no workspace: it compares the join with the small duals
     # of its inputs, so the declarations above cannot reach it.
-    profiles, ws, _ = _malformed(case)
+    profiles, ws = _malformed(case)
     result = check_join_linear(profiles)
     assert result.status == "pass"
     assert str(result.lhs) == str(result.rhs) == _JOIN_LINEAR_DEEP[len(profiles)]
