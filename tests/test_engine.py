@@ -236,6 +236,19 @@ def test_n_hyperplane_three_declared_pairs():
             construction(profiles, ws)
 
 
+def test_n_hyperplane_undeclared_pair_names_its_subset():
+    # Of three categories with two declared pairs, each declared pair
+    # resolves on its own; the undeclared pair A, C is named in its error.
+    a, b, c = (build_profile(name, 5, [1, 1]) for name in "ABC")
+    ws = Workspace.build(categories=[a, b, c], intersections={("A", "B"): 0, ("B", "C"): 2})
+    t = a.total_invariant()
+    assert n_hyperplane_sod([a, b], ws).h_total == two_hyperplane_rank(t, t, 0, 5)
+    assert n_hyperplane_sod([b, c], ws).h_total == two_hyperplane_rank(t, t, 2, 5)
+    for construction in (n_hyperplane_sod, deep_component):
+        with pytest.raises(Underdetermined, match="hyperplane for A, C is not derivable"):
+            construction([a, c], ws)
+
+
 def test_n_hyperplane_resolution_rules():
     p = point("A", 4)
     q = point("B", 4)
