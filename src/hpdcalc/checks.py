@@ -120,11 +120,11 @@ def check_main_theorem(
     N = same_ambient(p, q)
     join = join_profile(p, q, workspace, include_boundary_pairs=include_boundary_pairs)
     lhs = duality_total(N, join.components)
-    deep, warnings = deep_component([p, q], workspace)
+    deep = deep_component([p, q], workspace)
     notes = [
         INVARIANT_LEVEL_NOTE,
         f"derived invariant of the fiber product of the two duals: {lhs}",
-        *warnings,
+        SUBSET_READING_NOTE,
     ]
     return _result("main_theorem", lhs, deep, notes)
 

@@ -43,6 +43,7 @@ from .report import check_row
 
 __all__ = [
     "CHECK_NAMES",
+    "MAX_N2",
     "parse",
     "validate",
     "check_requests",
@@ -84,6 +85,10 @@ _CHECKS = {
 }
 
 CHECK_NAMES = tuple(_CHECKS)
+
+# The cone checks' added rank n2 is at most this; the join in `cone_part2`
+# builds a list of n2 components, so a larger n2 is a syntax error.
+MAX_N2 = 100_000
 
 _KEYWORDS = frozenset(
     ["symbol", "category", "over", "primitive", "left", "intersect", "disjoint", "dual", "check"]
@@ -294,6 +299,8 @@ class _Parser(PolyParser):
                 value, j = self.expect_int()
                 if value < 1:
                     raise DslSyntaxError("n2 must be a positive integer", self.span(j))
+                if value > MAX_N2:
+                    raise DslSyntaxError(f"n2 must be at most {MAX_N2}", self.span(j))
                 if n2 is not None:
                     raise DslSyntaxError("duplicate keyword 'n2'", self.span(i))
                 n2 = value

@@ -8,10 +8,11 @@ that compares only the deep component of the n-universal hyperplane uses
 resolved subset totals over the subset lattice, which collapses to a closed
 form in O(n) multiplications,
 
-    deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j (+ e),
+    deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j + e,
 
-with c0_i the component 0 and t_i the total invariant of profile i; e is the
-declared intersection of a pair that shares no disjoint group (`_hyperplanes`).
+with c0_i the component 0 and t_i the total invariant of profile i. The
+excess e is the one place declared intersections enter (`_excess`): 0 for a
+disjoint set, the declared intersection for a pair outside any group.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "universal_hyperplane_sod",
     "duality_total",
     "hpd_total",
-    "two_hyperplane_rank",
     "NHyperplaneResult",
     "n_hyperplane_sod",
     "deep_component",
@@ -159,12 +159,6 @@ def universal_hyperplane_sod(profile: LefschetzProfile) -> SodExpr:
     return n_hyperplane_sod([profile], Workspace()).sod
 
 
-def two_hyperplane_rank(a1: Coercible, a2: Coercible, e: Coercible, N: int) -> InvariantExpr:
-    """Invariant of the simultaneous-hyperplane incidence for a pair with totals
-    a1, a2 and fiber-product invariant e."""
-    return (N - 2) * InvariantExpr._coerce(a1) * a2 + e
-
-
 @dataclass(frozen=True)
 class NHyperplaneResult:
     """Block list of the n-universal hyperplane plus the derived deep component."""
@@ -175,38 +169,34 @@ class NHyperplaneResult:
     warnings: tuple[str, ...]
 
 
-def _resolve_h_total(
+def _excess(
     profiles: Sequence[LefschetzProfile],
     totals: Sequence[InvariantExpr],
     workspace: Workspace,
 ) -> InvariantExpr:
-    """All applicable sources (disjointness, declared pair intersection) must
-    agree; silence is Underdetermined, disagreement is a hard error. A single
-    category counts as disjoint, so it resolves to (N - 1) * total. `totals`
-    holds the profiles' total invariants."""
-    N = profiles[0].ambient_rank_N
-    n = len(profiles)
+    """The excess e of the full set's simultaneous-hyperplane total over the
+    disjointness value (N - n) * prod_i t_i, from the one declaration that
+    applies: 0 for a disjoint set (a single category counts as one), the
+    declared intersection for a pair outside any group; any other set is
+    Underdetermined. `totals` holds the profiles' total invariants, read only
+    to word the conflict of a directly built workspace that gives a grouped
+    pair a nonzero intersection."""
     names = [p.name for p in profiles]
-    candidates: list[tuple[str, InvariantExpr]] = []
-    if workspace.are_disjoint(names):
-        candidates.append(("disjointness formula", (N - n) * math.prod(totals, start=_one)))
-    if n == 2:
-        e = workspace.intersection(names[0], names[1])
-        if e is not None:
-            candidates.append(("declared intersection", two_hyperplane_rank(*totals, e, N)))
-    if not candidates:
-        raise Underdetermined(
-            f"invariant of the simultaneous hyperplane for {', '.join(names)} is not "
-            "derivable: declare disjointness or a pair intersection"
-        )
-    first_source, first_value = candidates[0]
-    for source, value in candidates[1:]:
-        if value != first_value:
-            raise ConflictingDeclarations(
-                f"hyperplane total for {', '.join(names)}: {first_source} gives "
-                f"{first_value} but {source} gives {value}"
+    e = workspace.intersection(*names) if len(names) == 2 else None
+    if not workspace.are_disjoint(names):
+        if e is None:
+            raise Underdetermined(
+                f"invariant of the simultaneous hyperplane for {', '.join(names)} is not "
+                "derivable: declare disjointness or a pair intersection"
             )
-    return first_value
+        return e
+    if e:
+        value = (profiles[0].ambient_rank_N - 2) * totals[0] * totals[1]
+        raise ConflictingDeclarations(
+            f"hyperplane total for {', '.join(names)}: disjointness formula gives "
+            f"{value} but declared intersection gives {value + e}"
+        )
+    return _zero
 
 
 def _c_label(names: Sequence[str]) -> str:
@@ -241,24 +231,28 @@ def _leave_one_out(
 
 def _hyperplanes(
     profiles: Sequence[LefschetzProfile], workspace: Workspace
-) -> tuple[InvariantExpr, Callable[[tuple[int, ...]], InvariantExpr], list[list[InvariantExpr]]]:
-    """Validate the profiles and resolve the full set's hyperplane total;
-    return that total, deep[K] as a function of an index tuple K, and the
-    component ranks.
+) -> tuple[
+    list[InvariantExpr],
+    InvariantExpr,
+    Callable[[tuple[int, ...]], InvariantExpr],
+    list[list[InvariantExpr]],
+]:
+    """Validate the profiles and resolve the full set's excess e (`_excess`);
+    return the total invariants, e, deep[K] as a function of an index tuple
+    K, and the component ranks.
 
     With c0_i the component 0, t_i the total invariant and h_i = t_i - c0_i
     the sum of the components k >= 1 of profile i, a subset J in one disjoint
-    group resolves to (N - |J|) * prod_J t_j; so do the empty set (N) and the
-    singletons. Inverting total[K] = sum over J in K of deep[J] *
+    group resolves to the total (N - |J|) * prod_J t_j; so do the empty set
+    (N) and the singletons. Inverting total[K] = sum over J in K of deep[J] *
     prod_{K - J} h_i (Rota's Moebius inversion over the subset lattice) then
     collapses to
 
         deep[K] = N * prod_K c0_i - sum_{i in K} t_i * prod_{K - i} c0_j.
 
-    A set of n >= 3 resolves only inside one disjoint group, and then every
-    subset does too. A pair may instead resolve through its declared
-    intersection e; its total then exceeds the disjointness value by e, and
-    so does its deep component.
+    Only the full set can carry an excess: a set of n >= 3 resolves only
+    inside one disjoint group, and then every subset does too. So e is added
+    to the full set's deep component alone.
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -267,40 +261,31 @@ def _hyperplanes(
         _require_moderate(p)
     ranks = [p.component_ranks() for p in profiles]
     totals = [p.total_invariant() for p in profiles]
-    names = [p.name for p in profiles]
-    full_total = _resolve_h_total(profiles, totals, workspace)
-    excess = None if workspace.are_disjoint(names) else workspace.intersection(*names)
+    excess = _excess(profiles, totals, workspace)
 
     def deep(subset: tuple[int, ...]) -> InvariantExpr:
         product, weighted = _leave_one_out(
             [ranks[i][0] for i in subset], [totals[i] for i in subset]
         )
         value = N * product - weighted
-        return value if excess is None or len(subset) < len(names) else value + excess
+        return value + excess if len(subset) == len(profiles) else value
 
-    return full_total, deep, ranks
-
-
-def _warnings(profiles: Sequence[LefschetzProfile]) -> tuple[str, ...]:
-    return (SUBSET_READING_NOTE,) if len(profiles) > 1 else ()
+    return totals, excess, deep, ranks
 
 
-def deep_component(
-    profiles: Sequence[LefschetzProfile], workspace: Workspace
-) -> tuple[InvariantExpr, tuple[str, ...]]:
-    """The deep component of the n-universal hyperplane and its warnings.
+def deep_component(profiles: Sequence[LefschetzProfile], workspace: Workspace) -> InvariantExpr:
+    """The deep component of the n-universal hyperplane.
 
-    Resolves the same total, and raises the same error, as `n_hyperplane_sod`,
-    but builds no block. The closed form
+    Raises the same error as `n_hyperplane_sod`, which names the full set,
+    but builds no block. The closed form of `_hyperplanes`
 
-        deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j (+ e)
+        deep = N * prod_i c0_i - sum_i t_i * prod_{j != i} c0_j + e
 
-    (c0_i the component 0 and t_i the total invariant of profile i) costs
-    O(n) multiplications; e is the declared intersection of a pair that shares
-    no disjoint group. The error names the full set.
+    (c0_i the component 0 and t_i the total invariant of profile i, e the
+    excess) costs O(n) multiplications.
     """
-    _, deep, _ = _hyperplanes(profiles, workspace)
-    return deep(tuple(range(len(profiles)))), _warnings(profiles)
+    _, _, deep, _ = _hyperplanes(profiles, workspace)
+    return deep(tuple(range(len(profiles))))
 
 
 def n_hyperplane_sod(
@@ -312,11 +297,11 @@ def n_hyperplane_sod(
     per tuple of component indices i_k >= 1 over the complement of I, ordered
     by decreasing subset size. The invariant of such a block is deep[I] times
     the components i_k; deep[I] is derived only for subsets that have blocks,
-    each by the closed form of `deep_component` restricted to I. For one
-    category this is the universal hyperplane, whose deep component is the
-    dual.
+    each by the closed form of `deep_component` restricted to I. The total is
+    (N - n) * prod_i t_i + e. For one category this is the universal
+    hyperplane, whose deep component is the dual.
     """
-    full_total, deep_of, ranks = _hyperplanes(profiles, workspace)
+    totals, excess, deep_of, ranks = _hyperplanes(profiles, workspace)
     names = [p.name for p in profiles]
     full = tuple(range(len(profiles)))
     c_invariant = deep_of(full)
@@ -333,9 +318,9 @@ def n_hyperplane_sod(
                 inv = inv * ranks[i][k]
             parts = [f"{names[i]}_{k}" for i, k in zip(complement, tup)]
             blocks.append(SodBlock(_fiber(parts + [c_label], "B"), sum(tup), inv))
-    return NHyperplaneResult(
-        SodExpr(BASE_V_DUAL, tuple(blocks)), c_invariant, full_total, _warnings(profiles)
-    )
+    h_total = (profiles[0].ambient_rank_N - len(full)) * math.prod(totals, start=_one) + excess
+    warnings = (SUBSET_READING_NOTE,) if len(full) > 1 else ()
+    return NHyperplaneResult(SodExpr(BASE_V_DUAL, tuple(blocks)), c_invariant, h_total, warnings)
 
 
 # -- joins ---------------------------------------------------------------------
@@ -387,7 +372,10 @@ class JoinResult:
     intersection_invariant: InvariantExpr
     e_invariant: InvariantExpr
     components: tuple[InvariantExpr, ...]
-    total: InvariantExpr
+
+    @property
+    def total(self) -> InvariantExpr:
+        return InvariantExpr._combine((1, c) for c in self.components)
 
     def conserved_total(self) -> InvariantExpr:
         """Closed form from the blow-up/removal bookkeeping (in terms of the
@@ -446,7 +434,6 @@ def join_components(
         intersection_invariant=e,
         e_invariant=e_part,
         components=components,
-        total=InvariantExpr._combine((1, c) for c in components),
     )
 
 
@@ -489,7 +476,6 @@ class RefinedBlowupResult:
     ambient_rank: int
     c_l_invariant: InvariantExpr
     components: tuple[InvariantExpr, ...]
-    total: InvariantExpr
 
     def to_sod(self) -> SodExpr:
         blocks = tuple(
@@ -521,5 +507,4 @@ def refined_blowup_profile(
         ambient_rank=ell,
         c_l_invariant=c_l,
         components=components,
-        total=InvariantExpr._combine((1, c) for c in components),
     )

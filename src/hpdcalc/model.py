@@ -163,14 +163,12 @@ class SodExpr:
     def total(self) -> InvariantExpr:
         return InvariantExpr._combine((1, block.invariant) for block in self.blocks)
 
-    def to_json_dict(self, name: str = "") -> dict:
-        body = {
+    def to_json_dict(self, name: str) -> dict:
+        return {
+            "name": name,
             "base": self.base_tag,
             "blocks": [block.to_json_dict() for block in self.blocks],
         }
-        if name:
-            return {"name": name, **body}
-        return body
 
 
 # -- workspace ----------------------------------------------------------------

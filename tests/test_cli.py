@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import hpdcalc
 from hpdcalc import catalog, cli
 from hpdcalc.cli import main
+from hpdcalc.dsl import MAX_N2
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, const
 
 from support import time_budget
@@ -263,6 +264,21 @@ def test_large_disjoint_group_within_a_second(n, tmp_path, capsys):
         code = main(["check", path])
     assert code == 0
     assert capsys.readouterr().out.startswith("check cone_part1: pass (")
+
+
+def test_n2_at_its_cap_within_budget(tmp_path, capsys):
+    # cone_part2 joins with n2 components, so its cost is linear in n2; the
+    # cap keeps it bounded, and one past the cap is a syntax error.
+    source = f"category A over P(5) primitive [1, 1];\ncheck cone_part2(A, n2={MAX_N2});\n"
+    path = write(tmp_path, "cap.hpd", source)
+    with time_budget(2.0, "cone_part2 at the n2 cap"):
+        code = main(["check", path])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("check cone_part2: pass (")
+
+    path = write(tmp_path, "past-cap.hpd", source.replace(f"={MAX_N2}", f"={MAX_N2 + 1}"))
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"{path}:2:24: n2 must be at most {MAX_N2}\n"
 
 
 # -- fuzzing: every input ends in a documented exit code -------------------------

@@ -475,6 +475,13 @@ MALFORMED = [
         ("0", 1),
     ),
     (
+        "huge-n2",
+        "category A over P(3) primitive [1, 1];\n"
+        "check cone_part2(A, n2=1000000000000000000000000000000);",
+        DslSyntaxError,
+        (2, 24),
+    ),
+    (
         "left-total-mismatch",
         "category A over P(3) primitive [2] left [1];",
         LeftRightMismatch,
@@ -587,7 +594,7 @@ MALFORMED = [
 ]
 
 # The exact text of the diagnostic of each MALFORMED case that checks a word,
-# an arity, a keyword or the length of an integer literal.
+# an arity, a keyword, the length of an integer literal or the range of n2.
 DIAGNOSTIC_TEXT = {
     "check-arity": "1:1: check 'main_theorem' takes 2 categories, got 1",
     "check-arity-too-many": "1:37: check 'cone_part1' takes 1 categories, got 2",
@@ -605,6 +612,7 @@ DIAGNOSTIC_TEXT = {
     "long-literal-in-primitive": "1:40: integer literal longer than 4300 digits",
     "long-literal-in-rank": "1:19: integer literal longer than 4300 digits",
     "long-literal-in-n2": "2:24: integer literal longer than 4300 digits",
+    "huge-n2": "2:24: n2 must be at most 100000",
 }
 
 

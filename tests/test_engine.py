@@ -26,7 +26,6 @@ from hpdcalc.engine import (
     projective_bundle_sod,
     refined_blowup_profile,
     ruled_join_components,
-    two_hyperplane_rank,
     universal_hyperplane_sod,
 )
 from hpdcalc.errors import (
@@ -60,6 +59,7 @@ from support import (
     ref_ruled_join,
     ref_total,
     renamed,
+    two_hyperplane_rank,
 )
 
 E = sym("e")
@@ -176,15 +176,21 @@ def test_hpd_total_matches_integer_reference(p, assignment):
 
 
 def test_two_hyperplane_rank():
-    assert two_hyperplane_rank(1, 1, 0, 3) == 1
+    def pair_total(p, q, **declarations):
+        ws = Workspace.build(categories=[p, q], **declarations)
+        return n_hyperplane_sod([p, q], ws).h_total
+
+    assert pair_total(point("A"), point("B"), disjoint_sets=[("A", "B")]) == 1
 
     a1, a2 = sym("a1"), sym("a2")
-    disjoint = two_hyperplane_rank(a1, a2, 0, 7)
+    p, q = build_profile("A", 7, [a1]), build_profile("B", 7, [a2])
+    disjoint = pair_total(p, q, disjoint_sets=[("A", "B")])
     # Disjoint case: the incidence is a bundle of projective spaces of
     # dimension N-3 over the product, so the bundle formula is an oracle.
     assert disjoint == projective_bundle_sod("AxB", a1 * a2, 5).total()
 
-    assert two_hyperplane_rank(10, 10, E, 10) == E + 800
+    p, q = gr25(), renamed(gr25(), "Gr25g")
+    assert pair_total(p, q, intersections={("Gr25", "Gr25g"): E}) == E + 800
 
 
 def test_n_hyperplane_specializes_to_universal():
@@ -259,6 +265,17 @@ def test_n_hyperplane_resolution_rules():
 
     disjoint = Workspace.build(categories=[p, q], disjoint_sets=[("A", "B")])
     assert n_hyperplane_sod([p, q], disjoint).h_total == 2
+
+    # Workspace.build drops the zero intersection of a grouped pair; a
+    # workspace built directly keeps it, and it agrees with the group.
+    declared_zero = Workspace(
+        categories={"A": p, "B": q},
+        intersections={("A", "B"): const(0)},
+        disjoint_sets=(frozenset(["A", "B"]),),
+    )
+    result = n_hyperplane_sod([p, q], declared_zero)
+    assert result.h_total == 2
+    assert deep_component([p, q], declared_zero) == result.c_invariant == 2
 
 
 def test_a_grouped_pair_with_a_declared_intersection_conflicts():
@@ -335,12 +352,11 @@ def test_deep_component_matches_the_recursive_reference(case, assignment):
         return ws.intersection(*names).evaluate(assignment) + (N - 2) * totals[0] * totals[1]
 
     expected = ref_deep_component(N, values, total_of)
-    deep, warnings = deep_component(profiles, ws)
+    deep = deep_component(profiles, ws)
     result = n_hyperplane_sod(profiles, ws)
     assert deep.evaluate(assignment) == expected
     assert result.c_invariant.evaluate(assignment) == expected
     assert result.sod.blocks[0].invariant == result.c_invariant == deep
-    assert warnings == result.warnings
 
 
 # Workspaces in which the full set lies in no disjoint group, though some of
@@ -448,7 +464,7 @@ def test_closed_form_matches_the_subset_walk(case):
     # Same value, or the same first error, as the inclusion-exclusion sum over
     # the depth-first subset walk, for the deep component and every block.
     profiles, ws = case
-    deep = _outcome(lambda: deep_component(profiles, ws)[0])
+    deep = _outcome(deep_component, profiles, ws)
     assert deep == _outcome(ref_deep_component_walk, profiles, ws)
     sod = _outcome(lambda: _sod_values(n_hyperplane_sod(profiles, ws)))
     assert sod == _outcome(ref_n_hyperplane_walk, profiles, ws)
@@ -745,7 +761,7 @@ def test_split_deep_component_is_the_join_of_small_duals(data):
     _, rhs = engine._leave_one_out(
         [p.component_rank(0) for p in profiles], [hpd_total(p) for p in profiles]
     )
-    deep, _ = deep_component(enlarged, split_ws)
+    deep = deep_component(enlarged, split_ws)
     assert deep == rhs == ref_deep_component_walk(enlarged, split_ws)
 
 
@@ -759,7 +775,7 @@ def test_n_hyperplane_resolves_each_subset_once(monkeypatch):
     # Only the full set is resolved: every proper subset of one disjoint group
     # takes the disjointness formula, which the closed form folds in.
     profiles, ws = _six_disjoint_triples()
-    calls = count_calls(monkeypatch, engine, "_resolve_h_total")
+    calls = count_calls(monkeypatch, engine, "_excess")
     result = n_hyperplane_sod(profiles, ws)
     assert len(result.sod.blocks) == 3**6
     assert len(calls) == 1
@@ -791,9 +807,9 @@ def test_n_hyperplane_skips_products_for_length_one_factors(monkeypatch):
 
 @pytest.mark.parametrize("copies", [1, 2])
 def test_deep_component_multiplies_linearly_in_n(copies, monkeypatch):
-    # n products for the full set's disjointness total and its (N - n) factor,
-    # 3 per profile for the closed form and its N factor: 4n + 2, where the
-    # inclusion-exclusion sum needs products over subsets.
+    # 3 products per profile for the closed form and 1 for its N factor:
+    # 3n + 1, where the inclusion-exclusion sum needs products over subsets.
+    # The disjoint set's excess is 0 and costs none.
     x = sym("x")
     lengths = (2, 2, 1, 1, 1, 1) * copies
     profiles = [
@@ -803,8 +819,8 @@ def test_deep_component_multiplies_linearly_in_n(copies, monkeypatch):
     ws = Workspace.build(categories=profiles, disjoint_sets=[[p.name for p in profiles]])
     calls = count_calls(monkeypatch, InvariantExpr, "__mul__")
     monkeypatch.setattr(InvariantExpr, "__rmul__", InvariantExpr.__mul__)
-    deep, _ = deep_component(profiles, ws)
-    assert len(calls) == 4 * len(profiles) + 2
+    deep = deep_component(profiles, ws)
+    assert len(calls) == 3 * len(profiles) + 1
     monkeypatch.undo()
     expected = ref_deep_component_walk(profiles, ws)
     assert deep == expected == n_hyperplane_sod(profiles, ws).c_invariant
