@@ -8,6 +8,7 @@ decompositions to emit; the produced report is compared field-for-field
 from __future__ import annotations
 
 import difflib
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -71,7 +72,9 @@ def _case(name: str) -> CatalogCase:
         ) from None
 
 
+@functools.cache
 def _data_dir():
+    """The case sources and goldens, found once per process."""
     return resources.files(__package__) / "_catalog"
 
 

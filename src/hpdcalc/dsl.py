@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .checks import (
     CheckResult,
@@ -38,7 +38,7 @@ from .errors import (
 from .model import (
     LefschetzProfile, Workspace, _drop_grouped_pairs, _group_index, _pair_key, build_profile
 )
-from .poly import InvariantExpr, PolyParser, tokenize
+from .poly import InvariantExpr, Lexed, PolyParser, tokenize
 from .report import check_row
 
 __all__ = [
@@ -96,60 +96,84 @@ _KEYWORDS = frozenset(
 
 
 # -- syntax tree -------------------------------------------------------------------
+#
+# Named tuples, cheap to build. A node keeps positions as piece indexes into its
+# source (`at`: its first word), which `span`, `names`, `args` and `symbol_uses`
+# resolve to (line, column) when read.
+
+_span = property(lambda node: node.src.span(node.at))
 
 
-@dataclass(frozen=True)
-class PolyNode:
-    """A parsed polynomial plus the spans of the symbols it mentions."""
+def _pairs(field: str) -> property:
+    """The (word, span) pairs of the piece indexes a node keeps in `field`."""
+    return property(
+        lambda node: tuple((node.src.words[i], node.src.span(i)) for i in getattr(node, field))
+    )
+
+
+class PolyNode(NamedTuple):
+    """A parsed polynomial plus the pieces of the symbols it mentions."""
 
     expr: InvariantExpr
-    span: Span
-    symbol_uses: tuple[tuple[str, Span], ...]
+    uses_at: tuple[int, ...]
+    at: int
+    src: Lexed
+    span = _span
+    symbol_uses = _pairs("uses_at")
 
 
-@dataclass(frozen=True)
-class SymbolDecl:
-    names: tuple[tuple[str, Span], ...]
-    span: Span
+class SymbolDecl(NamedTuple):
+    names_at: tuple[int, ...]
+    at: int
+    src: Lexed
+    span = _span
+    names = _pairs("names_at")
 
 
-@dataclass(frozen=True)
-class CategoryDecl:
+class CategoryDecl(NamedTuple):
     name: str
     rank: int
     primitives: tuple[PolyNode, ...]
     left: tuple[PolyNode, ...] | None
-    span: Span
+    at: int
+    src: Lexed
+    span = _span
 
 
-@dataclass(frozen=True)
-class IntersectDecl:
+class IntersectDecl(NamedTuple):
     first: str
     second: str
     rank: int
     value: PolyNode
-    span: Span
+    at: int
+    src: Lexed
+    span = _span
 
 
-@dataclass(frozen=True)
-class DisjointDecl:
-    names: tuple[tuple[str, Span], ...]
-    span: Span
+class DisjointDecl(NamedTuple):
+    names_at: tuple[int, ...]
+    at: int
+    src: Lexed
+    span = _span
+    names = _pairs("names_at")
 
 
-@dataclass(frozen=True)
-class DualDecl:
+class DualDecl(NamedTuple):
     name: str
     primitives: tuple[PolyNode, ...]
-    span: Span
+    at: int
+    src: Lexed
+    span = _span
 
 
-@dataclass(frozen=True)
-class CheckStmt:
+class CheckStmt(NamedTuple):
     check: str
-    args: tuple[tuple[str, Span], ...]
+    args_at: tuple[int, ...]
     n2: int | None
-    span: Span
+    at: int
+    src: Lexed
+    span = _span
+    args = _pairs("args_at")
 
 
 Statement = SymbolDecl | CategoryDecl | IntersectDecl | DisjointDecl | DualDecl | CheckStmt
@@ -182,20 +206,15 @@ class _Parser(PolyParser):
         self.pos = i + 1
         return self.int_value(i), i
 
-    def named(self, i: int) -> tuple[str, Span]:
-        """The word of piece `i` and its span."""
-        return self.words[i], self.span(i)
-
     def parse_poly(self) -> PolyNode:
-        uses: list[tuple[str, Span]] = []
-        start = self.span(self.pos)
-        expr = self.poly_sum(uses)
-        return PolyNode(expr, start, tuple(uses))
+        at, uses = self.pos, []
+        return PolyNode(self.poly_sum(uses), tuple(uses), at, self.lexed)
 
     def parse_poly_list(self) -> tuple[PolyNode, ...]:
+        """'[' sum (',' sum)* ']', read in one loop."""
         self.expect("[")
-        items = [self.parse_poly()]
-        while self.accept(","):
+        items: list[PolyNode] = []
+        while not items or self.accept(","):
             items.append(self.parse_poly())
         self.expect("]")
         return tuple(items)
@@ -207,10 +226,10 @@ class _Parser(PolyParser):
         self.expect(")")
         return rank
 
-    def parse_name_list(self) -> tuple[tuple[str, Span], ...]:
-        names = [self.named(self.expect_ident())]
+    def parse_name_list(self) -> tuple[int, ...]:
+        names = [self.expect_ident()]
         while self.accept(","):
-            names.append(self.named(self.expect_ident()))
+            names.append(self.expect_ident())
         return tuple(names)
 
     # -- statements ----------------------------------------------------------------
@@ -230,16 +249,16 @@ class _Parser(PolyParser):
                 raise DslSyntaxError(f"{word!r} cannot start a statement", self.span(i))
             raise self.unexpected("a statement keyword")
         self.pos = i + 1
-        return handler(self, self.span(i))
+        return handler(self, i)
 
-    # Each handler starts past its keyword, whose span it is given.
+    # Each handler starts past its keyword, whose piece index `at` it is given.
 
-    def _stmt_symbol(self, span: Span) -> SymbolDecl:
+    def _stmt_symbol(self, at: int) -> SymbolDecl:
         names = self.parse_name_list()
         self.expect(";")
-        return SymbolDecl(names, span)
+        return SymbolDecl(names, at, self.lexed)
 
-    def _stmt_category(self, span: Span) -> CategoryDecl:
+    def _stmt_category(self, at: int) -> CategoryDecl:
         name = self.words[self.expect_ident("category name")]
         self.expect("over")
         rank = self.parse_rank()
@@ -249,9 +268,9 @@ class _Parser(PolyParser):
         if self.accept("left"):
             left = self.parse_poly_list()
         self.expect(";")
-        return CategoryDecl(name, rank, primitives, left, span)
+        return CategoryDecl(name, rank, primitives, left, at, self.lexed)
 
-    def _stmt_intersect(self, span: Span) -> IntersectDecl:
+    def _stmt_intersect(self, at: int) -> IntersectDecl:
         first = self.words[self.expect_ident("category name")]
         self.expect(",")
         second = self.words[self.expect_ident("category name")]
@@ -260,23 +279,23 @@ class _Parser(PolyParser):
         self.expect("=")
         value = self.parse_poly()
         self.expect(";")
-        return IntersectDecl(first, second, rank, value, span)
+        return IntersectDecl(first, second, rank, value, at, self.lexed)
 
-    def _stmt_disjoint(self, span: Span) -> DisjointDecl:
+    def _stmt_disjoint(self, at: int) -> DisjointDecl:
         names = self.parse_name_list()
         if len(names) < 2:
-            raise DslSyntaxError("disjoint declarations need at least two names", span)
+            raise DslSyntaxError("disjoint declarations need at least two names", self.span(at))
         self.expect(";")
-        return DisjointDecl(names, span)
+        return DisjointDecl(names, at, self.lexed)
 
-    def _stmt_dual(self, span: Span) -> DualDecl:
+    def _stmt_dual(self, at: int) -> DualDecl:
         name = self.words[self.expect_ident("category name")]
         self.expect("primitive")
         primitives = self.parse_poly_list()
         self.expect(";")
-        return DualDecl(name, primitives, span)
+        return DualDecl(name, primitives, at, self.lexed)
 
-    def _stmt_check(self, span: Span) -> CheckStmt:
+    def _stmt_check(self, at: int) -> CheckStmt:
         i = self.expect_ident("check name")
         name = self.words[i]
         if name not in CHECK_NAMES:
@@ -286,7 +305,7 @@ class _Parser(PolyParser):
             )
         lo, hi, takes_n2, _ = _CHECKS[name]
         self.expect("(")
-        args: list[tuple[str, Span]] = []
+        args: list[int] = []
         n2: int | None = None
         while True:
             i = self.expect_ident("category name or keyword")
@@ -309,17 +328,19 @@ class _Parser(PolyParser):
                     raise DslSyntaxError(
                         "positional arguments may not follow keyword arguments", self.span(i)
                     )
-                args.append(self.named(i))
+                args.append(i)
             if not self.accept(","):
                 break
         self.expect(")")
         self.expect(";")
         if len(args) < lo or (hi is not None and len(args) > hi):
             wanted = str(lo) if hi == lo else f"at least {lo}"
-            raise DslSyntaxError(f"check {name!r} takes {wanted} categories, got {len(args)}", span)
+            raise DslSyntaxError(
+                f"check {name!r} takes {wanted} categories, got {len(args)}", self.span(at)
+            )
         if takes_n2 and n2 is None:
-            raise DslSyntaxError(f"check {name!r} requires n2=<rank>", span)
-        return CheckStmt(name, tuple(args), n2, span)
+            raise DslSyntaxError(f"check {name!r} requires n2=<rank>", self.span(at))
+        return CheckStmt(name, tuple(args), n2, at, self.lexed)
 
     # Statement keyword -> handler, built once with the class.
     _STATEMENTS = {
@@ -335,6 +356,8 @@ class _Parser(PolyParser):
 def parse(text: str) -> Ast:
     """Parse source text into a statement list; raises DslSyntaxError with a span.
 
+    The tree keeps piece indexes, not positions: a (line, column) is resolved
+    from the lexed text only when a node's span is read or an error is raised.
     Parsing allocates many words and nodes and no reference cycles, so the
     cyclic garbage collector, whose passes would rescan every node built so
     far, is paused while it runs and left after as it was found.
@@ -351,10 +374,12 @@ def parse(text: str) -> Ast:
 # -- validation ---------------------------------------------------------------------
 
 
-def _check_poly_symbols(node: PolyNode, symbols: set[str]) -> None:
-    for name, span in node.symbol_uses:
-        if name not in symbols:
-            raise UnknownSymbol(f"symbol {name!r} is not declared", span)
+def _check_poly_symbols(nodes: Sequence[PolyNode], symbols: set[str]) -> None:
+    for node in nodes:
+        words = node.src.words
+        for i in node.uses_at:
+            if words[i] not in symbols:
+                raise UnknownSymbol(f"symbol {words[i]!r} is not declared", node.src.span(i))
 
 
 def _with_span(err: HpdcalcError, span: Span) -> HpdcalcError:
@@ -369,16 +394,17 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
     Declaration order never matters: names are collected in a first pass, so
     forward references validate cleanly. `allow_nonmoderate` admits profiles
     with length >= ambient rank; duality-consuming operations still reject
-    them at run time.
+    them at run time. Only the error raised resolves a position.
     """
     symbols: set[str] = set()
     category_decls: dict[str, CategoryDecl] = {}
 
     for stmt in ast.statements:
         if isinstance(stmt, SymbolDecl):
-            for name, span in stmt.names:
+            for i in stmt.names_at:
+                name = stmt.src.words[i]
                 if name in symbols:
-                    raise DuplicateDeclaration(f"symbol {name!r} declared twice", span)
+                    raise DuplicateDeclaration(f"symbol {name!r} declared twice", stmt.src.span(i))
                 symbols.add(name)
         elif isinstance(stmt, CategoryDecl):
             if stmt.name in category_decls:
@@ -397,8 +423,7 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
     for stmt in category_decls.values():
         if stmt.rank < 2:
             raise DslSyntaxError("ambient rank must be at least 2", stmt.span)
-        for node in stmt.primitives + (stmt.left or ()):
-            _check_poly_symbols(node, symbols)
+        _check_poly_symbols(stmt.primitives + (stmt.left or ()), symbols)
         try:
             categories.append(
                 build_profile(
@@ -412,21 +437,21 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
         except HpdcalcError as err:
             raise _with_span(err, stmt.span)
 
-    def require_category(name: str, span: Span) -> CategoryDecl:
+    def require_category(name: str, src: Lexed, at: int) -> CategoryDecl:
         decl = category_decls.get(name)
         if decl is None:
-            raise UnknownCategory(f"unknown category {name!r}", span)
+            raise UnknownCategory(f"unknown category {name!r}", src.span(at))
         return decl
 
     intersections: dict[tuple[str, str], InvariantExpr] = {}
-    intersect_spans: dict[tuple[str, str], Span] = {}
+    intersect_decls: dict[tuple[str, str], IntersectDecl] = {}
     disjoint_sets: list[tuple[str, ...]] = []
     dual_profiles: dict[str, LefschetzProfile] = {}
 
     for stmt in ast.statements:
         if isinstance(stmt, IntersectDecl):
-            a = require_category(stmt.first, stmt.span)
-            b = require_category(stmt.second, stmt.span)
+            a = require_category(stmt.first, stmt.src, stmt.at)
+            b = require_category(stmt.second, stmt.src, stmt.at)
             if a.rank != stmt.rank or b.rank != stmt.rank:
                 raise AmbientMismatch(
                     f"intersection declared over P({stmt.rank}) but {stmt.first} and "
@@ -434,29 +459,30 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
                     stmt.span,
                 )
             key = _pair_key(stmt.first, stmt.second)
-            if key in intersect_spans:
+            if key in intersect_decls:
                 raise DuplicateDeclaration(
                     f"intersection of {key[0]}, {key[1]} declared twice", stmt.span
                 )
-            intersect_spans[key] = stmt.span
-            _check_poly_symbols(stmt.value, symbols)
+            intersect_decls[key] = stmt
+            _check_poly_symbols((stmt.value,), symbols)
             intersections[key] = stmt.value.expr
         elif isinstance(stmt, DisjointDecl):
+            names = tuple(stmt.src.words[i] for i in stmt.names_at)
             listed: set[str] = set()
-            for name, span in stmt.names:
-                require_category(name, span)
+            for name, i in zip(names, stmt.names_at):
+                require_category(name, stmt.src, i)
                 if name in listed:
                     raise DuplicateDeclaration(
-                        f"category {name!r} listed twice in one disjointness group", span
+                        f"category {name!r} listed twice in one disjointness group",
+                        stmt.src.span(i),
                     )
                 listed.add(name)
-            disjoint_sets.append(tuple(name for name, _ in stmt.names))
+            disjoint_sets.append(names)
         elif isinstance(stmt, DualDecl):
-            decl = require_category(stmt.name, stmt.span)
+            decl = require_category(stmt.name, stmt.src, stmt.at)
             if stmt.name in dual_profiles:
                 raise DuplicateDeclaration(f"dual of {stmt.name!r} declared twice", stmt.span)
-            for node in stmt.primitives:
-                _check_poly_symbols(node, symbols)
+            _check_poly_symbols(stmt.primitives, symbols)
             try:
                 dual_profiles[stmt.name] = build_profile(
                     stmt.name,
@@ -467,15 +493,15 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
             except HpdcalcError as err:
                 raise _with_span(err, stmt.span)
         elif isinstance(stmt, CheckStmt):
-            for name, span in stmt.args:
-                require_category(name, span)
+            for i in stmt.args_at:
+                require_category(stmt.src.words[i], stmt.src, i)
 
     try:
         return Workspace.build(symbols, categories, intersections, disjoint_sets, dual_profiles)
     except ConflictingIntersection:
         # Workspace.build ranks conflicts by canonical group order, a file by declaration order.
         (pair, message), *_ = _drop_grouped_pairs(_group_index(disjoint_sets), intersections)[1]
-        raise ConflictingIntersection(message, intersect_spans[pair]) from None
+        raise ConflictingIntersection(message, intersect_decls[pair].span) from None
 
 
 def check_requests(ast: Ast) -> tuple[CheckStmt, ...]:
@@ -485,7 +511,7 @@ def check_requests(ast: Ast) -> tuple[CheckStmt, ...]:
 
 def run_check(stmt: CheckStmt, ws: Workspace) -> CheckResult:
     """Execute one check statement against a validated workspace."""
-    profiles = [ws.category(name) for name, _ in stmt.args]
+    profiles = [ws.category(stmt.src.words[i]) for i in stmt.args_at]
     return _CHECKS[stmt.check][3](profiles, stmt, ws)
 
 

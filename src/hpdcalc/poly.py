@@ -28,22 +28,24 @@ into one raw term dict and makes it canonical once, at the end; a product of
 integers, names and unary signs folds into one coefficient and one monomial,
 and only a parenthesized factor multiplies term dicts. `tokenize` lexes each
 line with one `findall` of a compiled pattern whose pieces include their
-leading blanks, into three flat lists: the words, each piece's end offset (the
-running sum of the piece lengths) and its line. It builds no object per piece.
-The parser reads the words with a piece index as its cursor and tells a word's
-kind from the word itself; a (line, column) position is computed only for a
-span the syntax tree keeps or an error reports. A line the pieces do not
-cover, because it holds a non-ASCII or unexpected character, is lexed one word
-at a time instead, and identifiers with non-ASCII characters follow the
+leading blanks, and keeps only the words, in one flat list, and the index of
+each line's first word. It builds no object per piece and computes no
+position. The parser reads the words with a piece index as its cursor, tells
+a word's kind from the word itself, and keeps piece indexes as positions; a
+(line, column) is resolved only when a diagnostic or a reader asks for one,
+by re-lexing that one line (`Lexed.span`). A line the pieces do not cover,
+because it holds a non-ASCII or unexpected character, is lexed one word at a
+time instead, and identifiers with non-ASCII characters follow the
 `str.isidentifier` rule.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from typing import Collection, Iterable, Mapping, Sequence, Union
+from itertools import accumulate
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DslSyntaxError, Span
 
@@ -371,94 +373,115 @@ MAX_NESTING = 100
 MAX_INT_DIGITS = 4300
 
 
-# The lexer's output: each piece's word, the column just past the piece's end
-# (0-based) and its line. The last piece is the empty word, the end of input.
-Lexed = tuple[list[str], list[int], list[int]]
-
 # Optional horizontal whitespace (" \t\r" only), then one word of the ASCII
-# grammar: an integer of ASCII digits, an ASCII identifier or a punctuation
-# mark. `tokenize` cuts each line's comment off and finds these pieces in the
-# rest; where they do not cover it, the line has a character outside ASCII or
-# outside the grammar, and `_lex_stepwise` reads it one word at a time.
-_PIECES = re.compile(r"[ \t\r]*(?:[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[,;\[\]()=+*-])")
+# grammar: a punctuation mark (the most frequent kind, so tried first), an
+# integer of ASCII digits or an ASCII identifier. `_line_pieces` cuts a line's
+# comment off and finds these pieces in the rest; where they do not cover it,
+# the line has a character outside ASCII or outside the grammar, and
+# `_lex_stepwise` reads it one word at a time.
+_PIECES = re.compile(r"[ \t\r]*(?:[,;\[\]()=+*-]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*)")
 _BLANKS = re.compile(r"[ \t\r]*")
 
 
+class Lexed(NamedTuple):
+    """The lexer's output. `words` ends with the empty word, the end of input;
+    `starts[k]` is the index of the first word on or after line k + 1 of
+    `rows`, the text's lines. `span` re-lexes a word's line to place it, and
+    keeps that line's piece ends in `ends`, so its other words cost no lexing.
+    """
+
+    words: list[str]
+    starts: list[int]
+    rows: list[str]
+    ends: dict[int, list[int]]
+
+    def __repr__(self) -> str:  # short: every node of a syntax tree holds one
+        return f"Lexed(<{len(self.words)} words on {len(self.rows)} lines>)"
+
+    def span(self, i: int) -> Span:
+        """The (line, column) where piece `i` starts."""
+        rows = self.rows
+        if i == len(self.words) - 1:
+            # The end of input follows the last line, or starts where its comment does.
+            return (len(rows), len(rows[-1].partition("#")[0]) + 1)
+        index = bisect_right(self.starts, i) - 1
+        ends = self.ends.get(index)
+        if ends is None:
+            pieces = _line_pieces(rows[index], index + 1)
+            ends = self.ends[index] = list(accumulate(map(len, pieces)))
+        return (index + 1, ends[i - self.starts[index]] - len(self.words[i]) + 1)
+
+
 def tokenize(text: str) -> Lexed:
-    """The declaration language's words, with the end column and line of each
-    (`#` starts a comment). A word's kind is read from the word itself: the
-    empty word is the end of input, ASCII digits an integer, an identifier a
-    name or keyword, and any other word a punctuation mark."""
-    lexed: Lexed = ([], [], [])
-    words, ends, lines = lexed
-    findall = _PIECES.findall
-    for line, row in enumerate(text.split("\n"), 1):
-        code = row.partition("#")[0].rstrip(" \t\r")
-        pieces = findall(code)
-        if pieces:
-            mark = len(ends)
-            ends.extend(accumulate(map(len, pieces)))
-            # The pieces never overlap, so they cover the line when their lengths add up.
-            if ends[-1] == len(code):
-                words.extend(map(str.lstrip, pieces))
-                lines.extend(repeat(line, len(pieces)))
-                continue
-            del ends[mark:]
-        if code:
-            _lex_stepwise(code, line, lexed)
-    # The end of input follows the last line, or starts where its comment does.
+    """The declaration language's words, line by line (`#` starts a comment).
+    A word's kind is read from the word itself: the empty word is the end of
+    input, ASCII digits an integer, an identifier a name or keyword, and any
+    other word a punctuation mark."""
+    rows = text.split("\n")
+    words: list[str] = []
+    starts: list[int] = []
+    for line, row in enumerate(rows, 1):
+        starts.append(len(words))
+        words.extend(map(str.lstrip, _line_pieces(row, line)))
     words.append("")
-    ends.append(len(row.partition("#")[0]))
-    lines.append(line)
-    return lexed
+    return Lexed(words, starts, rows, {})
 
 
-def _lex_stepwise(code: str, line: int, lexed: Lexed) -> None:
-    """Add the words of one line's code, matched one at a time: identifiers
-    take the characters that keep them valid identifiers by the
-    `str.isidentifier` rule, and any other character outside the grammar is
-    an error."""
-    words, ends, lines = lexed
+def _line_pieces(row: str, line: int) -> list[str]:
+    """The pieces of one line's code, each a word with its leading blanks:
+    one `findall` where the pieces cover the code, else `_lex_stepwise`."""
+    code = row.partition("#")[0].rstrip(" \t\r")
+    pieces = _PIECES.findall(code)
+    # The pieces never overlap, so they cover the code when their lengths add up.
+    if sum(map(len, pieces)) == len(code):
+        return pieces
+    return _lex_stepwise(code, line)
+
+
+def _lex_stepwise(code: str, line: int) -> list[str]:
+    """The pieces of one line's code, matched one at a time: identifiers take
+    the characters that keep them valid identifiers by the `str.isidentifier`
+    rule, and any other character outside the grammar is an error."""
+    pieces = []
     n = len(code)
     i = 0
     while i < n:
         start = _BLANKS.match(code, i).end()
         if code[start].isidentifier():
-            i = start + 1
-            while i < n and ("_" + code[i]).isidentifier():
-                i += 1
+            end = start + 1
+            while end < n and ("_" + code[end]).isidentifier():
+                end += 1
         else:
             m = _PIECES.match(code, start)
             if not m:
                 raise DslSyntaxError(f"unexpected character {code[start]!r}", (line, start + 1))
-            i = m.end()
-        words.append(code[start:i])
-        ends.append(i)
-        lines.append(line)
+            end = m.end()
+        pieces.append(code[i:end])
+        i = end
+    return pieces
 
 
 class PolyParser:
-    """Cursor over the lexed words plus the recursive-descent polynomial grammar.
+    """Cursor over the lexed words plus the polynomial grammar.
 
-    The cursor `pos` is a piece index. A piece's (line, column) span is
-    computed by `span` only where the syntax tree keeps it or an error reports
-    it. Errors are DslSyntaxError with the offending piece's span; the
-    declaration parser extends this class with its statements. A polynomial
-    accumulates in raw term dicts keyed by sorted monomials, and becomes a
-    canonical value once, at the end of `poly_sum`. `_product` reads every
-    integer, name and unary sign, and `_factor` only a parenthesized group. A
-    sign multiplies the product's coefficient by -1: it applies to the next
-    factor, and the product commutes, so this is exact.
+    The cursor `pos` is a piece index, and so is every position the parser
+    keeps: a symbol use is recorded as its piece index, and `span` resolves
+    one to (line, column) only for an error. Errors are DslSyntaxError with
+    the offending piece's span; the declaration parser extends this class
+    with its statements. A polynomial accumulates in raw term dicts keyed by
+    sorted monomials, and becomes a canonical value once, at the end of
+    `poly_sum`. `_sum` reads a whole sum in one loop: every integer, name and
+    sign of each product, and only a parenthesized factor takes a call
+    (`_factor`). A unary sign multiplies the product's coefficient by -1: it
+    applies to the next factor, and the product commutes, so this is exact.
     """
 
     def __init__(self, lexed: Lexed) -> None:
-        self.words, self.ends, self.lines = lexed
+        self.lexed = lexed
+        self.words = lexed.words
+        self.span = lexed.span  # the (line, column) where a piece starts
         self.pos = 0
         self.depth = 0
-
-    def span(self, i: int) -> Span:
-        """The (line, column) where piece `i` starts."""
-        return (self.lines[i], self.ends[i] - len(self.words[i]) + 1)
 
     def unexpected(self, what: str) -> DslSyntaxError:
         """The error for a word at the cursor that is not `what`."""
@@ -476,8 +499,9 @@ class PolyParser:
 
     def expect(self, word: str) -> None:
         """Pass the punctuation mark or keyword `word` at the cursor."""
-        if not self.accept(word):
+        if self.words[self.pos] != word:
             raise self.unexpected(repr(word))
+        self.pos += 1
 
     def int_value(self, i: int) -> int:
         """The value of integer piece `i`, at most MAX_INT_DIGITS digits long."""
@@ -488,63 +512,62 @@ class PolyParser:
             )
         return int(word)
 
-    def poly_sum(self, uses: list[tuple[str, Span]]) -> InvariantExpr:
-        """sum := product (('+' | '-') product)*; appends each symbol use to `uses`."""
+    def poly_sum(self, uses: list[int]) -> InvariantExpr:
+        """A sum as a canonical value; appends the piece index of each symbol use to `uses`."""
         return InvariantExpr._canonical(_collected(self._sum(uses)))
 
-    def _sum(self, uses) -> dict[Monomial, int]:
+    def _sum(self, uses: list[int]) -> dict[Monomial, int]:
+        """sum := product (('+' | '-') product)*, with product := factor ('*'
+        factor)* and factor := ('+' | '-')* (int | name | '(' sum ')')."""
         acc: dict[Monomial, int] = {}
         words = self.words
-        sign = 1
+        i = self.pos
+        coeff, names, factors = 1, [], None
         while True:
-            self._product(uses, acc, sign)
-            word = words[self.pos]
-            if word == "+":
-                sign = 1
-            elif word == "-":
-                sign = -1
-            else:
-                return acc
-            self.pos += 1
-
-    def _product(self, uses, acc: dict[Monomial, int], sign: int) -> None:
-        """product := factor ('*' factor)*, with factor := ('+' | '-')* (int |
-        name | '(' sum ')'), added `sign` times into `acc`."""
-        words = self.words
-        coeff, names, factors = sign, [], None
-        while True:
-            i = self.pos
             word = words[i]
+            i += 1
             if word.isdigit():
-                self.pos = i + 1
-                coeff *= self.int_value(i)
+                # `int_value` raises for a literal past the digit cap.
+                coeff *= int(word) if len(word) <= MAX_INT_DIGITS else self.int_value(i - 1)
             elif word.isidentifier():
-                self.pos = i + 1
-                uses.append((word, self.span(i)))
+                uses.append(i - 1)
                 names.append(word)
             elif word == "-" or word == "+":
                 # A sign binds to the factor after it, so no '*' may follow yet.
-                self.pos = i + 1
-                if word == "-":
-                    coeff = -coeff
+                coeff = -coeff if word == "-" else coeff
                 continue
-            elif factors is None:
-                factors = self._factor(uses)
             else:
-                left, right, factors = factors, self._factor(uses), {}
-                _multiply_into(factors, left.items(), right.items())
-            if words[self.pos] != "*":
-                break
-            self.pos += 1
-        names.sort()
-        mono = tuple(names)
-        if factors is None:
-            acc[mono] = acc.get(mono, 0) + coeff
-        else:
-            _multiply_into(acc, factors.items(), ((mono, coeff),))
+                self.pos = i - 1
+                group = self._factor(uses)
+                i = self.pos
+                if factors is None:
+                    factors = group
+                else:
+                    left, factors = factors, {}
+                    _multiply_into(factors, left.items(), group.items())
+            word = words[i]
+            if word == "*":
+                i += 1
+                continue
+            # The product ends: add it into the sum.
+            names.sort()
+            mono = tuple(names)
+            if factors is None:
+                acc[mono] = acc.get(mono, 0) + coeff
+            else:
+                _multiply_into(acc, factors.items(), ((mono, coeff),))
+            if word == "+":
+                coeff = 1
+            elif word == "-":
+                coeff = -1
+            else:
+                self.pos = i
+                return acc
+            i += 1
+            names, factors = [], None
 
-    def _factor(self, uses) -> dict[Monomial, int]:
-        """The parenthesized factor; `_product` reads every other one."""
+    def _factor(self, uses: list[int]) -> dict[Monomial, int]:
+        """The parenthesized factor; `_sum` reads every other one."""
         i = self.pos
         if not self.accept("("):
             raise self.unexpected("polynomial")

@@ -393,9 +393,10 @@ class Token(NamedTuple):
 
 def token_tuples(lexed: Lexed) -> list[tuple[str, str, Span]]:
     """The (kind, text, span) of each piece `hpdcalc.poly.tokenize` lexed, the
-    form of a `ref_tokenize` token. The kind is read from the word."""
+    form of a `ref_tokenize` token. The kind is read from the word, and the
+    span is resolved for every piece."""
     tokens = []
-    for word, end, line in zip(*lexed):
+    for i, word in enumerate(lexed.words):
         if not word:
             kind = "end"
         elif word[0] in _DIGITS:
@@ -404,7 +405,7 @@ def token_tuples(lexed: Lexed) -> list[tuple[str, str, Span]]:
             kind = "ident"
         else:
             kind = "punct"
-        tokens.append((kind, word, (line, end - len(word) + 1)))
+        tokens.append((kind, word, lexed.span(i)))
     return tokens
 
 

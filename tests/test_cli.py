@@ -12,12 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hpdcalc
-from hpdcalc import catalog, cli
+from hpdcalc import catalog, cli, poly
 from hpdcalc.cli import main
 from hpdcalc.dsl import MAX_N2
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, const
 
-from support import time_budget
+from support import count_calls, time_budget
 
 CATALOG_FILES = sorted((Path(catalog.__file__).parent / "_catalog").glob("*.hpd"))
 
@@ -104,6 +104,22 @@ def test_underdetermined_exits_three(tmp_path, capsys):
     path = write(tmp_path, "open.hpd", source)
     assert main(["check", path]) == 3
     assert "underdetermined" in capsys.readouterr().out
+
+
+def test_underdetermined_dual_profile_resolves_one_position(tmp_path, monkeypatch, capsys):
+    resolved = count_calls(monkeypatch, poly.Lexed, "span")
+    source = (
+        "# no dual is declared\n"
+        "category A over P(6) primitive [1, 1];\n"
+        "  check  dual_profile(A);\n"
+    )
+    path = write(tmp_path, "open.hpd", source)
+    report_path = tmp_path / "open.json"
+    assert main(["check", path, "--json", str(report_path)]) == 3
+    (row,) = json.loads(report_path.read_text())["checks"]
+    assert row["notes"] == ["3:3: dual_profile(A) needs a declared dual profile"]
+    assert len(resolved) == 1
+    assert "(3:3: dual_profile(A) needs" in capsys.readouterr().out
 
 
 def test_repeated_category_needs_a_disjointness_declaration(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import hpdcalc.checks
 import hpdcalc.dsl
+import hpdcalc.poly
 from hpdcalc.dsl import (
     CheckStmt,
     CategoryDecl,
@@ -24,6 +25,7 @@ from hpdcalc.dsl import (
     parse,
     print_canonical,
     run_check,
+    run_check_row,
     validate,
 )
 from hpdcalc.errors import (
@@ -41,7 +43,7 @@ from hpdcalc.errors import (
 from hpdcalc.model import Workspace
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, parse_expr
 
-from support import ref_tokenize, time_budget
+from support import count_calls, ref_tokenize, time_budget
 
 
 def pos(src, needle, occurrence=1):
@@ -144,8 +146,44 @@ def test_crlf_sources_are_accepted():
     assert sorted(ws.categories) == ["A"]
 
 
+def clean_library(count):
+    """A valid file of `count` categories with every statement and check kind,
+    comments and a CRLF line, in which no statement is in error."""
+    lines = ["# a clean library", "symbol a, b;  # two unknowns\r"]
+    for i in range(count):
+        lines.append(f"category L{i} over P(8) primitive [1 + {i % 3}*a, 2*b - b + (a - a)];")
+    lines += [
+        "intersect L0, L1 over P(8) = 1 + a*b;",
+        "disjoint L2, L3, L4;",
+        "dual L5 primitive [0, 0, 0, 0, 0, 1 + 0*a, b];",
+        "check main_theorem(L0, L1);",
+        "check n_hpd_center(L2, L3);",
+        "check cone_part1(L6, n2=2);",
+        "check cone_part2(L7, n2=3);",
+        "check join_linear(L8, L9, L10);",
+        "check dual_profile(L5);",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_clean_file_resolves_no_position(monkeypatch):
+    resolved = count_calls(monkeypatch, hpdcalc.poly.Lexed, "span")
+    ast = parse(clean_library(300))
+    ws = validate(ast)
+    rows = [run_check_row(stmt, ws) for stmt in check_requests(ast)]
+    assert len(ast.statements) == 310
+    assert [row["status"] for row in rows] == ["pass"] * 5 + ["fail"]
+    assert len(repr(ast.statements[-1])) < 200  # the source is not printed with each node
+    assert resolved == []
+    # A position is resolved when read; three on one line re-lex that line once.
+    relexed = count_calls(monkeypatch, hpdcalc.poly, "_line_pieces")
+    (stmt,) = [stmt for stmt in ast.statements if isinstance(stmt, DisjointDecl)]
+    assert stmt.names[-1] == ("L4", pos(clean_library(300), "L4;"))
+    assert (len(resolved), len(relexed)) == (3, 1)
+
+
 def test_a_long_line_of_names_parses_in_linear_time():
-    # Every name keeps a span, and none may cost a scan of the line before it.
+    # Names keep piece indexes; reading their spans lexes the line once, not once per name.
     names = [f"s{i}" for i in range(40_000)]
     src = "symbol " + ", ".join(names) + ";\n"
     with time_budget(1.0, "a symbol line of 40 000 names"):

@@ -10,7 +10,10 @@ in-process `hpdcalc.cli.main` call against `ROOT/src`:
 - `prop` at seeds 1, 3 and 7 (100 cases each) and the
   `--mutate-join-bound` control (seed 1, 150 cases), which exits 1;
 - the first N jobs of each perfbench workload's main stream at seed S, taken
-  from `ROOT/perfbench/workloads.py`.
+  from `ROOT/perfbench/workloads.py`;
+- `check` on each of a fixed set of malformed sources (`MALFORMED`), each of
+  which must exit 2 with its one diagnostic line, so the diff covers the
+  (line, column) of parser, validator and check-stage errors too.
 
 Run it on two checkouts and `diff` the outputs: an empty diff means every
 report byte and exit code is the same. Check files are written under a
@@ -37,6 +40,55 @@ PROP_RUNS = [
     ["--seed", "1", "--cases", "150", "--mutate-join-bound"],
 ]
 
+_CAT = "category A over P(3) primitive [1, 1];\n"
+
+# Name -> source. Between them they blame every kind of position the syntax
+# tree keeps (statement keywords, names, check arguments, symbol uses) and
+# the parser's cursor, on lines after comments, in a CRLF file and on lines
+# with non-ASCII names, which are lexed one word at a time.
+MALFORMED = {
+    "cursor-missing-bracket": "category A over P(3) primitive [1 2];\n",
+    "cursor-missing-paren": "category A over P(3) primitive [1, (2 + 3];\n",
+    "cursor-end-of-input": "symbol x;\ncategory A over P(3) primitive [1, x  # unfinished",
+    "cursor-keyword-start": _CAT + "  over A;\n",
+    "cursor-long-literal-in-sum": "category A over P(3) primitive [1 + 2*" + "7" * 4301 + "];\n",
+    "cursor-long-n2": _CAT + "check cone_part1(A, n2=" + "9" * 4301 + ");\n",
+    "cursor-unknown-check": _CAT + "check main_theorm(A, A);\n",
+    "cursor-n2-zero": _CAT + "check cone_part2(A, n2=0);\n",
+    "cursor-n2-twice": _CAT + "check cone_part1(A, n2=2, n2=3);\n",
+    "cursor-positional-after-n2": _CAT + "check cone_part1(n2=2, A);\n",
+    "cursor-keyword-not-taken": _CAT + "check main_theorem(A, k=2);\n",
+    "statement-arity": _CAT + "check main_theorem(A);\n",
+    "statement-disjoint-one-name": _CAT + "disjoint A;\n",
+    "left-undeclared-symbol": "symbol a;\ncategory A over P(3) primitive [1, a] left [1, q];\n",
+    "intersect-undeclared-symbol": _CAT + "category B over P(3) primitive [1, 1];\n"
+    "intersect A, B over P(3) = 1 + (2 - z) * 3;\n",
+    "disjoint-unknown-category": _CAT + "category B over P(3) primitive [1, 1];\n"
+    "\n# groups\ndisjoint A, B,\n   C;\n",
+    "disjoint-listed-twice": _CAT + "category B over P(3) primitive [1, 1];\ndisjoint A, B, A;\n",
+    "check-unknown-category": _CAT + "check main_theorem(A,  Zed);\n",
+    "symbol-declared-twice": "symbol a, b;\nsymbol c, b;\n",
+    "category-declared-twice": _CAT + "# again\n" + _CAT,
+    "symbol-and-category": "symbol A;\n" + _CAT,
+    "rank-below-two": "category A over P(1) primitive [1];\n",
+    "nonmoderate": "category A over P(2) primitive [1, 1];\n",
+    "ambient-mismatch": _CAT + "category B over P(4) primitive [1, 1];\nintersect A, B over P(3) = 0;\n",
+    "conflicting-intersection": _CAT + "category B over P(3) primitive [1, 1];\n"
+    "disjoint A, B;\nintersect A, B over P(3) = 1;\n",
+    "dual-declared-twice": _CAT + "dual A primitive [1, 1];\ndual A primitive [1, 1];\n",
+    "check-stage-ambient-mismatch": _CAT + "category B over P(4) primitive [1, 1];\n"
+    "check main_theorem(A, B);\n",
+    "crlf-left-undeclared-symbol": "symbol a;\r\ncategory A over P(3) primitive [1, a] left [1, q];\r\n",
+    "crlf-cursor": "symbol a;\r\ncategory A over P(3) primitive [1, a\r\n  left [1];\r\n",
+    "after-comments": "# header\n   # indented note\nsymbol a; # trailing\n"
+    "category A over P(3) primitive [1, a + b];\n",
+    "non-ascii-undeclared-symbol": "symbol \u00e9t\u00e9;\n"
+    "category A over P(3) primitive [1, \u00e9t\u00e9] left [1, \u00e7a + \u00e9t\u00e9];\n",
+    "non-ascii-cursor": "symbol \u00e9t\u00e9;\ncategory A over P(3) primitive [\u00e9t\u00e9 \u00e9t\u00e9];\n",
+    "non-ascii-then-unknown-category": "symbol \u00e9t\u00e9;\n"
+    "category \u00c9 over P(3) primitive [1, \u00e9t\u00e9];\ncheck join_linear(\u00c9, \u00c8);\n",
+}
+
 
 def _digest(*parts: bytes) -> str:
     hasher = hashlib.sha256()
@@ -45,8 +97,8 @@ def _digest(*parts: bytes) -> str:
     return hasher.hexdigest()
 
 
-def _run(cli, argv: list, root: str) -> str:
-    """The digest of one call, with `--json report.json` appended."""
+def _run(cli, argv: list, root: str) -> tuple[int, str]:
+    """The exit code and digest of one call, with `--json report.json` appended."""
     with contextlib.suppress(FileNotFoundError):
         os.remove("report.json")
     out, err = io.StringIO(), io.StringIO()
@@ -59,10 +111,10 @@ def _run(cli, argv: list, root: str) -> str:
         report = b""
     # A traceback names the checkout's own files.
     stderr = err.getvalue().replace(root, "ROOT")
-    return _digest(str(code).encode(), out.getvalue().encode(), stderr.encode(), report)
+    return code, _digest(str(code).encode(), out.getvalue().encode(), stderr.encode(), report)
 
 
-def _check(cli, source: str, root: str) -> str:
+def _check(cli, source: str, root: str) -> tuple[int, str]:
     with open("job.hpd", "w", encoding="utf-8") as handle:
         handle.write(source)
     return _run(cli, ["check", "job.hpd"], root)
@@ -88,22 +140,31 @@ def main(argv: list | None = None) -> int:
             lines.append((_digest(handle.read()), f"golden {os.path.basename(path)}"))
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        lines.append((_run(cli, ["catalog"], root), "catalog"))
+        lines.append((_run(cli, ["catalog"], root)[1], "catalog"))
         for path in sorted(glob.glob(os.path.join(catalog_dir, "*.hpd"))):
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
-            lines.append((_check(cli, source, root), f"check {os.path.basename(path)}"))
+            lines.append((_check(cli, source, root)[1], f"check {os.path.basename(path)}"))
         for prop_args in PROP_RUNS:
-            lines.append((_run(cli, ["prop", *prop_args], root), " ".join(["prop", *prop_args])))
+            lines.append((_run(cli, ["prop", *prop_args], root)[1], " ".join(["prop", *prop_args])))
         for workload in sorted(workloads.WORKLOADS):
             stream = workloads.jobs(workload, args.seed, "main")
             for i, job in enumerate(itertools.islice(stream, args.jobs)):
                 if job.kind == "check":
-                    digest = _check(cli, job.source, root)
+                    _, digest = _check(cli, job.source, root)
                 else:
-                    digest = _run(cli, list(job.args), root)
+                    _, digest = _run(cli, list(job.args), root)
                 lines.append((digest, f"{workload} seed={args.seed} #{i} {job.label}"))
+        wrong = []
+        for name, source in MALFORMED.items():
+            code, digest = _check(cli, source, root)
+            lines.append((digest, f"malformed {name}"))
+            if code != 2:
+                wrong.append(f"{name} (exit {code})")
         os.chdir(start_dir)
+    if wrong:
+        print(f"error: malformed sources that did not exit 2: {', '.join(wrong)}", file=sys.stderr)
+        return 1
     for digest, label in lines:
         print(f"{digest}  {label}")
     return 0
