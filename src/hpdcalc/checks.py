@@ -119,7 +119,9 @@ def check_main_theorem(
     universal hyperplane; the two sides never share a construction step."""
     N = same_ambient(p, q)
     join = join_profile(p, q, workspace, include_boundary_pairs=include_boundary_pairs)
-    lhs = duality_total(N, join.components)
+    # N * c_0 - sum(c) over the N - 1 components c_i = jprime_i + e_invariant;
+    # the refined parts past the head are 0.
+    lhs = duality_total(N, join.head) + join.e_invariant
     deep = deep_component([p, q], workspace)
     notes = [
         INVARIANT_LEVEL_NOTE,

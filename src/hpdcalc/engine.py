@@ -54,7 +54,6 @@ __all__ = [
     "n_hyperplane_sod",
     "deep_component",
     "ruled_join_components",
-    "JoinResult",
     "join_components",
     "join_sod",
     "join_profile",
@@ -101,6 +100,10 @@ def _fiber(parts: Sequence[str], base: str) -> str:
 
 def _pullback(label: str, morphism: str) -> str:
     return f"pullback({label}; {morphism})"
+
+
+def _join(names: Sequence[str]) -> str:
+    return f"join({', '.join(names)})"
 
 
 # -- bundle formulas ----------------------------------------------------------
@@ -359,51 +362,13 @@ def n_join_profile(
     return n_join_components(profiles)
 
 
-@dataclass(frozen=True)
-class JoinResult:
-    """Join of two profiles: N-1 components, each the refined part plus the
-    surviving intersection part."""
-
-    p_name: str
-    q_name: str
-    ambient_rank_N: int
-    jbar: tuple[InvariantExpr, ...]
-    jprime: tuple[InvariantExpr, ...]
-    intersection_invariant: InvariantExpr
-    e_invariant: InvariantExpr
-    components: tuple[InvariantExpr, ...]
-
-    @property
-    def total(self) -> InvariantExpr:
-        return InvariantExpr._combine((1, c) for c in self.components)
-
-    def conserved_total(self) -> InvariantExpr:
-        """Closed form from the blow-up/removal bookkeeping (in terms of the
-        raw intersection invariant); equals `total` under the perp-consistent
-        component bound."""
-        N = self.ambient_rank_N
-        parts = [(1 if i < N - 1 else 1 - N, jbar) for i, jbar in enumerate(self.jbar)]
-        return InvariantExpr._combine([(N - 1, self.intersection_invariant)] + parts)
-
-    def to_sod(self) -> SodExpr:
-        return join_sod([self.p_name, self.q_name], self.components)
-
-
 def join_sod(names: Sequence[str], components: Sequence[InvariantExpr]) -> SodExpr:
     """Decomposition of a join over P(V): component i at twist i."""
-    label = f"join({', '.join(names)})"
-    return SodExpr(BASE_V, tuple(SodBlock(label, i, inv) for i, inv in enumerate(components)))
+    return _sod(BASE_V, _join(names), components)
 
 
-def _refine(
-    components: Sequence[InvariantExpr], r: int, base: InvariantExpr, clip: int
-) -> tuple[list[InvariantExpr], InvariantExpr]:
-    """Refined blow-up over a rank-r subspace, clip >= r - 1: the parts i < r - 1,
-    each components[i] less components[clip] (0 past the end), and the
-    base-locus part, base less every component from r on."""
-    padded = list(components) + [_zero] * (clip + 1 - len(components))
-    parts = [padded[i] - padded[clip] for i in range(r - 1)]
-    return parts, InvariantExpr._combine([(1, base)] + [(-1, c) for c in components[r:]])
+def _sod(space: str, label: str, components: Sequence[InvariantExpr]) -> SodExpr:
+    return SodExpr(space, tuple(SodBlock(label, i, inv) for i, inv in enumerate(components)))
 
 
 def join_components(
@@ -412,7 +377,7 @@ def join_components(
     e: Coercible,
     *,
     include_boundary_pairs: bool = False,
-) -> JoinResult:
+) -> RefinedBlowupResult:
     """Join two profiles given the fiber-product invariant e: the refined blow-up
     of their ruled join over the diagonal rank-N subspace, with base locus e.
 
@@ -421,20 +386,9 @@ def join_components(
     default excludes them, as forced by the orthogonality definition.
     """
     N = same_ambient(p, q)
-    e = InvariantExpr._coerce(e)
     jbar = ruled_join_components(p, q)
-    jprime, e_part = _refine(jbar, N, e, N if include_boundary_pairs else N - 1)
-    components = tuple(jp + e_part for jp in jprime)
-    return JoinResult(
-        p_name=p.name,
-        q_name=q.name,
-        ambient_rank_N=N,
-        jbar=tuple(jbar),
-        jprime=tuple(jprime),
-        intersection_invariant=e,
-        e_invariant=e_part,
-        components=components,
-    )
+    clip = N if include_boundary_pairs else N - 1
+    return _refine(BASE_V, _join([p.name, q.name]), jbar, N, InvariantExpr._coerce(e), clip)
 
 
 def join_profile(
@@ -443,7 +397,7 @@ def join_profile(
     workspace: Workspace,
     *,
     include_boundary_pairs: bool = False,
-) -> JoinResult:
+) -> RefinedBlowupResult:
     """Join with the fiber-product invariant resolved from the workspace."""
     same_ambient(p, q)
     e = workspace.require_intersection(p.name, q.name)
@@ -451,18 +405,15 @@ def join_profile(
 
 
 def profile_from_components(
-    name: str,
-    N: int,
-    components: Sequence[Coercible],
-    *,
-    allow_nonmoderate: bool = False,
+    name: str, N: int, components: Sequence[Coercible]
 ) -> LefschetzProfile:
-    """Rebuild a profile from weakly-descending component invariants."""
+    """Rebuild a profile from weakly-descending component invariants. A list as
+    long as the rank is admitted; every duality operation still refuses it."""
     comps = [InvariantExpr._coerce(c) for c in components]
     while len(comps) > 1 and comps[-1] == _zero:
         comps.pop()
     prims = [a - b for a, b in zip(comps, comps[1:] + [_zero])]
-    return build_profile(name, N, prims, allow_nonmoderate=allow_nonmoderate)
+    return build_profile(name, N, prims, allow_nonmoderate=True)
 
 
 # -- refined blow-up -----------------------------------------------------------
@@ -470,19 +421,69 @@ def profile_from_components(
 
 @dataclass(frozen=True)
 class RefinedBlowupResult:
-    """Components of the refined blow-up over a rank-ell linear subspace."""
+    """Refined blow-up of a component list `jbar` over a rank-r subspace,
+    r = `ambient_rank`, with base-locus invariant `intersection_invariant`.
 
-    name: str
+    Its r - 1 components are the refined parts `jprime` plus the base-locus
+    part `e_invariant`. Only the refined parts up to the last one that can be
+    nonzero are stored (`head`, at most len(jbar) of them); every later part
+    is 0 by construction, so no field grows with r. A join is the refined
+    blow-up of its ruled join over the diagonal rank-N subspace, with base
+    locus the fiber-product invariant e.
+    """
+
+    space: str
+    label: str
     ambient_rank: int
-    c_l_invariant: InvariantExpr
-    components: tuple[InvariantExpr, ...]
+    jbar: tuple[InvariantExpr, ...]
+    intersection_invariant: InvariantExpr
+    head: tuple[InvariantExpr, ...]
+    e_invariant: InvariantExpr
+
+    @property
+    def jprime(self) -> tuple[InvariantExpr, ...]:
+        return self.head + (_zero,) * (self.ambient_rank - 1 - len(self.head))
+
+    @property
+    def components(self) -> tuple[InvariantExpr, ...]:
+        e, zeros = self.e_invariant, self.ambient_rank - 1 - len(self.head)
+        return tuple(part + e for part in self.head) + (e,) * zeros
+
+    @property
+    def total(self) -> InvariantExpr:
+        parts = [(1, part) for part in self.head]
+        return InvariantExpr._combine(parts + [(self.ambient_rank - 1, self.e_invariant)])
+
+    def conserved_total(self) -> InvariantExpr:
+        """Closed form from the blow-up/removal bookkeeping (in terms of the
+        raw base-locus invariant); equals `total` under the perp-consistent
+        component bound."""
+        r = self.ambient_rank
+        parts = [(1 if i < r - 1 else 1 - r, c) for i, c in enumerate(self.jbar)]
+        return InvariantExpr._combine([(r - 1, self.intersection_invariant)] + parts)
 
     def to_sod(self) -> SodExpr:
-        blocks = tuple(
-            SodBlock(_pullback(self.name, "beta"), k, inv)
-            for k, inv in enumerate(self.components)
-        )
-        return SodExpr(BASE_L_DUAL, blocks)
+        return _sod(self.space, self.label, self.components)
+
+
+def _refine(
+    space: str,
+    label: str,
+    components: Sequence[InvariantExpr],
+    r: int,
+    base: InvariantExpr,
+    clip: int,
+) -> RefinedBlowupResult:
+    """Refined blow-up over a rank-r subspace, clip >= r - 1: the parts i < r - 1,
+    each components[i] less components[clip] (0 past the end), and the
+    base-locus part, base less every component from r on. A part past the end
+    is 0 less components[clip], so it is 0 unless clip < len(components), and
+    then no part lies past the end, since r - 1 <= clip. So the head is the
+    parts up to the end of the list, and nothing is built per rank."""
+    cut = components[clip] if clip < len(components) else _zero
+    head = tuple(c - cut for c in components[: r - 1])
+    e_part = InvariantExpr._combine([(1, base)] + [(-1, c) for c in components[r:]])
+    return RefinedBlowupResult(space, label, r, tuple(components), base, head, e_part)
 
 
 def refined_blowup_profile(
@@ -500,11 +501,5 @@ def refined_blowup_profile(
             f"no invariant available for the base locus of {p.name!r}"
         )
     base = InvariantExpr._coerce(base_locus_inv)
-    a_prime, c_l = _refine(p.component_ranks(), ell, base, ell - 1)
-    components = tuple(a + c_l for a in a_prime)
-    return RefinedBlowupResult(
-        name=p.name,
-        ambient_rank=ell,
-        c_l_invariant=c_l,
-        components=components,
-    )
+    label = _pullback(p.name, "beta")
+    return _refine(BASE_L_DUAL, label, p.component_ranks(), ell, base, ell - 1)

@@ -258,9 +258,7 @@ def _oracle_flat_join(profiles: Sequence[LefschetzProfile]) -> list[InvariantExp
 
 def _nested_pair(p: LefschetzProfile, q: LefschetzProfile) -> LefschetzProfile:
     ruled = ruled_join_components(p, q)
-    return profile_from_components(
-        f"{p.name}*{q.name}", p.ambient_rank_N, ruled, allow_nonmoderate=True
-    )
+    return profile_from_components(f"{p.name}*{q.name}", p.ambient_rank_N, ruled)
 
 
 def _join_laws_case(rng: random.Random, bounds: _Bounds):

@@ -15,6 +15,7 @@ import hpdcalc
 from hpdcalc import catalog, cli, poly
 from hpdcalc.cli import main
 from hpdcalc.dsl import MAX_N2
+from hpdcalc.engine import SUBSET_READING_NOTE
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, const
 
 from support import count_calls, time_budget
@@ -297,6 +298,54 @@ def test_n2_at_its_cap_within_budget(tmp_path, capsys):
     assert capsys.readouterr().err == f"{path}:2:24: n2 must be at most {MAX_N2}\n"
 
 
+def _pairs_over(N):
+    return (
+        "symbol e;\n"
+        + "".join(f"category {name} over P({N}) primitive [1, 1];\n" for name in "ABCD")
+        + f"disjoint A, B;\nintersect C, D over P({N}) = e;\n"
+    )
+
+
+def test_every_check_costs_the_same_at_any_rank(tmp_path, capsys):
+    # A join keeps only its refined parts up to the end of the ruled join, so
+    # no check builds a list as long as the ambient rank, and a rank past
+    # sys.maxsize is no error. The two [1, 1] profiles give 4N - 12.
+    for N in (2_000_000, 10**30):
+        checks = "check main_theorem(A, B);\ncheck main_theorem(C, D);\n"
+        path = write(tmp_path, f"main-{N}.hpd", _pairs_over(N) + checks)
+        with time_budget(1.0, f"main_theorem over P({N})"):
+            code = main(["check", path])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"check main_theorem: pass (lhs = rhs = {4 * N - 12})\n"
+            f"check main_theorem: pass (lhs = rhs = e + {4 * N - 12})\n"
+            f"warning: {SUBSET_READING_NOTE}\n"
+        )
+
+    # Every check kind. Z has component 0 equal to 0, so its dual fits in two
+    # primitives at any rank.
+    N = 10**30
+    source = _pairs_over(N) + (
+        "symbol s, t;\n"
+        f"category Z over P({N}) primitive [s - t, t - s];\n"
+        "dual Z primitive [t - s, s - t];\n"
+        "check main_theorem(A, B);\ncheck main_theorem(C, D);\ncheck n_hpd_center(A, B);\n"
+        "check cone_part1(A, n2=3);\ncheck cone_part1(Z, n2=3);\ncheck cone_part2(A, n2=3);\n"
+        "check join_linear(A, B, C);\ncheck dual_profile(Z);\n"
+    )
+    path = write(tmp_path, "every-kind.hpd", source)
+    with time_budget(1.0, "every check kind over P(10^30)"):
+        code = main(["check", path])
+    assert code == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("check ")]
+    assert [row.split(":")[0] for row in rows] == [
+        f"check {kind}"
+        for kind in ["main_theorem", "main_theorem", "n_hpd_center", "cone_part1", "cone_part1",
+                     "cone_part2", "join_linear", "dual_profile"]
+    ]
+    assert all(": pass (" in row for row in rows)
+
+
 # -- fuzzing: every input ends in a documented exit code -------------------------
 
 FUZZ_TOKENS = [
@@ -335,12 +384,21 @@ def mutated_catalog_file(draw):
     return source[:start] + middle + source[end:]
 
 
+@st.composite
+def rescaled_catalog_file(draw):
+    """A catalog file with one shift added to every rank, so it stays valid and
+    reaches each of its checks at a large rank."""
+    source = draw(st.sampled_from(CATALOG_SOURCES))
+    shift = draw(st.sampled_from([10**3, 10**6, 10**30]))
+    return re.sub(r"P\((\d+)\)", lambda m: f"P({int(m.group(1)) + shift})", source)
+
+
 @settings(
     max_examples=300,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(token_soup() | mutated_catalog_file())
+@given(token_soup() | mutated_catalog_file() | rescaled_catalog_file())
 def test_any_input_ends_in_a_documented_exit_code(tmp_path, capsys, source):
     path = write(tmp_path, "fuzz.hpd", source)
 

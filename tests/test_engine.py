@@ -833,13 +833,13 @@ def test_refined_blowup_branches():
     p = build_profile("A", 6, [2, 1])
 
     empty = refined_blowup_profile(p, 4, 0)
-    assert empty.c_l_invariant == 0
+    assert empty.e_invariant == 0
     assert list(empty.components) == [const(3), const(1), const(0)]
     assert empty.ambient_rank == 4
 
     z = sym("z")
     nonempty = refined_blowup_profile(p, 4, z)
-    assert nonempty.c_l_invariant == z
+    assert nonempty.e_invariant == z
     assert list(nonempty.components) == [3 + z, 1 + z, z]
 
 
@@ -860,7 +860,7 @@ def test_refined_blowup_reproduces_join_step():
     clipped = refined_blowup_profile(ruled, 10, E)
     join = join_components(p, q, E)
     assert clipped.components == join.components
-    assert clipped.c_l_invariant == join.e_invariant
+    assert clipped.e_invariant == join.e_invariant
 
 
 @given(profile_pairs(max_m=3))

@@ -11,6 +11,8 @@ in-process `hpdcalc.cli.main` call against `ROOT/src`:
   `--mutate-join-bound` control (seed 1, 150 cases), which exits 1;
 - the first N jobs of each perfbench workload's main stream at seed S, taken
   from `ROOT/perfbench/workloads.py`;
+- `check` on each of a fixed set of `main_theorem` sources over P(64),
+  P(2000) and P(20000) (`MAIN_THEOREM`), each of which must exit 0;
 - `check` on each of a fixed set of malformed sources (`MALFORMED`), each of
   which must exit 2 with its one diagnostic line, so the diff covers the
   (line, column) of parser, validator and check-stage errors too.
@@ -90,6 +92,39 @@ MALFORMED = {
 }
 
 
+def _main_theorem_source(N: int, la: int, lb: int, declared_e: bool) -> str:
+    """main_theorem on two profiles of lengths la and lb over P(N): primitives
+    [a, 0, ..., 0, 2] and [1, 0, ..., 0, b], disjoint or with a declared e."""
+
+    def primitives(length: int, first: str, last: str) -> str:
+        return ", ".join([first] + ["0"] * (length - 2) + [last] if length > 1 else [first])
+
+    pair = f"intersect A, B over P({N}) = e + a;" if declared_e else "disjoint A, B;"
+    return (
+        "symbol a, b, e;\n"
+        f"category A over P({N}) primitive [{primitives(la, 'a', '2')}];\n"
+        f"category B over P({N}) primitive [{primitives(lb, '1', 'b')}];\n"
+        f"{pair}\ncheck main_theorem(A, B);\n"
+    )
+
+
+# Name -> source. la + lb lies below N - 1 (the join's components past the
+# ruled join form a long run of base-locus parts), at N - 1 (an empty run) and
+# above it (the refined parts are clipped). Profiles as long as P(20000)
+# allows would take a tenth of a second each, so that rank has short ones.
+MAIN_THEOREM = {
+    f"P({N}) la={la} lb={lb} {'e' if declared_e else 'disjoint'}": _main_theorem_source(
+        N, la, lb, declared_e
+    )
+    for N, la, lb in [
+        (64, 2, 3), (64, 31, 32), (64, 40, 50),
+        (2000, 1, 2), (2000, 1000, 999), (2000, 1500, 1400),
+        (20000, 2, 2), (20000, 40, 60),
+    ]
+    for declared_e in (False, True)
+}
+
+
 def _digest(*parts: bytes) -> str:
     hasher = hashlib.sha256()
     for part in parts:
@@ -156,6 +191,11 @@ def main(argv: list | None = None) -> int:
                     _, digest = _run(cli, list(job.args), root)
                 lines.append((digest, f"{workload} seed={args.seed} #{i} {job.label}"))
         wrong = []
+        for name, source in MAIN_THEOREM.items():
+            code, digest = _check(cli, source, root)
+            lines.append((digest, f"main_theorem {name}"))
+            if code != 0:
+                wrong.append(f"main_theorem {name} (exit {code})")
         for name, source in MALFORMED.items():
             code, digest = _check(cli, source, root)
             lines.append((digest, f"malformed {name}"))
@@ -163,7 +203,7 @@ def main(argv: list | None = None) -> int:
                 wrong.append(f"{name} (exit {code})")
         os.chdir(start_dir)
     if wrong:
-        print(f"error: malformed sources that did not exit 2: {', '.join(wrong)}", file=sys.stderr)
+        print(f"error: sources with the wrong exit code: {', '.join(wrong)}", file=sys.stderr)
         return 1
     for digest, label in lines:
         print(f"{digest}  {label}")
