@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .dsl import check_requests, parse, run_check_row, validate
+from .dsl import check_file
 from .engine import (
     join_profile,
     join_sod,
@@ -23,7 +23,7 @@ from .engine import (
 )
 from .model import Workspace
 from .poly import parse_expr
-from .report import build_report, check_row, file_report, input_digest, normalized, stable_json
+from .report import build_report, check_row, input_digest, normalized, stable_json
 
 __all__ = ["case_names", "run_case", "compare_case", "write_golden", "run_catalog"]
 
@@ -107,12 +107,9 @@ def run_case(name: str) -> dict:
 
 
 def _run_source(name: str, source: str) -> dict:
-    case = _case(name)
-    ast = parse(source)
-    ws = validate(ast)
-    rows = [run_check_row(stmt, ws) for stmt in check_requests(ast)]
-    sods = [_emit_sod(ws, directive) for directive in case.sod_directives]
-    return file_report(source, rows, sods, ws.warnings)
+    report, ws = check_file(source)
+    report["sods"] = [_emit_sod(ws, directive) for directive in _case(name).sod_directives]
+    return report
 
 
 def _golden_resource(name: str):

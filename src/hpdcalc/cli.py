@@ -16,9 +16,9 @@ import sys
 import traceback
 
 from . import catalog, prop
-from .dsl import check_requests, parse, run_check_row, validate
+from .dsl import check_file
 from .errors import HpdcalcError
-from .report import build_report, file_report, input_digest, stable_json
+from .report import build_report, input_digest, stable_json
 
 __all__ = ["main"]
 
@@ -83,21 +83,11 @@ def cmd_check(args) -> int:
         return EXIT_IO
 
     try:
-        ast = parse(source)
-        ws = validate(ast, allow_nonmoderate=args.allow_nonmoderate)
+        report, _ = check_file(source, allow_nonmoderate=args.allow_nonmoderate)
     except HpdcalcError as err:
         print(f"{args.file}:{err}", file=sys.stderr)
         return EXIT_INVALID
-
-    rows: list[dict] = []
-    for stmt in check_requests(ast):
-        try:
-            rows.append(run_check_row(stmt, ws))
-        except HpdcalcError as err:
-            line, column = stmt.span
-            print(f"{args.file}:{line}:{column}: check {stmt.check}: {err}", file=sys.stderr)
-            return EXIT_INVALID
-    return _finish(file_report(source, rows, [], ws.warnings), args.json, _exit_code_for(rows))
+    return _finish(report, args.json, _exit_code_for(report["checks"]))
 
 
 def cmd_catalog(args) -> int:

@@ -21,6 +21,7 @@ from .checks import (
     check_thm_cone_part1,
     check_thm_cone_part2,
 )
+from .engine import SUBSET_READING_NOTE
 from .errors import (
     AmbientMismatch,
     ConflictingIntersection,
@@ -39,7 +40,7 @@ from .model import (
     LefschetzProfile, Workspace, _drop_grouped_pairs, _group_index, _pair_key, build_profile
 )
 from .poly import InvariantExpr, Lexed, PolyParser, tokenize
-from .report import check_row
+from .report import build_report, check_row, input_digest
 
 __all__ = [
     "CHECK_NAMES",
@@ -49,6 +50,7 @@ __all__ = [
     "check_requests",
     "run_check",
     "run_check_row",
+    "check_file",
     "print_canonical",
     "Ast",
     "SymbolDecl",
@@ -526,6 +528,29 @@ def run_check_row(stmt: CheckStmt, ws: Workspace) -> dict:
         return run_check(stmt, ws).to_json_dict()
     except _UNDECIDED as err:
         return check_row(stmt.check, "", "", "underdetermined", None, [str(err)])
+
+
+def check_file(text: str, *, allow_nonmoderate: bool = False) -> tuple[dict, Workspace]:
+    """The report of one declaration file, and its workspace.
+
+    Parses and validates the text, then runs its check statements in file
+    order. The report's warnings are the workspace's, then the subset reading
+    note once if any check row carries it. An error a check raises that does
+    not leave it undecided is raised again at the statement's span, as
+    `check NAME: ` and the error's own text.
+    """
+    ast = parse(text)
+    ws = validate(ast, allow_nonmoderate=allow_nonmoderate)
+    rows: list[dict] = []
+    for stmt in check_requests(ast):
+        try:
+            rows.append(run_check_row(stmt, ws))
+        except HpdcalcError as err:
+            raise type(err)(f"check {stmt.check}: {err}", stmt.span) from err
+    warnings = list(ws.warnings)
+    if any(SUBSET_READING_NOTE in row["notes"] for row in rows):
+        warnings.append(SUBSET_READING_NOTE)
+    return build_report(input_digest(text), rows, [], warnings), ws
 
 
 # -- canonical printing ----------------------------------------------------------------

@@ -68,9 +68,9 @@ __all__ = [
 _zero = InvariantExpr.const(0)
 _one = InvariantExpr.const(1)
 
-# Emitted whenever the n-universal-hyperplane block structure is used: the
-# source statement tensors over the subset I, but the n = 2 proof tensors over
-# its complement, and the engine follows the proof.
+# A note of every check that reads the n-universal-hyperplane blocks of two or
+# more categories: the source statement tensors over the subset I, but the
+# n = 2 proof tensors over its complement, and the engine follows the proof.
 SUBSET_READING_NOTE = (
     "n-universal-hyperplane blocks tensor component factors over the complement "
     "of the subset I (proof-consistent reading)"
@@ -169,21 +169,15 @@ class NHyperplaneResult:
     sod: SodExpr
     c_invariant: InvariantExpr
     h_total: InvariantExpr
-    warnings: tuple[str, ...]
 
 
-def _excess(
-    profiles: Sequence[LefschetzProfile],
-    totals: Sequence[InvariantExpr],
-    workspace: Workspace,
-) -> InvariantExpr:
+def _excess(profiles: Sequence[LefschetzProfile], workspace: Workspace) -> InvariantExpr:
     """The excess e of the full set's simultaneous-hyperplane total over the
     disjointness value (N - n) * prod_i t_i, from the one declaration that
     applies: 0 for a disjoint set (a single category counts as one), the
     declared intersection for a pair outside any group; any other set is
-    Underdetermined. `totals` holds the profiles' total invariants, read only
-    to word the conflict of a directly built workspace that gives a grouped
-    pair a nonzero intersection."""
+    Underdetermined. A directly built workspace that gives a grouped pair a
+    nonzero intersection is a conflict."""
     names = [p.name for p in profiles]
     e = workspace.intersection(*names) if len(names) == 2 else None
     if not workspace.are_disjoint(names):
@@ -194,7 +188,8 @@ def _excess(
             )
         return e
     if e:
-        value = (profiles[0].ambient_rank_N - 2) * totals[0] * totals[1]
+        p, q = profiles
+        value = (p.ambient_rank_N - 2) * p.total_invariant() * q.total_invariant()
         raise ConflictingDeclarations(
             f"hyperplane total for {', '.join(names)}: disjointness formula gives "
             f"{value} but declared intersection gives {value + e}"
@@ -264,7 +259,7 @@ def _hyperplanes(
         _require_moderate(p)
     ranks = [p.component_ranks() for p in profiles]
     totals = [p.total_invariant() for p in profiles]
-    excess = _excess(profiles, totals, workspace)
+    excess = _excess(profiles, workspace)
 
     def deep(subset: tuple[int, ...]) -> InvariantExpr:
         product, weighted = _leave_one_out(
@@ -322,8 +317,7 @@ def n_hyperplane_sod(
             parts = [f"{names[i]}_{k}" for i, k in zip(complement, tup)]
             blocks.append(SodBlock(_fiber(parts + [c_label], "B"), sum(tup), inv))
     h_total = (profiles[0].ambient_rank_N - len(full)) * math.prod(totals, start=_one) + excess
-    warnings = (SUBSET_READING_NOTE,) if len(full) > 1 else ()
-    return NHyperplaneResult(SodExpr(BASE_V_DUAL, tuple(blocks)), c_invariant, h_total, warnings)
+    return NHyperplaneResult(SodExpr(BASE_V_DUAL, tuple(blocks)), c_invariant, h_total)
 
 
 # -- joins ---------------------------------------------------------------------

@@ -273,17 +273,17 @@ class InvariantExpr:
     def _convolve(xs: Sequence[InvariantExpr], ys: Sequence[InvariantExpr]) -> list[InvariantExpr]:
         """The convolution of two value lists: entry s is the sum of xs[i] * ys[j]
         over i + j = s, filled from one flat (j, monomial, coefficient) list of
-        the terms of ys with no call per term pair, and collected once."""
+        the terms of ys with no call per term pair, and collected once. A zero
+        entry of either list adds no pair to the loop."""
         accs: list[dict[Monomial, int]] = [{} for _ in range(len(xs) + len(ys) - 1)]
         flat = [(j, mono, coeff) for j, y in enumerate(ys) for mono, coeff in y._terms.items()]
         for i, x in enumerate(xs):
-            row = accs[i:]
             for mono_a, coeff_a in x._terms.items():
                 for j, mono_b, coeff_b in flat:
                     mono = mono_a or mono_b  # either one, if the other is constant
                     if mono_a and mono_b:
                         mono = tuple(sorted(mono_a + mono_b))
-                    acc = row[j]
+                    acc = accs[i + j]
                     acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
         return [InvariantExpr._canonical(_collected(acc)) for acc in accs]
 

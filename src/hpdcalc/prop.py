@@ -47,8 +47,6 @@ __all__ = [
     "run_suite",
 ]
 
-PROPERTY_NAMES = ("conservation", "join-laws", "splitting")
-
 # Hard caps; the drawn sizes keep every case cheap enough for large runs.
 MAX_LENGTH_CAP = 6
 MAX_RANK_CAP = 9
@@ -107,19 +105,22 @@ class PropReport:
 
 @dataclass(frozen=True)
 class _Bounds:
+    """The size bounds of a suite's draws; each must lie within its cap."""
+
     max_length: int
     max_rank: int
     max_symbols: int
     mutate_join_bound: bool
 
-
-def _validate_bounds(max_length: int, max_rank: int, max_symbols: int) -> None:
-    if not 1 <= max_length <= MAX_LENGTH_CAP:
-        raise ValueError(f"max_length must be in 1..{MAX_LENGTH_CAP}, got {max_length}")
-    if not 2 <= max_rank <= MAX_RANK_CAP:
-        raise ValueError(f"max_rank must be in 2..{MAX_RANK_CAP}, got {max_rank}")
-    if not 0 <= max_symbols <= MAX_SYMBOLS_CAP:
-        raise ValueError(f"max_symbols must be in 0..{MAX_SYMBOLS_CAP}, got {max_symbols}")
+    def __post_init__(self) -> None:
+        if not 1 <= self.max_length <= MAX_LENGTH_CAP:
+            raise ValueError(f"max_length must be in 1..{MAX_LENGTH_CAP}, got {self.max_length}")
+        if not 2 <= self.max_rank <= MAX_RANK_CAP:
+            raise ValueError(f"max_rank must be in 2..{MAX_RANK_CAP}, got {self.max_rank}")
+        if not 0 <= self.max_symbols <= MAX_SYMBOLS_CAP:
+            raise ValueError(
+                f"max_symbols must be in 0..{MAX_SYMBOLS_CAP}, got {self.max_symbols}"
+            )
 
 
 # -- random draws ------------------------------------------------------------------
@@ -336,6 +337,8 @@ _RUNNERS: dict[str, Callable] = {
     "splitting": _splitting_case,
 }
 
+PROPERTY_NAMES = tuple(_RUNNERS)
+
 
 # -- drivers ---------------------------------------------------------------------------
 
@@ -355,7 +358,6 @@ def run_property(
         raise ValueError(f"unknown property {name!r}; expected one of {PROPERTY_NAMES}")
     if cases < 0:
         raise ValueError("cases must be nonnegative")
-    _validate_bounds(max_length, max_rank, max_symbols)
     bounds = _Bounds(max_length, max_rank, max_symbols, mutate_join_bound)
     rng = random.Random(f"{name}:{seed}")
     runner = _RUNNERS[name]
@@ -374,26 +376,9 @@ def run_property(
 
 
 def run_suite(
-    seed: int,
-    cases: int,
-    *,
-    max_length: int = 5,
-    max_rank: int = 9,
-    max_symbols: int = 2,
-    mutate_join_bound: bool = False,
-    properties: Sequence[str] = PROPERTY_NAMES,
+    seed: int, cases: int, *, properties: Sequence[str] = PROPERTY_NAMES, **bounds
 ) -> PropReport:
-    """Run the named suites with a shared seed and per-suite streams."""
-    outcomes = tuple(
-        run_property(
-            name,
-            seed,
-            cases,
-            max_length=max_length,
-            max_rank=max_rank,
-            max_symbols=max_symbols,
-            mutate_join_bound=mutate_join_bound,
-        )
-        for name in properties
-    )
+    """Run the named suites with a shared seed and per-suite streams; the
+    bounds are passed on to `run_property`."""
+    outcomes = tuple(run_property(name, seed, cases, **bounds) for name in properties)
     return PropReport(seed, cases, outcomes)

@@ -7,9 +7,8 @@ import json
 from typing import Iterable
 
 from . import __version__
-from .engine import SUBSET_READING_NOTE
 
-__all__ = ["input_digest", "check_row", "build_report", "file_report", "stable_json", "normalized"]
+__all__ = ["input_digest", "check_row", "build_report", "stable_json", "normalized"]
 
 
 def input_digest(text: str) -> str:
@@ -44,17 +43,6 @@ def build_report(
         "sods": list(sods),
         "warnings": list(warnings),
     }
-
-
-def file_report(
-    source: str, rows: list[dict], sods: Iterable[dict], workspace_warnings: Iterable[str]
-) -> dict:
-    """Report of one declaration file: its workspace warnings, then the subset
-    reading note once if any check row carries it."""
-    warnings = list(workspace_warnings)
-    if any(SUBSET_READING_NOTE in row["notes"] for row in rows):
-        warnings.append(SUBSET_READING_NOTE)
-    return build_report(input_digest(source), rows, sods, warnings)
 
 
 def stable_json(report: dict) -> str:

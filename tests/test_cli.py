@@ -346,6 +346,30 @@ def test_every_check_costs_the_same_at_any_rank(tmp_path, capsys):
     assert all(": pass (" in row for row in rows)
 
 
+def test_a_join_of_long_mostly_zero_profiles_costs_its_nonzero_pairs(tmp_path, capsys):
+    # The join convolves the primitive lists; only the 2 x 2 nonzero entries
+    # pair up, so lengths 50 000 and 49 999 cost what the file's text costs.
+    N = 100_000
+
+    def primitives(length, last):
+        return ", ".join(["1"] + ["0"] * (length - 2) + [last])
+
+    source = (
+        "symbol e;\n"
+        f"category A over P({N}) primitive [{primitives(50_000, '1')}];\n"
+        f"category B over P({N}) primitive [{primitives(49_999, '2')}];\n"
+        f"intersect A, B over P({N}) = e;\ncheck main_theorem(A, B);\n"
+    )
+    path = write(tmp_path, "long.hpd", source)
+    with time_budget(3.0, "main_theorem on long mostly-zero profiles"):
+        code = main(["check", path])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "check main_theorem: pass (lhs = rhs = e + 249999)\n"
+        f"warning: {SUBSET_READING_NOTE}\n"
+    )
+
+
 # -- fuzzing: every input ends in a documented exit code -------------------------
 
 FUZZ_TOKENS = [
