@@ -7,11 +7,9 @@ decompositions to emit; the produced report is compared field-for-field
 
 from __future__ import annotations
 
-import difflib
 import functools
 import json
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .dsl import check_file
 from .engine import (
@@ -28,8 +26,7 @@ from .report import build_report, check_row, input_digest, normalized, stable_js
 __all__ = ["case_names", "run_case", "compare_case", "write_golden", "run_catalog"]
 
 
-@dataclass(frozen=True)
-class CatalogCase:
+class CatalogCase(NamedTuple):
     name: str
     source_file: str
     sod_directives: tuple[tuple, ...]
@@ -75,6 +72,10 @@ def _case(name: str) -> CatalogCase:
 @functools.cache
 def _data_dir():
     """The case sources and goldens, found once per process."""
+    # Imported here, since from Python 3.12 on it imports `inspect`, which
+    # a `check` or `prop` run would otherwise load for nothing.
+    from importlib import resources
+
     return resources.files(__package__) / "_catalog"
 
 
@@ -123,10 +124,9 @@ def golden_report(name: str) -> dict:
 def write_golden(name: str, report: dict | None = None) -> None:
     """Regenerate one stored golden file; only ever invoked explicitly."""
     report = run_case(name) if report is None else report
-    target = _golden_resource(name)
-    with resources.as_file(target) as path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(stable_json(report), encoding="utf-8")
+    path = _golden_resource(name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(stable_json(report), encoding="utf-8")
 
 
 def compare_case(name: str, report: dict | None = None) -> tuple[dict, bool, list[str]]:
@@ -136,11 +136,15 @@ def compare_case(name: str, report: dict | None = None) -> tuple[dict, bool, lis
         golden = golden_report(name)
     except FileNotFoundError:
         return report, False, [f"no stored golden for {name!r}"]
-    got = stable_json(normalized(report)).splitlines()
-    want = stable_json(normalized(golden)).splitlines()
-    if got == want:
+    got, want = normalized(report), normalized(golden)
+    # Compact text (the C encoder) tells two reports apart exactly as the
+    # indented text does; only a mismatch needs the indented lines, to diff.
+    if json.dumps(got) == json.dumps(want):
         return report, True, ["matches stored golden"]
-    diff = list(difflib.unified_diff(want, got, "golden", "current", lineterm=""))
+    import difflib
+
+    got_lines, want_lines = stable_json(got).splitlines(), stable_json(want).splitlines()
+    diff = list(difflib.unified_diff(want_lines, got_lines, "golden", "current", lineterm=""))
     return report, False, ["differs from stored golden"] + diff[:12]
 
 

@@ -9,8 +9,7 @@ statements about additive data, never claims about the categories themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import (
     SUBSET_READING_NOTE,
@@ -45,8 +44,7 @@ INVARIANT_LEVEL_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     lhs: InvariantExpr
     rhs: InvariantExpr

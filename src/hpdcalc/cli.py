@@ -13,7 +13,6 @@ import argparse
 import functools
 import os
 import sys
-import traceback
 
 from . import catalog, prop
 from .dsl import check_file
@@ -180,6 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as err:
         # A bug, not a verdict: exit 1 would read as "a check failed".
         print(f"error: internal error: {err!r}", file=sys.stderr)
+        import traceback
+
         traceback.print_exc()
         return EXIT_INTERNAL
     return code

@@ -9,7 +9,6 @@ validation error carries a (line, column) span.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .checks import (
@@ -181,8 +180,7 @@ class CheckStmt(NamedTuple):
 Statement = SymbolDecl | CategoryDecl | IntersectDecl | DisjointDecl | DualDecl | CheckStmt
 
 
-@dataclass(frozen=True)
-class Ast:
+class Ast(NamedTuple):
     statements: tuple[Statement, ...]
 
 

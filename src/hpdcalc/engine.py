@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     ConflictingDeclarations,
@@ -162,8 +161,7 @@ def universal_hyperplane_sod(profile: LefschetzProfile) -> SodExpr:
     return n_hyperplane_sod([profile], Workspace()).sod
 
 
-@dataclass(frozen=True)
-class NHyperplaneResult:
+class NHyperplaneResult(NamedTuple):
     """Block list of the n-universal hyperplane plus the derived deep component."""
 
     sod: SodExpr
@@ -413,8 +411,7 @@ def profile_from_components(
 # -- refined blow-up -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RefinedBlowupResult:
+class RefinedBlowupResult(NamedTuple):
     """Refined blow-up of a component list `jbar` over a rank-r subspace,
     r = `ambient_rank`, with base-locus invariant `intersection_invariant`.
 

@@ -10,9 +10,9 @@ print, such as ``hpd(A; P(V*))``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -54,14 +54,18 @@ def weighted_total(values: Sequence[InvariantExpr]) -> InvariantExpr:
     return InvariantExpr._combine(enumerate(values, 1))
 
 
-@dataclass(frozen=True)
-class LefschetzProfile:
-    """Additive-invariant data of a Lefschetz category over P(V), rank N."""
-
+class _ProfileFields(NamedTuple):
     name: str
     ambient_rank_N: int
     primitive_right: tuple[InvariantExpr, ...]
     primitive_left: tuple[InvariantExpr, ...]
+
+
+class LefschetzProfile(_ProfileFields):
+    """Additive-invariant data of a Lefschetz category over P(V), rank N.
+
+    Unlike its named-tuple base, the class has no `__slots__`, so its cached
+    values have a `__dict__` to live in."""
 
     @property
     def length_m(self) -> int:
@@ -137,8 +141,7 @@ def build_profile(
 # -- SOD expressions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SodBlock:
+class SodBlock(NamedTuple):
     """One block: its report label, its twist and its invariant."""
 
     term: str
@@ -153,8 +156,7 @@ class SodBlock:
         }
 
 
-@dataclass(frozen=True)
-class SodExpr:
+class SodExpr(NamedTuple):
     """An ordered block list; order is semantically significant."""
 
     base_tag: str
@@ -204,20 +206,32 @@ def _drop_grouped_pairs(index: dict[str, set[int]], pairs: dict) -> tuple[list, 
     return warnings, conflicts
 
 
-@dataclass(frozen=True, eq=True)
-class Workspace:
+_EMPTY = MappingProxyType({})
+
+
+class _WorkspaceFields(NamedTuple):
+    symbols: frozenset[str] = frozenset()
+    categories: Mapping[str, LefschetzProfile] = _EMPTY
+    intersections: Mapping[tuple[str, str], InvariantExpr] = _EMPTY
+    disjoint_sets: tuple[frozenset[str], ...] = ()
+    dual_profiles: Mapping[str, LefschetzProfile] = _EMPTY
+    warnings: tuple[str, ...] = ()
+
+
+class Workspace(_WorkspaceFields):
     """Frozen set of declarations consumed by the engine and the checks.
 
     Intersections are symmetric. A disjoint group is stored once: its pairs' zeros
-    are looked up, not stored, so validation is linear in its size.
+    are looked up, not stored, so validation is linear in its size. Equality
+    ignores the warnings, the last field; the subclass keeps a `__dict__` for
+    its cached group index.
     """
 
-    symbols: frozenset[str] = frozenset()
-    categories: Mapping[str, LefschetzProfile] = field(default_factory=dict)
-    intersections: Mapping[tuple[str, str], InvariantExpr] = field(default_factory=dict)
-    disjoint_sets: tuple[frozenset[str], ...] = ()
-    dual_profiles: Mapping[str, LefschetzProfile] = field(default_factory=dict)
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Workspace) and self[:-1] == other[:-1]
+
+    def __ne__(self, other) -> bool:  # the tuple's own != would compare the warnings
+        return not self == other
 
     @staticmethod
     def build(

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -66,15 +65,19 @@ Monomial = tuple[str, ...]
 Coercible = Union["InvariantExpr", int]
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A declared unknown, such as the invariant of an undetermined intersection."""
-
+class _SymbolName(NamedTuple):
     name: str
 
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.isidentifier():
-            raise ValueError(f"symbol name must be an identifier, got {self.name!r}")
+
+class Symbol(_SymbolName):
+    """A declared unknown, such as the invariant of an undetermined intersection."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str) -> Symbol:
+        if not name or not name.isidentifier():
+            raise ValueError(f"symbol name must be an identifier, got {name!r}")
+        return super().__new__(cls, name)
 
     def __str__(self) -> str:
         return self.name

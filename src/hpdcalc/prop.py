@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .checks import (
     check_join_linear,
@@ -56,8 +55,7 @@ _SYMBOL_POOL = ("e", "x", "y")
 _ZERO = InvariantExpr.const(0)
 
 
-@dataclass(frozen=True)
-class CaseFailure:
+class CaseFailure(NamedTuple):
     case_index: int
     detail: str
     lhs: InvariantExpr
@@ -65,8 +63,7 @@ class CaseFailure:
     witness: dict[str, int]
 
 
-@dataclass(frozen=True)
-class PropertyOutcome:
+class PropertyOutcome(NamedTuple):
     name: str
     seed: int
     cases: int
@@ -90,8 +87,7 @@ class PropertyOutcome:
         )
 
 
-@dataclass(frozen=True)
-class PropReport:
+class PropReport(NamedTuple):
     seed: int
     cases: int
     outcomes: tuple[PropertyOutcome, ...]
@@ -103,24 +99,13 @@ class PropReport:
         return [outcome.to_json_dict() for outcome in self.outcomes]
 
 
-@dataclass(frozen=True)
-class _Bounds:
-    """The size bounds of a suite's draws; each must lie within its cap."""
+class _Bounds(NamedTuple):
+    """The size bounds of a suite's draws; `run_property` checks each against its cap."""
 
     max_length: int
     max_rank: int
     max_symbols: int
     mutate_join_bound: bool
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_length <= MAX_LENGTH_CAP:
-            raise ValueError(f"max_length must be in 1..{MAX_LENGTH_CAP}, got {self.max_length}")
-        if not 2 <= self.max_rank <= MAX_RANK_CAP:
-            raise ValueError(f"max_rank must be in 2..{MAX_RANK_CAP}, got {self.max_rank}")
-        if not 0 <= self.max_symbols <= MAX_SYMBOLS_CAP:
-            raise ValueError(
-                f"max_symbols must be in 0..{MAX_SYMBOLS_CAP}, got {self.max_symbols}"
-            )
 
 
 # -- random draws ------------------------------------------------------------------
@@ -358,6 +343,12 @@ def run_property(
         raise ValueError(f"unknown property {name!r}; expected one of {PROPERTY_NAMES}")
     if cases < 0:
         raise ValueError("cases must be nonnegative")
+    if not 1 <= max_length <= MAX_LENGTH_CAP:
+        raise ValueError(f"max_length must be in 1..{MAX_LENGTH_CAP}, got {max_length}")
+    if not 2 <= max_rank <= MAX_RANK_CAP:
+        raise ValueError(f"max_rank must be in 2..{MAX_RANK_CAP}, got {max_rank}")
+    if not 0 <= max_symbols <= MAX_SYMBOLS_CAP:
+        raise ValueError(f"max_symbols must be in 0..{MAX_SYMBOLS_CAP}, got {max_symbols}")
     bounds = _Bounds(max_length, max_rank, max_symbols, mutate_join_bound)
     rng = random.Random(f"{name}:{seed}")
     runner = _RUNNERS[name]
