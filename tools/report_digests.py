@@ -1,6 +1,7 @@
 """Print one `sha256  label` line per CLI run of a source checkout.
 
     python3 tools/report_digests.py ROOT [--jobs N] [--seed S] > digests.txt
+    python3 tools/report_digests.py ROOT --jobs 20 --seed 1 --write
 
 Each line digests the exit code, stdout, stderr and `--json` bytes of one
 in-process `hpdcalc.cli.main` call against `ROOT/src`:
@@ -18,9 +19,12 @@ in-process `hpdcalc.cli.main` call against `ROOT/src`:
   (line, column) of parser, validator and check-stage errors too.
 
 Run it on two checkouts and `diff` the outputs: an empty diff means every
-report byte and exit code is the same. Check files are written under a
-temporary directory and named relatively, so paths do not enter the digests.
-Stdlib only; nothing under `ROOT` is written.
+report byte and exit code is the same. The output at `--jobs 20 --seed 1` is
+committed as `tests/report_digests.txt`, which a test compares with a fresh
+run; `--write` regenerates that file, as `catalog --update-golden` does the
+goldens. Check files are written under a temporary directory and named
+relatively, so paths do not enter the digests. Stdlib only; nothing under
+`ROOT` is written but that file, and only with `--write`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ import itertools
 import os
 import sys
 import tempfile
+
+# The committed output, relative to ROOT, and the run that makes it.
+CONTRACT = os.path.join("tests", "report_digests.txt")
+CONTRACT_RUN = (20, 1)
 
 PROP_RUNS = [
     ["--seed", "1", "--cases", "100"],
@@ -162,7 +170,12 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("root", help="source checkout to run")
     parser.add_argument("--jobs", type=int, default=40, help="perfbench jobs per workload")
     parser.add_argument("--seed", type=int, default=1, help="perfbench job seed")
+    parser.add_argument(
+        "--write", action="store_true", help=f"write the lines to ROOT/{CONTRACT}, not stdout"
+    )
     args = parser.parse_args(argv)
+    if args.write and (args.jobs, args.seed) != CONTRACT_RUN:
+        parser.error(f"--write records the run at --jobs {CONTRACT_RUN[0]} --seed {CONTRACT_RUN[1]}")
     root = os.path.abspath(args.root)
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
@@ -207,8 +220,12 @@ def main(argv: list | None = None) -> int:
     if wrong:
         print(f"error: sources with the wrong exit code: {', '.join(wrong)}", file=sys.stderr)
         return 1
-    for digest, label in lines:
-        print(f"{digest}  {label}")
+    text = "".join(f"{digest}  {label}\n" for digest, label in lines)
+    if args.write:
+        with open(os.path.join(root, CONTRACT), "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
