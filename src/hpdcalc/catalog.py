@@ -1,72 +1,29 @@
 """Built-in worked examples, executed against checked-in golden reports.
 
-Each case is a declaration file under ``_catalog/`` plus a list of
-decompositions to emit; the produced report is compared field-for-field
-(version aside) with the stored golden JSON.
+A case is a declaration file, ``_catalog/<name with _ for ->.hpd``, plus its
+golden report, ``_catalog/golden/<name>.json``. The file's `sod` statements
+ask for the decompositions; running a case is `dsl.check_file` on the file,
+and its report is compared field for field (version aside) with the golden.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import NamedTuple
 
 from .dsl import check_file
-from .engine import (
-    join_profile,
-    join_sod,
-    n_join_profile,
-    refined_blowup_profile,
-    universal_hyperplane_sod,
-)
-from .model import Workspace
-from .poly import parse_expr
 from .report import build_report, check_row, input_digest, normalized, stable_json
 
 __all__ = ["case_names", "run_case", "compare_case", "write_golden", "run_catalog"]
 
-
-class CatalogCase(NamedTuple):
-    name: str
-    source_file: str
-    sod_directives: tuple[tuple, ...]
-
-
-_CASES = {
-    case.name: case
-    for case in (
-        CatalogCase("gr25-join", "gr25_join.hpd", (("join", ("Gr25", "Gr25g")),)),
-        CatalogCase("points-line", "points_line.hpd", (("join", ("Pt1", "Pt2")),)),
-        CatalogCase(
-            "three-points-plane",
-            "three_points_plane.hpd",
-            (("flat-join", ("A", "B", "C")),),
-        ),
-        CatalogCase("cone-point", "cone_point.hpd", (("universal-hyperplane", ("Pt",)),)),
-        CatalogCase("cone-gr25", "cone_gr25.hpd", (("universal-hyperplane", ("Gr25",)),)),
-        CatalogCase(
-            "refined-blowup",
-            "refined_blowup.hpd",
-            (
-                ("refined-blowup", ("Gr25",), 4, "z"),
-                ("refined-blowup", ("Gr25",), 7, "z"),
-            ),
-        ),
-    )
-}
+# The cases, in the order the merged report lists them.
+_CASES = (
+    "gr25-join", "points-line", "three-points-plane", "cone-point", "cone-gr25", "refined-blowup"
+)
 
 
 def case_names() -> list[str]:
     return list(_CASES)
-
-
-def _case(name: str) -> CatalogCase:
-    try:
-        return _CASES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown catalog case {name!r}; available: {', '.join(_CASES)}"
-        ) from None
 
 
 @functools.cache
@@ -80,37 +37,14 @@ def _data_dir():
 
 
 def case_source(name: str) -> str:
-    return (_data_dir() / _case(name).source_file).read_text(encoding="utf-8")
-
-
-def _emit_sod(ws: Workspace, directive: tuple) -> dict:
-    kind, names = directive[0], directive[1]
-    profiles = [ws.category(n) for n in names]
-    label = f"{kind}({', '.join(names)})"
-    if kind == "join":
-        sod = join_profile(*profiles, ws).to_sod()
-    elif kind == "flat-join":
-        sod = join_sod(names, n_join_profile(profiles, ws))
-    elif kind == "universal-hyperplane":
-        sod = universal_hyperplane_sod(*profiles)
-    elif kind == "refined-blowup":
-        ell, z_text = directive[2], directive[3]
-        sod = refined_blowup_profile(*profiles, ell, parse_expr(z_text)).to_sod()
-        label = f"{kind}({names[0]}, ell={ell})"
-    else:
-        raise AssertionError(f"unhandled sod directive {kind!r}")
-    return sod.to_json_dict(label)
+    if name not in _CASES:
+        raise ValueError(f"unknown catalog case {name!r}; available: {', '.join(_CASES)}")
+    return (_data_dir() / f"{name.replace('-', '_')}.hpd").read_text(encoding="utf-8")
 
 
 def run_case(name: str) -> dict:
     """Execute one case and assemble its report."""
-    return _run_source(name, case_source(name))
-
-
-def _run_source(name: str, source: str) -> dict:
-    report, ws = check_file(source)
-    report["sods"] = [_emit_sod(ws, directive) for directive in _case(name).sod_directives]
-    return report
+    return check_file(case_source(name))[0]
 
 
 def _golden_resource(name: str):
@@ -125,8 +59,11 @@ def write_golden(name: str, report: dict | None = None) -> None:
     """Regenerate one stored golden file; only ever invoked explicitly."""
     report = run_case(name) if report is None else report
     path = _golden_resource(name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(stable_json(report), encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(stable_json(report), encoding="utf-8")
+    except OSError as err:
+        raise OSError(f"cannot write golden {name!r}: {err}") from err
 
 
 def compare_case(name: str, report: dict | None = None) -> tuple[dict, bool, list[str]]:
@@ -148,6 +85,10 @@ def compare_case(name: str, report: dict | None = None) -> tuple[dict, bool, lis
     return report, False, ["differs from stored golden"] + diff[:12]
 
 
+def _prefixed(name: str, entries: list[dict]) -> list[dict]:
+    return [{**entry, "name": f"{name}:{entry['name']}"} for entry in entries]
+
+
 def run_catalog(
     names: list[str] | None = None, *, update_golden: bool = False
 ) -> tuple[dict, bool]:
@@ -161,24 +102,16 @@ def run_catalog(
 
     for name in selected:
         sources.append(case_source(name))
-        case_report = _run_source(name, sources[-1])
+        report, _ = check_file(sources[-1])
         if update_golden:
-            write_golden(name, case_report)
-        _, matched, notes = compare_case(name, case_report)
-        all_ok = all_ok and matched
-
-        for row in case_report["checks"]:
-            prefixed = dict(row)
-            prefixed["name"] = f"{name}:{row['name']}"
-            checks.append(prefixed)
-            all_ok = all_ok and row["status"] == "pass"
+            write_golden(name, report)
+        _, matched, notes = compare_case(name, report)
+        all_ok = all_ok and matched and all(row["status"] == "pass" for row in report["checks"])
+        checks += _prefixed(name, report["checks"])
         status = "pass" if matched else "fail"
         checks.append(check_row(f"{name}:golden", "", "", status, None, notes))
-        for sod in case_report["sods"]:
-            prefixed = dict(sod)
-            prefixed["name"] = f"{name}:{sod['name']}"
-            sods.append(prefixed)
-        for note in case_report["warnings"]:
+        sods += _prefixed(name, report["sods"])
+        for note in report["warnings"]:
             if note not in warnings:
                 warnings.append(note)
 

@@ -97,6 +97,9 @@ def cmd_catalog(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_IO
     return _finish(report, args.json, EXIT_PASS if ok else EXIT_FAIL)
 
 

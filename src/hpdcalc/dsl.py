@@ -1,4 +1,4 @@
-"""Declaration language for workspaces and check pipelines.
+"""Declaration language for workspaces, check pipelines and decompositions.
 
 Statements end with `;`, comments run from `#` to end of line, and polynomial
 values use integer coefficients over declared symbols with `+ - *` and
@@ -20,7 +20,10 @@ from .checks import (
     check_thm_cone_part1,
     check_thm_cone_part2,
 )
-from .engine import SUBSET_READING_NOTE
+from .engine import (
+    SUBSET_READING_NOTE, join_profile, join_sod, n_join_profile, refined_blowup_profile,
+    universal_hyperplane_sod,
+)
 from .errors import (
     AmbientMismatch,
     ConflictingIntersection,
@@ -58,6 +61,7 @@ __all__ = [
     "DisjointDecl",
     "DualDecl",
     "CheckStmt",
+    "SodStmt",
 ]
 
 
@@ -73,22 +77,44 @@ def _run_dual_profile(
     return check_dual_profile(target, dual)
 
 
-# Per check: least and greatest arity (None = unbounded), whether it takes and
-# requires n2=, and its runner (profiles, stmt, ws). Runners look the check
-# functions up by name when called, so rebinding a name (to profile it) holds.
+def _join_sod(profiles: list[LefschetzProfile], stmt: SodStmt, ws: Workspace):
+    join = join_profile(profiles[0], profiles[1], ws)
+    if join.ambient_rank - 1 > MAX_N2:
+        raise DslSyntaxError(f"{join.ambient_rank - 1} blocks, more than {MAX_N2}")
+    return join.to_sod()
+
+
+def _refined_blowup_sod(profiles: list[LefschetzProfile], stmt: SodStmt, ws: Workspace):
+    rank = profiles[0].ambient_rank_N
+    if not 2 <= stmt.ell <= rank:
+        raise DslSyntaxError(f"ell must be from 2 to the ambient rank {rank}")
+    return refined_blowup_profile(profiles[0], stmt.ell, stmt.base.expr).to_sod()
+
+
+# Per check or sod: least and greatest arity (None = unbounded), the keywords it
+# requires and alone takes, and its runner (profiles, stmt, ws). Runners look up
+# what they call by name when called, so rebinding a name (to profile it) holds.
 _CHECKS = {
-    "main_theorem": (2, 2, False, lambda ps, stmt, ws: check_main_theorem(ps[0], ps[1], ws)),
-    "n_hpd_center": (1, None, False, lambda ps, stmt, ws: check_n_hpd_center(ps, ws)),
-    "cone_part1": (1, 1, True, lambda ps, stmt, ws: check_thm_cone_part1(ps[0], stmt.n2, ws)),
-    "cone_part2": (1, 1, True, lambda ps, stmt, ws: check_thm_cone_part2(ps[0], stmt.n2)),
-    "join_linear": (1, None, False, lambda ps, stmt, ws: check_join_linear(ps)),
-    "dual_profile": (1, 1, False, _run_dual_profile),
+    "main_theorem": (2, 2, (), lambda ps, stmt, ws: check_main_theorem(ps[0], ps[1], ws)),
+    "n_hpd_center": (1, None, (), lambda ps, stmt, ws: check_n_hpd_center(ps, ws)),
+    "cone_part1": (1, 1, ("n2",), lambda ps, stmt, ws: check_thm_cone_part1(ps[0], stmt.n2, ws)),
+    "cone_part2": (1, 1, ("n2",), lambda ps, stmt, ws: check_thm_cone_part2(ps[0], stmt.n2)),
+    "join_linear": (1, None, (), lambda ps, stmt, ws: check_join_linear(ps)),
+    "dual_profile": (1, 1, (), _run_dual_profile),
+}
+_SODS = {
+    "join": (2, 2, (), _join_sod),
+    "flat_join": (
+        2, None, (), lambda ps, stmt, ws: join_sod([p.name for p in ps], n_join_profile(ps, ws))
+    ),
+    "universal_hyperplane": (1, 1, (), lambda ps, stmt, ws: universal_hyperplane_sod(ps[0])),
+    "refined_blowup": (1, 1, ("ell", "base"), _refined_blowup_sod),
 }
 
 CHECK_NAMES = tuple(_CHECKS)
 
-# The cone checks' added rank n2 is at most this; the join in `cone_part2`
-# builds a list of n2 components, so a larger n2 is a syntax error.
+# No statement builds a list longer than this: n2 and ell past it are syntax
+# errors, and so is a join over P(N) with N - 1 past it, once the checks ran.
 MAX_N2 = 100_000
 
 _KEYWORDS = frozenset(
@@ -170,14 +196,24 @@ class DualDecl(NamedTuple):
 class CheckStmt(NamedTuple):
     check: str
     args_at: tuple[int, ...]
-    n2: int | None
     at: int
     src: Lexed
+    n2: int | None = None
     span = _span
     args = _pairs("args_at")
 
 
-Statement = SymbolDecl | CategoryDecl | IntersectDecl | DisjointDecl | DualDecl | CheckStmt
+class SodStmt(NamedTuple):
+    sod: str
+    args_at: tuple[int, ...]
+    at: int
+    src: Lexed
+    ell: int | None = None
+    base: PolyNode | None = None
+    span = _span
+
+
+Statement = SymbolDecl | CategoryDecl | IntersectDecl | DisjointDecl | DualDecl | CheckStmt | SodStmt
 
 
 class Ast(NamedTuple):
@@ -295,36 +331,43 @@ class _Parser(PolyParser):
         self.expect(";")
         return DualDecl(name, primitives, at, self.lexed)
 
-    def _stmt_check(self, at: int) -> CheckStmt:
-        i = self.expect_ident("check name")
-        name = self.words[i]
-        if name not in CHECK_NAMES:
+    def parse_call(self, at: int, node: type = CheckStmt, table: dict = _CHECKS) -> Statement:
+        """`NAME(category, ..., keyword=value, ...)` past its statement's keyword,
+        a check's by default or a sod's given its node and table: the node, with
+        each keyword value in the field of its name."""
+        kind = self.words[at]
+        name = self.words[self.pos]
+        if name not in table:
+            i = self.expect_ident(kind + " name")
             raise DslSyntaxError(
-                f"unknown check name {name!r}; expected one of {', '.join(CHECK_NAMES)}",
-                self.span(i),
+                f"unknown {kind} name {name!r}; expected one of {', '.join(table)}", self.span(i)
             )
-        lo, hi, takes_n2, _ = _CHECKS[name]
+        self.pos += 1
+        lo, hi, keywords, _ = table[name]
         self.expect("(")
         args: list[int] = []
-        n2: int | None = None
+        values: dict = {}
         while True:
             i = self.expect_ident("category name or keyword")
             word = self.words[i]
             if self.accept("="):
-                if word != "n2" or not takes_n2:
+                if word not in keywords:
                     raise DslSyntaxError(
-                        f"check {name!r} does not take keyword {word!r}", self.span(i)
+                        f"{kind} {name!r} does not take keyword {word!r}", self.span(i)
                     )
-                value, j = self.expect_int()
-                if value < 1:
-                    raise DslSyntaxError("n2 must be a positive integer", self.span(j))
-                if value > MAX_N2:
-                    raise DslSyntaxError(f"n2 must be at most {MAX_N2}", self.span(j))
-                if n2 is not None:
-                    raise DslSyntaxError("duplicate keyword 'n2'", self.span(i))
-                n2 = value
+                if word == "base":
+                    value = self.parse_poly()
+                else:
+                    value, j = self.expect_int()
+                    if value < 1:
+                        raise DslSyntaxError(f"{word} must be a positive integer", self.span(j))
+                    if value > MAX_N2:
+                        raise DslSyntaxError(f"{word} must be at most {MAX_N2}", self.span(j))
+                if word in values:
+                    raise DslSyntaxError(f"duplicate keyword {word!r}", self.span(i))
+                values[word] = value
             else:
-                if n2 is not None:
+                if values:
                     raise DslSyntaxError(
                         "positional arguments may not follow keyword arguments", self.span(i)
                     )
@@ -336,11 +379,13 @@ class _Parser(PolyParser):
         if len(args) < lo or (hi is not None and len(args) > hi):
             wanted = str(lo) if hi == lo else f"at least {lo}"
             raise DslSyntaxError(
-                f"check {name!r} takes {wanted} categories, got {len(args)}", self.span(at)
+                f"{kind} {name!r} takes {wanted} categories, got {len(args)}", self.span(at)
             )
-        if takes_n2 and n2 is None:
-            raise DslSyntaxError(f"check {name!r} requires n2=<rank>", self.span(at))
-        return CheckStmt(name, tuple(args), n2, at, self.lexed)
+        for word in keywords:
+            if word not in values:
+                wanted = "<invariant>" if word == "base" else "<rank>"
+                raise DslSyntaxError(f"{kind} {name!r} requires {word}={wanted}", self.span(at))
+        return node(name, tuple(args), at, self.lexed, **values)
 
     # Statement keyword -> handler, built once with the class.
     _STATEMENTS = {
@@ -349,7 +394,8 @@ class _Parser(PolyParser):
         "intersect": _stmt_intersect,
         "disjoint": _stmt_disjoint,
         "dual": _stmt_dual,
-        "check": _stmt_check,
+        "check": parse_call,
+        "sod": lambda self, at: self.parse_call(at, SodStmt, _SODS),
     }
 
 
@@ -492,9 +538,11 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
                 )
             except HpdcalcError as err:
                 raise _with_span(err, stmt.span)
-        elif isinstance(stmt, CheckStmt):
+        elif isinstance(stmt, (CheckStmt, SodStmt)):
             for i in stmt.args_at:
                 require_category(stmt.src.words[i], stmt.src, i)
+            if isinstance(stmt, SodStmt) and stmt.base is not None:
+                _check_poly_symbols((stmt.base,), symbols)
 
     try:
         return Workspace.build(symbols, categories, intersections, disjoint_sets, dual_profiles)
@@ -528,27 +576,42 @@ def run_check_row(stmt: CheckStmt, ws: Workspace) -> dict:
         return check_row(stmt.check, "", "", "underdetermined", None, [str(err)])
 
 
+def _sod_entry(stmt: SodStmt, ws: Workspace) -> dict:
+    """A sod statement's decomposition, named by its name with `-` for `_`, categories and ell."""
+    names = [stmt.src.words[i] for i in stmt.args_at]
+    sod = _SODS[stmt.sod][3]([ws.category(name) for name in names], stmt, ws)
+    if stmt.ell is not None:
+        names.append(f"ell={stmt.ell}")
+    return sod.to_json_dict(f"{stmt.sod.replace('_', '-')}({', '.join(names)})")
+
+
 def check_file(text: str, *, allow_nonmoderate: bool = False) -> tuple[dict, Workspace]:
     """The report of one declaration file, and its workspace.
 
-    Parses and validates the text, then runs its check statements in file
-    order. The report's warnings are the workspace's, then the subset reading
-    note once if any check row carries it. An error a check raises that does
-    not leave it undecided is raised again at the statement's span, as
-    `check NAME: ` and the error's own text.
+    Parses and validates the text, runs its check statements, then builds its
+    sod statements' decompositions, each in file order. The report's warnings
+    are the workspace's, then the subset reading note once if any check row
+    carries it. An error a check raises that does not leave it undecided, or
+    a decomposition raises, is raised again at the statement's span, as
+    `check NAME: ` or `sod NAME: ` and the error's own text.
     """
     ast = parse(text)
     ws = validate(ast, allow_nonmoderate=allow_nonmoderate)
     rows: list[dict] = []
-    for stmt in check_requests(ast):
-        try:
+    sods: list[dict] = []
+    try:
+        for stmt in check_requests(ast):
             rows.append(run_check_row(stmt, ws))
-        except HpdcalcError as err:
-            raise type(err)(f"check {stmt.check}: {err}", stmt.span) from err
+        for stmt in ast.statements:
+            if isinstance(stmt, SodStmt):
+                sods.append(_sod_entry(stmt, ws))
+    except HpdcalcError as err:
+        what = f"check {stmt.check}" if isinstance(stmt, CheckStmt) else f"sod {stmt.sod}"
+        raise type(err)(f"{what}: {err}", stmt.span) from err
     warnings = list(ws.warnings)
     if any(SUBSET_READING_NOTE in row["notes"] for row in rows):
         warnings.append(SUBSET_READING_NOTE)
-    return build_report(input_digest(text), rows, [], warnings), ws
+    return build_report(input_digest(text), rows, sods, warnings), ws
 
 
 # -- canonical printing ----------------------------------------------------------------

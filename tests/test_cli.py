@@ -375,7 +375,8 @@ def test_a_join_of_long_mostly_zero_profiles_costs_its_nonzero_pairs(tmp_path, c
 FUZZ_TOKENS = [
     "symbol", "category", "over", "P", "primitive", "left", "intersect", "disjoint", "dual",
     "check", "main_theorem", "n_hpd_center", "cone_part1", "cone_part2", "join_linear",
-    "dual_profile", "n2", "A", "B", "e", "0", "1", "3", "10",
+    "dual_profile", "n2", "sod", "join", "flat_join", "universal_hyperplane", "refined_blowup",
+    "ell", "base", "A", "B", "e", "0", "1", "3", "10",
     ",", ";", "[", "]", "(", ")", "=", "+", "-", "*", "#",
     " ", "\t", "\n", "\r\n", "$", "\u00e9", "\u00b2", "\u0664", "\x00",
 ]
@@ -442,8 +443,9 @@ def test_check_reproduces_the_catalog_golden(source, tmp_path, capsys):
     assert main(["check", str(source), "--json", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     golden = catalog.golden_report(source.stem.replace("_", "-"))
-    for key in ("input_digest", "checks", "warnings"):
-        assert report[key] == golden[key]
+    assert list(report) == list(golden)
+    for key in report.keys() - {"version"}:
+        assert report[key] == golden[key], key
     capsys.readouterr()
 
 
@@ -475,6 +477,18 @@ def test_catalog_all_and_single_case(tmp_path, capsys):
     report = json.loads((tmp_path / "cat.json").read_text())
     assert [row["status"] for row in report["checks"]] == ["pass", "pass"]
     capsys.readouterr()
+
+
+def test_catalog_golden_that_cannot_be_written_exits_four(tmp_path, capsys, monkeypatch):
+    # The golden's folder would have to be made below a plain file.
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setattr(catalog, "_golden_resource", lambda name: blocker / "golden" / f"{name}.json")
+    assert main(["catalog", "cone-point", "--update-golden"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write golden 'cone-point': ")
+    assert err.count("\n") == 1
 
 
 def test_catalog_unknown_name_exits_two(capsys):

@@ -20,7 +20,9 @@ from hpdcalc.dsl import (
     DisjointDecl,
     DualDecl,
     IntersectDecl,
+    SodStmt,
     SymbolDecl,
+    check_file,
     check_requests,
     parse,
     print_canonical,
@@ -35,10 +37,12 @@ from hpdcalc.errors import (
     DuplicateDeclaration,
     ImplausibleProfile,
     LeftRightMismatch,
+    MissingDisjointness,
     NonModerate,
     Underdetermined,
     UnknownCategory,
     UnknownSymbol,
+    UnresolvedIntersection,
 )
 from hpdcalc.model import Workspace
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, parse_expr
@@ -217,6 +221,7 @@ KEYWORD_OF = {
     DisjointDecl: "disjoint",
     DualDecl: "dual",
     CheckStmt: "check",
+    SodStmt: "sod",
 }
 
 
@@ -235,7 +240,7 @@ def statement_pieces(draw):
         picked = draw(st.lists(st.sampled_from(CATEGORY_NAMES), min_size=least, max_size=4, unique=True))
         return [piece for index, name in enumerate(picked) for piece in ([","] if index else []) + [name]]
 
-    kind = draw(st.sampled_from(["category", "category", "intersect", "disjoint", "dual", "check"]))
+    kind = draw(st.sampled_from(["category", "category", "intersect", "disjoint", "dual", "check", "sod"]))
     name = draw(st.sampled_from(CATEGORY_NAMES))
     if kind == "category":
         rank = str(draw(st.integers(2, 12)))
@@ -248,6 +253,9 @@ def statement_pieces(draw):
         pieces = ["disjoint", *names(2)]
     elif kind == "dual":
         pieces = ["dual", name, "primitive", *polys()]
+    elif kind == "sod":
+        pieces = ["sod", "refined_blowup", "(", name, ",", "ell", "=", "3", ",", "base", "=",
+                  *draw(poly_pieces), ")"]
     elif draw(st.booleans()):
         pieces = ["check", "cone_part1", "(", name, ",", "n2", "=", str(draw(st.integers(1, 9))), ")"]
     else:
@@ -298,7 +306,9 @@ def test_every_kept_span_is_a_reference_token_with_the_same_text(case):
         for name, span in getattr(stmt, "names", ()) + getattr(stmt, "args", ()):
             assert text_at(span) == name
         nodes = getattr(stmt, "primitives", ()) + (getattr(stmt, "left", None) or ())
-        for node in nodes + ((stmt.value,) if isinstance(stmt, IntersectDecl) else ()):
+        nodes += (stmt.value,) if isinstance(stmt, IntersectDecl) else ()
+        nodes += (stmt.base,) if isinstance(stmt, SodStmt) else ()
+        for node in nodes:
             assert tokens[at[node.span] - 1].text in ("[", ",", "=")
             for name, span in node.symbol_uses:
                 assert text_at(span) == name
@@ -459,6 +469,8 @@ def test_symbolic_pair_in_two_groups_warns_once():
         "disjointness forces 0",
     )
 
+
+_SOD_SRC = "symbol z;\ncategory A over P(4) primitive [1];\ncategory B over P(4) primitive [1];\n"
 
 MALFORMED = [
     ("missing-semicolon", "symbol e", DslSyntaxError, (1, 9)),
@@ -629,10 +641,54 @@ MALFORMED = [
         DslSyntaxError,
         ("0", 1),
     ),
+    ("unknown-sod", _SOD_SRC + "sod joint(A, B);", DslSyntaxError, ("joint", 1)),
+    ("sod-arity", _SOD_SRC + "sod join(A);", DslSyntaxError, ("sod", 1)),
+    ("sod-missing-ell", _SOD_SRC + "sod refined_blowup(A, base=z);", DslSyntaxError, ("sod", 1)),
+    ("sod-missing-base", _SOD_SRC + "sod refined_blowup(A, ell=3);", DslSyntaxError, ("sod", 1)),
+    (
+        "sod-keyword-not-taken",
+        _SOD_SRC + "sod universal_hyperplane(A, n2=2);",
+        DslSyntaxError,
+        ("n2", 1),
+    ),
+    ("sod-ell-one", _SOD_SRC + "sod refined_blowup(A, ell=1, base=z);", DslSyntaxError, ("sod", 1)),
+    (
+        "sod-ell-past-rank",
+        _SOD_SRC + "sod refined_blowup(A, ell=5, base=z);",
+        DslSyntaxError,
+        ("sod", 1),
+    ),
+    (
+        "sod-ell-past-cap",
+        _SOD_SRC + "sod refined_blowup(A, ell=100001, base=z);",
+        DslSyntaxError,
+        ("100001", 1),
+    ),
+    (
+        "sod-base-undeclared-symbol",
+        _SOD_SRC + "sod refined_blowup(A, ell=3, base=z + q);",
+        UnknownSymbol,
+        ("q", 1),
+    ),
+    (
+        "sod-join-over-cap",
+        "category A over P(100002) primitive [1]; category B over P(100002) primitive [1];\n"
+        "disjoint A, B;\nsod join(A, B);",
+        DslSyntaxError,
+        ("sod", 1),
+    ),
+    ("sod-join-unresolved", _SOD_SRC + "sod join(A, B);", UnresolvedIntersection, ("sod", 1)),
+    (
+        "sod-flat-join-not-disjoint",
+        _SOD_SRC + "sod flat_join(A, B);",
+        MissingDisjointness,
+        ("sod", 1),
+    ),
 ]
 
 # The exact text of the diagnostic of each MALFORMED case that checks a word,
-# an arity, a keyword, the length of an integer literal or the range of n2.
+# an arity, a keyword, the length of an integer literal or the range of n2,
+# and of each malformed sod statement.
 DIAGNOSTIC_TEXT = {
     "check-arity": "1:1: check 'main_theorem' takes 2 categories, got 1",
     "check-arity-too-many": "1:37: check 'cone_part1' takes 1 categories, got 2",
@@ -651,6 +707,20 @@ DIAGNOSTIC_TEXT = {
     "long-literal-in-rank": "1:19: integer literal longer than 4300 digits",
     "long-literal-in-n2": "2:24: integer literal longer than 4300 digits",
     "huge-n2": "2:24: n2 must be at most 100000",
+    "unknown-sod": "4:5: unknown sod name 'joint'; expected one of join, flat_join, "
+    "universal_hyperplane, refined_blowup",
+    "sod-arity": "4:1: sod 'join' takes 2 categories, got 1",
+    "sod-missing-ell": "4:1: sod 'refined_blowup' requires ell=<rank>",
+    "sod-missing-base": "4:1: sod 'refined_blowup' requires base=<invariant>",
+    "sod-keyword-not-taken": "4:29: sod 'universal_hyperplane' does not take keyword 'n2'",
+    "sod-ell-one": "4:1: sod refined_blowup: ell must be from 2 to the ambient rank 4",
+    "sod-ell-past-rank": "4:1: sod refined_blowup: ell must be from 2 to the ambient rank 4",
+    "sod-ell-past-cap": "4:27: ell must be at most 100000",
+    "sod-base-undeclared-symbol": "4:39: symbol 'q' is not declared",
+    "sod-join-over-cap": "3:1: sod join: 100001 blocks, more than 100000",
+    "sod-join-unresolved": "4:1: sod join: no declared intersection invariant for A, B over P(V)",
+    "sod-flat-join-not-disjoint": "4:1: sod flat_join: flat join of A, B needs a declared "
+    "disjointness group",
 }
 
 
@@ -660,16 +730,16 @@ DIAGNOSTIC_TEXT = {
 def test_malformed_inputs_raise_with_spans(src, exc, where):
     expected = where if isinstance(where[0], int) else pos(src, *where)
     with pytest.raises(exc) as excinfo:
-        validate(parse(src))
+        check_file(src)
     assert excinfo.value.span == expected
     assert str(excinfo.value).startswith(f"{expected[0]}:{expected[1]}:")
 
 
 @pytest.mark.parametrize("name", list(DIAGNOSTIC_TEXT))
 def test_diagnostic_text_is_exact(name):
-    (src,) = [case[1] for case in MALFORMED if case[0] == name]
-    with pytest.raises(DslSyntaxError) as excinfo:
-        parse(src)
+    ((src, exc),) = [case[1:3] for case in MALFORMED if case[0] == name]
+    with pytest.raises(exc) as excinfo:
+        check_file(src)
     assert str(excinfo.value) == DIAGNOSTIC_TEXT[name]
 
 
@@ -753,3 +823,23 @@ def test_run_check_center_and_linear_join_statements():
     result2 = run_check(check_requests(ast2)[0], validate(ast2))
     assert result2.status == "pass"
     assert result2.lhs == 2
+
+
+def test_decompositions_follow_the_checks_in_statement_order(monkeypatch):
+    # A join past the block cap fails only after every check has run.
+    src = (
+        "symbol z; category A over P(6) primitive [1, 1]; category B over P(6) primitive [1];\n"
+        "disjoint A, B;\nsod universal_hyperplane(A);\nsod refined_blowup(A, ell=3, base=z);\n"
+        "sod flat_join(A, B);\ncheck main_theorem(A, B);\n"
+    )
+    report, _ = check_file(src)
+    assert [sod["name"] for sod in report["sods"]] == [
+        "universal-hyperplane(A)",
+        "refined-blowup(A, ell=3)",
+        "flat-join(A, B)",
+    ]
+    assert [row["status"] for row in report["checks"]] == ["pass"]
+    calls = count_calls(monkeypatch, hpdcalc.dsl, "check_main_theorem")
+    with pytest.raises(DslSyntaxError, match="^5:1: sod join: 999999 blocks, more than 100000$"):
+        check_file(src.replace("P(6)", "P(1000000)").replace("sod flat_join", "sod join"))
+    assert calls == [None]

@@ -144,7 +144,6 @@ RECORDS = {
     "PropertyOutcome": (_outcome, "passes"),
     "PropReport": (lambda: prop.PropReport(1, 2, (_outcome(),)), "outcomes"),
     "_Bounds": (lambda: prop._Bounds(5, 9, 2, False), "max_rank"),
-    "CatalogCase": (lambda: catalog.CatalogCase("c", "c.hpd", ()), "source_file"),
     # Not hashable: a witness is a dict, the workspace's mappings are
     # mappings, and a parsed statement keeps its lexed source, which has lists.
     "CaseFailure": (lambda: prop.CaseFailure(0, "d", const(1), const(2), {"x": 0}), "detail"),

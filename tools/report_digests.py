@@ -51,11 +51,13 @@ PROP_RUNS = [
 ]
 
 _CAT = "category A over P(3) primitive [1, 1];\n"
+_SOD = "symbol z;\ncategory A over P(4) primitive [1];\ncategory B over P(4) primitive [1];\n"
 
 # Name -> source. Between them they blame every kind of position the syntax
-# tree keeps (statement keywords, names, check arguments, symbol uses) and
-# the parser's cursor, on lines after comments, in a CRLF file and on lines
-# with non-ASCII names, which are lexed one word at a time.
+# tree keeps (statement keywords, names, check and sod arguments, symbol
+# uses) and the parser's cursor, on lines after comments, in a CRLF file and
+# on lines with non-ASCII names, which are lexed one word at a time. The sod
+# sources fail while the file is parsed, validated or after its checks ran.
 MALFORMED = {
     "cursor-missing-bracket": "category A over P(3) primitive [1 2];\n",
     "cursor-missing-paren": "category A over P(3) primitive [1, (2 + 3];\n",
@@ -97,6 +99,18 @@ MALFORMED = {
     "non-ascii-cursor": "symbol \u00e9t\u00e9;\ncategory A over P(3) primitive [\u00e9t\u00e9 \u00e9t\u00e9];\n",
     "non-ascii-then-unknown-category": "symbol \u00e9t\u00e9;\n"
     "category \u00c9 over P(3) primitive [1, \u00e9t\u00e9];\ncheck join_linear(\u00c9, \u00c8);\n",
+    "sod-unknown-name": _SOD + "sod joint(A, B);\n",
+    "sod-arity": _SOD + "sod join(A);\n",
+    "sod-missing-ell": _SOD + "sod refined_blowup(A, base=z);\n",
+    "sod-missing-base": _SOD + "sod refined_blowup(A, ell=3);\n",
+    "sod-keyword-not-taken": _SOD + "sod join(A, B, ell=3);\n",
+    "sod-ell-one": _SOD + "sod refined_blowup(A, ell=1, base=z);\n",
+    "sod-ell-past-rank": _SOD + "sod refined_blowup(A, ell=5, base=z);\n",
+    "sod-ell-past-cap": _SOD + "sod refined_blowup(A, ell=100001, base=z);\n",
+    "sod-base-undeclared-symbol": _SOD + "sod refined_blowup(A, ell=3, base=z + q);\n",
+    "sod-join-over-cap": "category A over P(1000000) primitive [1];\n"
+    "category B over P(1000000) primitive [1];\ndisjoint A, B;\nsod join(A, B);\n",
+    "sod-join-unresolved-after-a-check": _SOD + "check main_theorem(A, B);\nsod join(A, B);\n",
 }
 
 
