@@ -44,7 +44,7 @@ def case_source(name: str) -> str:
 
 def run_case(name: str) -> dict:
     """Execute one case and assemble its report."""
-    return check_file(case_source(name))[0]
+    return check_file(case_source(name))
 
 
 def _golden_resource(name: str):
@@ -92,17 +92,16 @@ def _prefixed(name: str, entries: list[dict]) -> list[dict]:
 def run_catalog(
     names: list[str] | None = None, *, update_golden: bool = False
 ) -> tuple[dict, bool]:
-    """Run the selected cases; returns the merged report and overall success."""
+    """Run the selected cases through `run_case`; returns the merged report,
+    whose input digest is that of the cases' sources joined, and overall success."""
     selected = names if names else case_names()
     checks: list[dict] = []
     sods: list[dict] = []
     warnings: list[str] = []
-    sources: list[str] = []
     all_ok = True
 
     for name in selected:
-        sources.append(case_source(name))
-        report, _ = check_file(sources[-1])
+        report = run_case(name)
         if update_golden:
             write_golden(name, report)
         _, matched, notes = compare_case(name, report)
@@ -115,5 +114,5 @@ def run_catalog(
             if note not in warnings:
                 warnings.append(note)
 
-    merged = build_report(input_digest("".join(sources)), checks, sods, warnings)
+    merged = build_report(input_digest("".join(map(case_source, selected))), checks, sods, warnings)
     return merged, all_ok

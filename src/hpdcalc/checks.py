@@ -12,7 +12,6 @@ import math
 from typing import NamedTuple, Sequence
 
 from .engine import (
-    SUBSET_READING_NOTE,
     _leave_one_out,
     deep_component,
     duality_total,
@@ -36,11 +35,20 @@ __all__ = [
     "check_join_linear",
     "check_dual_profile",
     "INVARIANT_LEVEL_NOTE",
+    "SUBSET_READING_NOTE",
 ]
 
 INVARIANT_LEVEL_NOTE = (
     "invariant-level consequence: equality of additive invariants, not a proof "
     "of equivalence"
+)
+
+# A note of every check that reads the n-universal-hyperplane blocks of two or
+# more categories: the source statement tensors over the subset I, but the
+# n = 2 proof tensors over its complement, and the engine follows the proof.
+SUBSET_READING_NOTE = (
+    "n-universal-hyperplane blocks tensor component factors over the complement "
+    "of the subset I (proof-consistent reading)"
 )
 
 
@@ -226,8 +234,7 @@ def check_join_linear(profiles: Sequence[LefschetzProfile]) -> CheckResult:
     is N * prod_k c0_k - sum_k t_k * prod_{j != k} c0_j expanded: the deep
     component of the simultaneous universal hyperplane over the split ambient
     space, in which every sub-collection is disjoint. So the check compares
-    two sides only; for two or more inputs the notes name the rhs as that
-    route's value.
+    two sides only: the join's duality total, then the join of the small duals.
     """
     if not profiles:
         raise ValueError("need at least one profile")
@@ -245,14 +252,6 @@ def check_join_linear(profiles: Sequence[LefschetzProfile]) -> CheckResult:
     ]
     if len(profiles) >= 2:
         notes.append(SUBSET_READING_NOTE)
-        if lhs == rhs:
-            notes.append(f"simultaneous-hyperplane route agrees: deep component {lhs}")
-        else:
-            notes.append(
-                "simultaneous-hyperplane route disagrees with the join route; "
-                "comparing those two sides instead"
-            )
-            return _result("join_linear", rhs, lhs, notes)
     return _result("join_linear", lhs, rhs, notes)
 
 

@@ -82,7 +82,7 @@ def cmd_check(args) -> int:
         return EXIT_IO
 
     try:
-        report, _ = check_file(source, allow_nonmoderate=args.allow_nonmoderate)
+        report = check_file(source, allow_nonmoderate=args.allow_nonmoderate)
     except HpdcalcError as err:
         print(f"{args.file}:{err}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,6 +12,7 @@ import gc
 from typing import NamedTuple, Sequence
 
 from .checks import (
+    SUBSET_READING_NOTE,
     CheckResult,
     check_dual_profile,
     check_join_linear,
@@ -21,8 +22,7 @@ from .checks import (
     check_thm_cone_part2,
 )
 from .engine import (
-    SUBSET_READING_NOTE, join_profile, join_sod, n_join_profile, refined_blowup_profile,
-    universal_hyperplane_sod,
+    join_profile, join_sod, n_join_profile, refined_blowup_profile, universal_hyperplane_sod
 )
 from .errors import (
     AmbientMismatch,
@@ -117,9 +117,8 @@ CHECK_NAMES = tuple(_CHECKS)
 # errors, and so is a join over P(N) with N - 1 past it, once the checks ran.
 MAX_N2 = 100_000
 
-_KEYWORDS = frozenset(
-    ["symbol", "category", "over", "primitive", "left", "intersect", "disjoint", "dual", "check"]
-)
+# Keywords that only continue a statement; the others start one (`_STATEMENTS`).
+_KEYWORDS = frozenset(["over", "primitive", "left"])
 
 
 # -- syntax tree -------------------------------------------------------------------
@@ -585,8 +584,8 @@ def _sod_entry(stmt: SodStmt, ws: Workspace) -> dict:
     return sod.to_json_dict(f"{stmt.sod.replace('_', '-')}({', '.join(names)})")
 
 
-def check_file(text: str, *, allow_nonmoderate: bool = False) -> tuple[dict, Workspace]:
-    """The report of one declaration file, and its workspace.
+def check_file(text: str, *, allow_nonmoderate: bool = False) -> dict:
+    """The report of one declaration file.
 
     Parses and validates the text, runs its check statements, then builds its
     sod statements' decompositions, each in file order. The report's warnings
@@ -611,7 +610,7 @@ def check_file(text: str, *, allow_nonmoderate: bool = False) -> tuple[dict, Wor
     warnings = list(ws.warnings)
     if any(SUBSET_READING_NOTE in row["notes"] for row in rows):
         warnings.append(SUBSET_READING_NOTE)
-    return build_report(input_digest(text), rows, sods, warnings), ws
+    return build_report(input_digest(text), rows, sods, warnings)
 
 
 # -- canonical printing ----------------------------------------------------------------

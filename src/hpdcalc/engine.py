@@ -61,19 +61,10 @@ __all__ = [
     "RefinedBlowupResult",
     "refined_blowup_profile",
     "profile_from_components",
-    "SUBSET_READING_NOTE",
 ]
 
 _zero = InvariantExpr.const(0)
 _one = InvariantExpr.const(1)
-
-# A note of every check that reads the n-universal-hyperplane blocks of two or
-# more categories: the source statement tensors over the subset I, but the
-# n = 2 proof tensors over its complement, and the engine follows the proof.
-SUBSET_READING_NOTE = (
-    "n-universal-hyperplane blocks tensor component factors over the complement "
-    "of the subset I (proof-consistent reading)"
-)
 
 _DUAL_SPACE = "D(P(V*))"
 

@@ -7,6 +7,8 @@ import pytest
 
 from hpdcalc import catalog
 
+from support import count_calls
+
 
 def blocks_of(report, sod_name):
     for sod in report["sods"]:
@@ -130,6 +132,17 @@ def test_run_catalog_merges_all_cases_with_prefixes():
     assert len(golden_rows) == len(catalog.case_names())
     sod_names = [sod["name"] for sod in report["sods"]]
     assert "refined-blowup:refined-blowup(Gr25, ell=7)" in sod_names
+
+
+@pytest.mark.parametrize("names", [None, ["cone-point", "gr25-join"]])
+def test_run_catalog_runs_each_selected_case_through_run_case(names, monkeypatch):
+    # run_case is the one entry point a case has, so a trace of it times the catalog.
+    calls = count_calls(monkeypatch, catalog, "run_case")
+    report, ok = catalog.run_catalog(names)
+    selected = names or catalog.case_names()
+    assert ok and len(calls) == len(selected)
+    sources = "".join(catalog.case_source(name) for name in selected)
+    assert report["input_digest"] == catalog.input_digest(sources)
 
 
 def test_run_catalog_subset_and_failure_propagation(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hpdcalc import checks
 from hpdcalc.checks import (
     INVARIANT_LEVEL_NOTE,
+    SUBSET_READING_NOTE,
     check_dual_profile,
     check_join_linear,
     check_main_theorem,
@@ -16,7 +17,6 @@ from hpdcalc.checks import (
     check_thm_cone_part2,
     find_witness,
 )
-from hpdcalc.engine import SUBSET_READING_NOTE
 from hpdcalc.errors import JoinNotModerate, MissingDisjointness
 from hpdcalc.model import Workspace, build_profile
 from hpdcalc.poly import InvariantExpr, const, sym
@@ -296,13 +296,11 @@ def test_join_linear_two_points():
     assert result.status == "pass"
     assert result.lhs == 2
     assert result.rhs == 2
-    assert result.notes == _JOIN_LINEAR_NOTES + (
-        "simultaneous-hyperplane route agrees: deep component 2",
-    )
+    assert result.notes == _JOIN_LINEAR_NOTES
 
 
 @pytest.mark.parametrize(
-    "profiles, lhs, rhs",
+    "profiles, rhs, lhs",
     [
         (
             [point("A", 2), build_profile("B", 3, [1, sym("y")])],
@@ -316,9 +314,9 @@ def test_join_linear_two_points():
         ),
     ],
 )
-def test_join_linear_fail_branch_is_pinned(profiles, lhs, rhs, monkeypatch):
+def test_join_linear_fail_branch_is_pinned(profiles, rhs, lhs, monkeypatch):
     # A join whose component 0 gains x disagrees with the small duals: the row
-    # shows the small duals first, the join's duality total second.
+    # shows the join's duality total first, the small duals second.
     original = checks.n_join_components
 
     def bumped(enlarged):
@@ -330,10 +328,7 @@ def test_join_linear_fail_branch_is_pinned(profiles, lhs, rhs, monkeypatch):
     assert (str(result.lhs), str(result.rhs)) == (lhs, rhs)
     assert result.status == "fail"
     assert result.witness == {"x": 1, "y": 0}
-    assert result.notes == _JOIN_LINEAR_NOTES + (
-        "simultaneous-hyperplane route disagrees with the join route; "
-        "comparing those two sides instead",
-    )
+    assert result.notes == _JOIN_LINEAR_NOTES
 
 
 def test_join_linear_rank_ten_plus_point():

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import hpdcalc
 from hpdcalc import catalog, cli, poly
 from hpdcalc.cli import main
+from hpdcalc.checks import SUBSET_READING_NOTE
 from hpdcalc.dsl import MAX_N2
-from hpdcalc.engine import SUBSET_READING_NOTE
 from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, const
 
 from support import count_calls, time_budget

@@ -832,7 +832,7 @@ def test_decompositions_follow_the_checks_in_statement_order(monkeypatch):
         "disjoint A, B;\nsod universal_hyperplane(A);\nsod refined_blowup(A, ell=3, base=z);\n"
         "sod flat_join(A, B);\ncheck main_theorem(A, B);\n"
     )
-    report, _ = check_file(src)
+    report = check_file(src)
     assert [sod["name"] for sod in report["sods"]] == [
         "universal-hyperplane(A)",
         "refined-blowup(A, ell=3)",

@@ -504,7 +504,7 @@ def test_malformed_workspaces_through_join_linear_and_the_cli(case, tmp_path, ca
     out, err = capsys.readouterr()
     expected_code, statuses = _CLI_OUTCOME[case]
     assert (code, err) == (expected_code, "")
-    assert out.splitlines()[-1] == f"warning: {engine.SUBSET_READING_NOTE}"
+    assert out.splitlines()[-1] == f"warning: {checks.SUBSET_READING_NOTE}"
     out = out.rsplit("\n", 2)[0]
     rows = [line.split(": ")[1].split(" ")[0] for line in out.splitlines()]
     assert rows == statuses
