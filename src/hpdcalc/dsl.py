@@ -8,6 +8,7 @@ validation error carries a (line, column) span.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 from typing import NamedTuple, Sequence
 
@@ -221,6 +222,12 @@ class Ast(NamedTuple):
 
 # -- parsing ----------------------------------------------------------------------
 
+# The fixed words of a category head, `category NAME over P(RANK) primitive [`,
+# around its name and rank; a dual head ends in the last two.
+_OVER_P = ["over", "P", "("]
+_PRIMITIVE_LIST = [")", "primitive", "["]
+_PRIMITIVE = _PRIMITIVE_LIST[1:]
+
 
 class _Parser(PolyParser):
     """The statement grammar on top of the shared polynomial grammar."""
@@ -246,13 +253,13 @@ class _Parser(PolyParser):
         return PolyNode(self.poly_sum(uses), tuple(uses), at, self.lexed)
 
     def parse_poly_list(self) -> tuple[PolyNode, ...]:
-        """'[' sum (',' sum)* ']', read in one loop."""
-        self.expect("[")
-        items: list[PolyNode] = []
-        while not items or self.accept(","):
-            items.append(self.parse_poly())
+        """sum (',' sum)* ']', a polynomial list past its '[': the sums are read
+        in one loop."""
+        items: list[tuple[InvariantExpr, tuple[int, ...], int]] = []
+        self._sum([], items)
         self.expect("]")
-        return tuple(items)
+        lexed = self.lexed
+        return tuple([PolyNode(expr, uses, at, lexed) for expr, uses, at in items])
 
     def parse_rank(self) -> int:
         self.expect("P")
@@ -294,13 +301,22 @@ class _Parser(PolyParser):
         return SymbolDecl(names, at, self.lexed)
 
     def _stmt_category(self, at: int) -> CategoryDecl:
-        name = self.words[self.expect_ident("category name")]
-        self.expect("over")
-        rank = self.parse_rank()
-        self.expect("primitive")
+        words = self.words
+        if words[at + 2 : at + 5] == _OVER_P and words[at + 6 : at + 9] == _PRIMITIVE_LIST and (
+            words[at + 1].isidentifier() and words[at + 5].isdigit()
+        ):
+            name, rank = words[at + 1], self.int_value(at + 5)
+            self.pos = at + 9
+        else:  # the words one at a time, for the diagnostic of the first wrong one
+            name = words[self.expect_ident("category name")]
+            self.expect("over")
+            rank = self.parse_rank()
+            self.expect("primitive")
+            self.expect("[")
         primitives = self.parse_poly_list()
         left = None
         if self.accept("left"):
+            self.expect("[")
             left = self.parse_poly_list()
         self.expect(";")
         return CategoryDecl(name, rank, primitives, left, at, self.lexed)
@@ -324,8 +340,14 @@ class _Parser(PolyParser):
         return DisjointDecl(names, at, self.lexed)
 
     def _stmt_dual(self, at: int) -> DualDecl:
-        name = self.words[self.expect_ident("category name")]
-        self.expect("primitive")
+        words = self.words
+        if words[at + 2 : at + 4] == _PRIMITIVE and words[at + 1].isidentifier():
+            name = words[at + 1]
+            self.pos = at + 4
+        else:  # the words one at a time, for the diagnostic of the first wrong one
+            name = words[self.expect_ident("category name")]
+            self.expect("primitive")
+            self.expect("[")
         primitives = self.parse_poly_list()
         self.expect(";")
         return DualDecl(name, primitives, at, self.lexed)
@@ -398,6 +420,18 @@ class _Parser(PolyParser):
     }
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector in the block; restore it on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def parse(text: str) -> Ast:
     """Parse source text into a statement list; raises DslSyntaxError with a span.
 
@@ -405,15 +439,10 @@ def parse(text: str) -> Ast:
     from the lexed text only when a node's span is read or an error is raised.
     Parsing allocates many words and nodes and no reference cycles, so the
     cyclic garbage collector, whose passes would rescan every node built so
-    far, is paused while it runs and left after as it was found.
+    far, is paused while it runs.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         return _Parser(tokenize(text)).parse_file()
-    finally:
-        if enabled:
-            gc.enable()
 
 
 # -- validation ---------------------------------------------------------------------
@@ -443,18 +472,24 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
     """
     symbols: set[str] = set()
     category_decls: dict[str, CategoryDecl] = {}
+    # Each statement is dispatched on its type once: declarations of names
+    # here, and the statements that refer to them, in file order, after.
+    references: list[Statement] = []
 
     for stmt in ast.statements:
-        if isinstance(stmt, SymbolDecl):
+        kind = type(stmt)
+        if kind is CategoryDecl:
+            if stmt.name in category_decls:
+                raise DuplicateDeclaration(f"category {stmt.name!r} declared twice", stmt.span)
+            category_decls[stmt.name] = stmt
+        elif kind is SymbolDecl:
             for i in stmt.names_at:
                 name = stmt.src.words[i]
                 if name in symbols:
                     raise DuplicateDeclaration(f"symbol {name!r} declared twice", stmt.src.span(i))
                 symbols.add(name)
-        elif isinstance(stmt, CategoryDecl):
-            if stmt.name in category_decls:
-                raise DuplicateDeclaration(f"category {stmt.name!r} declared twice", stmt.span)
-            category_decls[stmt.name] = stmt
+        else:
+            references.append(stmt)
 
     overlap = symbols & set(category_decls)
     if overlap:
@@ -493,8 +528,9 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
     disjoint_sets: list[tuple[str, ...]] = []
     dual_profiles: dict[str, LefschetzProfile] = {}
 
-    for stmt in ast.statements:
-        if isinstance(stmt, IntersectDecl):
+    for stmt in references:
+        kind = type(stmt)
+        if kind is IntersectDecl:
             a = require_category(stmt.first, stmt.src, stmt.at)
             b = require_category(stmt.second, stmt.src, stmt.at)
             if a.rank != stmt.rank or b.rank != stmt.rank:
@@ -511,7 +547,7 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
             intersect_decls[key] = stmt
             _check_poly_symbols((stmt.value,), symbols)
             intersections[key] = stmt.value.expr
-        elif isinstance(stmt, DisjointDecl):
+        elif kind is DisjointDecl:
             names = tuple(stmt.src.words[i] for i in stmt.names_at)
             listed: set[str] = set()
             for name, i in zip(names, stmt.names_at):
@@ -523,7 +559,7 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
                     )
                 listed.add(name)
             disjoint_sets.append(names)
-        elif isinstance(stmt, DualDecl):
+        elif kind is DualDecl:
             decl = require_category(stmt.name, stmt.src, stmt.at)
             if stmt.name in dual_profiles:
                 raise DuplicateDeclaration(f"dual of {stmt.name!r} declared twice", stmt.span)
@@ -537,10 +573,10 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
                 )
             except HpdcalcError as err:
                 raise _with_span(err, stmt.span)
-        elif isinstance(stmt, (CheckStmt, SodStmt)):
+        else:  # a check or a sod
             for i in stmt.args_at:
                 require_category(stmt.src.words[i], stmt.src, i)
-            if isinstance(stmt, SodStmt) and stmt.base is not None:
+            if kind is SodStmt and stmt.base is not None:
                 _check_poly_symbols((stmt.base,), symbols)
 
     try:
@@ -593,7 +629,17 @@ def check_file(text: str, *, allow_nonmoderate: bool = False) -> dict:
     carries it. An error a check raises that does not leave it undecided, or
     a decomposition raises, is raised again at the statement's span, as
     `check NAME: ` or `sod NAME: ` and the error's own text.
+
+    The cyclic garbage collector is paused for the whole file, as for
+    `parse`: validation builds a profile per category and no reference
+    cycles, and a pass would rescan every node and profile of the file. It
+    resumes once they are freed, so its next pass does not scan them either.
     """
+    with _collector_paused():
+        return _file_report(text, allow_nonmoderate)
+
+
+def _file_report(text: str, allow_nonmoderate: bool) -> dict:
     ast = parse(text)
     ws = validate(ast, allow_nonmoderate=allow_nonmoderate)
     rows: list[dict] = []

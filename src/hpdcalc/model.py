@@ -98,6 +98,11 @@ class LefschetzProfile(_ProfileFields):
         return self._total
 
 
+def _coerced(values: Sequence[Coercible]) -> tuple[InvariantExpr, ...]:
+    """The values as invariant values; a value that is one already takes no call."""
+    return tuple([v if v.__class__ is InvariantExpr else InvariantExpr._coerce(v) for v in values])
+
+
 def build_profile(
     name: str,
     N: int,
@@ -109,15 +114,13 @@ def build_profile(
     """Validate and freeze a profile; left data defaults to the right data."""
     if N < 2:
         raise ValueError(f"ambient rank must be at least 2, got {N}")
-    right = tuple(map(InvariantExpr._coerce, primitive_right))
+    right = _coerced(primitive_right)
     if not right:
         raise ValueError("a profile needs at least one primitive block")
-    left = right if primitive_left is None else tuple(map(InvariantExpr._coerce, primitive_left))
+    left = right if primitive_left is None else _coerced(primitive_left)
     profile = LefschetzProfile(name, N, right, left)
-    if profile.length_m >= N and not allow_nonmoderate:
-        raise NonModerate(
-            f"category {name!r} has length {profile.length_m} >= ambient rank {N}"
-        )
+    if len(right) >= N and not allow_nonmoderate:
+        raise NonModerate(f"category {name!r} has length {len(right)} >= ambient rank {N}")
     if len(left) != len(right):
         raise LeftRightMismatch(
             f"category {name!r}: left data has {len(left)} blocks, right has {len(right)}"
@@ -130,8 +133,10 @@ def build_profile(
                 f"category {name!r}: left total {weighted_left} != right total "
                 f"{profile.total_invariant()}"
             )
+    # The plausibility screen: each primitive's value at all-ones, the sum of
+    # its coefficients, read from its terms with no method call per primitive.
     for j, p in enumerate(right):
-        if p.at_ones() < 0:
+        if sum(p._terms.values()) < 0:
             raise ImplausibleProfile(
                 f"category {name!r}: primitive {j} is {p}, negative at all-ones"
             )

@@ -24,19 +24,18 @@ of a sum of scaled values (and of `-`) into one dict; each is collected once.
 A result shares no term dict with an operand, unless it is that operand.
 
 The text front end does the same. `PolyParser` accumulates each polynomial
-into one raw term dict and makes it canonical once, at the end; a product of
-integers, names and unary signs folds into one coefficient and one monomial,
-and only a parenthesized factor multiplies term dicts. `tokenize` lexes each
-line with one `findall` of a compiled pattern whose pieces include their
-leading blanks, and keeps only the words, in one flat list, and the index of
-each line's first word. It builds no object per piece and computes no
-position. The parser reads the words with a piece index as its cursor, tells
-a word's kind from the word itself, and keeps piece indexes as positions; a
-(line, column) is resolved only when a diagnostic or a reader asks for one,
-by re-lexing that one line (`Lexed.span`). A line the pieces do not cover,
-because it holds a non-ASCII or unexpected character, is lexed one word at a
-time instead, and identifiers with non-ASCII characters follow the
-`str.isidentifier` rule.
+into one raw term dict and makes it canonical once, when it is read; a product
+of integers, names and unary signs folds into one coefficient and one
+monomial, and only a parenthesized factor multiplies term dicts. `tokenize`
+keeps only the words, in one flat list, and the index of each line's first
+word. A text of the ASCII grammar alone, which one pass over its bytes tells
+once its comments are cut, is split in bulk by string methods; a line with a
+non-ASCII or unexpected character is lexed one word at a time, and
+identifiers with non-ASCII characters follow the `str.isidentifier` rule.
+The parser reads the words with a piece index as its cursor, tells a word's
+kind from the word itself, and keeps piece indexes as positions; a (line,
+column) is resolved only when a diagnostic or a reader asks for one, by
+re-lexing that one line (`Lexed.span`).
 """
 
 from __future__ import annotations
@@ -376,13 +375,24 @@ MAX_NESTING = 100
 MAX_INT_DIGITS = 4300
 
 
-# Optional horizontal whitespace (" \t\r" only), then one word of the ASCII
-# grammar: a punctuation mark (the most frequent kind, so tried first), an
-# integer of ASCII digits or an ASCII identifier. `_line_pieces` cuts a line's
-# comment off and finds these pieces in the rest; where they do not cover it,
-# the line has a character outside ASCII or outside the grammar, and
-# `_lex_stepwise` reads it one word at a time.
-_PIECES = re.compile(r"[ \t\r]*(?:[,;\[\]()=+*-]|[0-9]+|[A-Za-z_][A-Za-z0-9_]*)")
+# The grammar's ASCII characters, each mapped to its class for the bulk check
+# in `_regular`: a letter or `_` to `a`, a digit to `0`, a blank (" \t\r"), a
+# line break or one of the ten punctuation marks to a space; every other byte
+# maps to `?`.
+_MARKS = ",;[]()=+*-"
+_CLASSES = bytes(
+    ord("a") if ch.isalpha() or ch == "_"
+    else ord("0") if ch.isdigit()
+    else ord(" ") if ch in " \t\r\n" + _MARKS
+    else ord("?")
+    for ch in map(chr, range(128))
+).ljust(256, b"?")
+_COMMENTS = re.compile(r"#[^\n]*")
+# What `_lex_stepwise` matches after a line's blanks: a punctuation mark or an
+# integer of ASCII digits; and, in one step, the ASCII characters that continue
+# an identifier, before it checks any other character on its own.
+_WORD = re.compile(r"[,;\[\]()=+*-]|[0-9]+")
+_NAME_TAIL = re.compile(r"[A-Za-z0-9_]*")
 _BLANKS = re.compile(r"[ \t\r]*")
 
 
@@ -419,43 +429,75 @@ def tokenize(text: str) -> Lexed:
     """The declaration language's words, line by line (`#` starts a comment).
     A word's kind is read from the word itself: the empty word is the end of
     input, ASCII digits an integer, an identifier a name or keyword, and any
-    other word a punctuation mark."""
+    other word a punctuation mark.
+
+    With the comments cut, text of the ASCII grammar alone (`_regular`) is
+    split in bulk: each punctuation mark is spaced out with `str.replace`, and
+    each line's words are its `str.split()`. Other text is lexed line by line,
+    and a line that is not regular on its own is read by `_lex_stepwise`."""
     rows = text.split("\n")
+    code = _COMMENTS.sub("", text) if "#" in text else text
     words: list[str] = []
     starts: list[int] = []
-    for line, row in enumerate(rows, 1):
-        starts.append(len(words))
-        words.extend(map(str.lstrip, _line_pieces(row, line)))
+    if _regular(code):
+        for row in _spaced(code).split("\n"):
+            starts.append(len(words))
+            words += row.split()
+    else:
+        for line, row in enumerate(code.split("\n"), 1):
+            starts.append(len(words))
+            if _regular(row):
+                words += _spaced(row).split()
+            else:
+                words += map(str.lstrip, _lex_stepwise(row.rstrip(" \t\r"), line))
     words.append("")
     return Lexed(words, starts, rows, {})
 
 
+def _regular(code: str) -> bool:
+    """Whether comment-free `code` holds only characters of the ASCII grammar
+    and no integer that runs into a name (`2a`, which is two words): then its
+    words are exactly what `str.split()` finds once the marks are spaced out.
+    One pass maps every character to its class; the loop shortens each run
+    of digits to one, so an integer running into a name is a space, a digit
+    and a letter in a row."""
+    if not code.isascii():
+        return False
+    classes = b" " + code.encode().translate(_CLASSES)
+    while b"00" in classes:
+        classes = classes.replace(b"00", b"0")
+    return b"?" not in classes and b" 0a" not in classes
+
+
+def _spaced(code: str) -> str:
+    """`code` with a space on both sides of each punctuation mark."""
+    for mark in _MARKS:
+        code = code.replace(mark, f" {mark} ")
+    return code
+
+
 def _line_pieces(row: str, line: int) -> list[str]:
-    """The pieces of one line's code, each a word with its leading blanks:
-    one `findall` where the pieces cover the code, else `_lex_stepwise`."""
-    code = row.partition("#")[0].rstrip(" \t\r")
-    pieces = _PIECES.findall(code)
-    # The pieces never overlap, so they cover the code when their lengths add up.
-    if sum(map(len, pieces)) == len(code):
-        return pieces
-    return _lex_stepwise(code, line)
+    """The pieces of one line with its comment cut, each a word with its
+    leading blanks: how `Lexed.span` re-lexes a line."""
+    return _lex_stepwise(row.partition("#")[0].rstrip(" \t\r"), line)
 
 
 def _lex_stepwise(code: str, line: int) -> list[str]:
-    """The pieces of one line's code, matched one at a time: identifiers take
-    the characters that keep them valid identifiers by the `str.isidentifier`
-    rule, and any other character outside the grammar is an error."""
+    """The pieces of one line's code, each a word with its leading blanks,
+    matched one at a time: identifiers take the characters that keep them
+    valid identifiers by the `str.isidentifier` rule, and any other character
+    outside the grammar is an error."""
     pieces = []
     n = len(code)
     i = 0
     while i < n:
         start = _BLANKS.match(code, i).end()
         if code[start].isidentifier():
-            end = start + 1
+            end = _NAME_TAIL.match(code, start + 1).end()
             while end < n and ("_" + code[end]).isidentifier():
                 end += 1
         else:
-            m = _PIECES.match(code, start)
+            m = _WORD.match(code, start)
             if not m:
                 raise DslSyntaxError(f"unexpected character {code[start]!r}", (line, start + 1))
             end = m.end()
@@ -472,11 +514,13 @@ class PolyParser:
     one to (line, column) only for an error. Errors are DslSyntaxError with
     the offending piece's span; the declaration parser extends this class
     with its statements. A polynomial accumulates in raw term dicts keyed by
-    sorted monomials, and becomes a canonical value once, at the end of
-    `poly_sum`. `_sum` reads a whole sum in one loop: every integer, name and
-    sign of each product, and only a parenthesized factor takes a call
-    (`_factor`). A unary sign multiplies the product's coefficient by -1: it
-    applies to the next factor, and the product commutes, so this is exact.
+    sorted monomials, and becomes a canonical value once, when it is read.
+    `_sum` is the grammar's one loop: it reads a sum, or a comma-separated
+    list of sums, with every integer, name and sign of each product, and only
+    a parenthesized factor takes a call (`_factor`, which reads its sum with
+    the same loop). A unary sign multiplies the product's coefficient by -1:
+    it applies to the next factor, and the product commutes, so this is exact.
+    Each distinct integer literal is converted once per text (`ints`).
     """
 
     def __init__(self, lexed: Lexed) -> None:
@@ -485,6 +529,7 @@ class PolyParser:
         self.span = lexed.span  # the (line, column) where a piece starts
         self.pos = 0
         self.depth = 0
+        self.ints: dict[str, int] = {}
 
     def unexpected(self, what: str) -> DslSyntaxError:
         """The error for a word at the cursor that is not `what`."""
@@ -509,29 +554,36 @@ class PolyParser:
     def int_value(self, i: int) -> int:
         """The value of integer piece `i`, at most MAX_INT_DIGITS digits long."""
         word = self.words[i]
-        if len(word) > MAX_INT_DIGITS:
-            raise DslSyntaxError(
-                f"integer literal longer than {MAX_INT_DIGITS} digits", self.span(i)
-            )
-        return int(word)
+        value = self.ints.get(word)
+        if value is None:
+            if len(word) > MAX_INT_DIGITS:
+                raise DslSyntaxError(
+                    f"integer literal longer than {MAX_INT_DIGITS} digits", self.span(i)
+                )
+            value = self.ints[word] = int(word)
+        return value
 
     def poly_sum(self, uses: list[int]) -> InvariantExpr:
         """A sum as a canonical value; appends the piece index of each symbol use to `uses`."""
         return InvariantExpr._canonical(_collected(self._sum(uses)))
 
-    def _sum(self, uses: list[int]) -> dict[Monomial, int]:
+    def _sum(self, uses: list[int], items: list | None = None) -> dict[Monomial, int]:
         """sum := product (('+' | '-') product)*, with product := factor ('*'
-        factor)* and factor := ('+' | '-')* (int | name | '(' sum ')')."""
+        factor)* and factor := ('+' | '-')* (int | name | '(' sum ')'); its
+        raw terms. With `items` a list, it reads sum (',' sum)* and appends
+        each sum to `items` as (canonical value, tuple of its symbol uses,
+        first piece); a sum after a ',' collects its uses in a new list."""
         acc: dict[Monomial, int] = {}
         words = self.words
-        i = self.pos
+        ints = self.ints
+        i = at = self.pos
         coeff, names, factors = 1, [], None
         while True:
             word = words[i]
             i += 1
             if word.isdigit():
-                # `int_value` raises for a literal past the digit cap.
-                coeff *= int(word) if len(word) <= MAX_INT_DIGITS else self.int_value(i - 1)
+                value = ints.get(word)
+                coeff *= self.int_value(i - 1) if value is None else value
             elif word.isidentifier():
                 uses.append(i - 1)
                 names.append(word)
@@ -564,8 +616,14 @@ class PolyParser:
             elif word == "-":
                 coeff = -1
             else:
-                self.pos = i
-                return acc
+                if items is None:
+                    self.pos = i
+                    return acc
+                items.append((InvariantExpr._canonical(_collected(acc)), tuple(uses), at))
+                if word != ",":
+                    self.pos = i
+                    return acc
+                acc, uses, at, coeff = {}, [], i + 1, 1
             i += 1
             names, factors = [], None
 

@@ -35,6 +35,7 @@ from hpdcalc.errors import (
     ConflictingIntersection,
     DslSyntaxError,
     DuplicateDeclaration,
+    HpdcalcError,
     ImplausibleProfile,
     LeftRightMismatch,
     MissingDisjointness,
@@ -45,7 +46,7 @@ from hpdcalc.errors import (
     UnresolvedIntersection,
 )
 from hpdcalc.model import Workspace
-from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, parse_expr
+from hpdcalc.poly import MAX_INT_DIGITS, MAX_NESTING, parse_expr, tokenize
 
 from support import count_calls, ref_tokenize, time_budget
 
@@ -145,6 +146,63 @@ def test_parse_pauses_the_collector_and_restores_it(enabled, monkeypatch):
     assert after_parse == after_error == enabled
 
 
+# One file per way out of `check_file`, and the error each raises, if any.
+CHECK_FILE_EXITS = {
+    "success": ("category A over P(3) primitive [1, 1];\ncheck cone_part2(A, n2=2);\n", None),
+    "syntax error": ("category A over P(3) primitive [1 $];\n", "1:35: unexpected character '$'"),
+    "validation error": (
+        "category A over P(3) primitive [1, x];\n",
+        "1:36: symbol 'x' is not declared",
+    ),
+    "check error": (
+        "category Pt1 over P(3) primitive [1];\n"
+        "category Pt2 over P(33) primitive [1];\n"
+        "disjoint Pt1, Pt2;\n"
+        "check main_theorem(Pt1, Pt2);\n",
+        "4:1: check main_theorem: Pt1 lives over rank 3, Pt2 over rank 33",
+    ),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("way_out", list(CHECK_FILE_EXITS))
+def test_check_file_pauses_the_collector_throughout_and_restores_it(way_out, enabled, monkeypatch):
+    seen = []
+
+    def watch(name):
+        original = getattr(hpdcalc.dsl, name)
+
+        def watched(*args, **kwargs):
+            seen.append((name, gc.isenabled()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hpdcalc.dsl, name, watched)
+
+    for name in ("validate", "run_check_row", "build_report"):
+        watch(name)
+    text, error = CHECK_FILE_EXITS[way_out]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            check_file(text)
+        else:
+            with pytest.raises(HpdcalcError) as excinfo:
+                check_file(text)
+            assert str(excinfo.value) == error
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after == enabled
+    reached = {
+        "success": ["validate", "run_check_row", "build_report"],
+        "syntax error": [],
+        "validation error": ["validate"],
+        "check error": ["validate", "run_check_row"],
+    }[way_out]
+    assert seen == [(name, False) for name in reached]
+
+
 def test_crlf_sources_are_accepted():
     ws = validate(parse("symbol e;\r\ncategory A over P(3) primitive [e];\r\n"))
     assert sorted(ws.categories) == ["A"]
@@ -186,6 +244,38 @@ def test_a_clean_file_resolves_no_position(monkeypatch):
     assert (len(resolved), len(relexed)) == (3, 1)
 
 
+def test_no_collector_pass_scans_a_checked_file():
+    # The collector resumes once the file's tree and profiles are freed: a
+    # pass that what was allocated meanwhile may start scans none of them.
+    scanned = []
+
+    def watch(phase, info):
+        if phase == "start":
+            scanned.append(sum(len(gc.get_objects(g)) for g in range(info["generation"] + 1)))
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(watch)
+    try:
+        check_file(clean_library(300))
+    finally:
+        gc.callbacks.remove(watch)
+        (gc.enable if was else gc.disable)()
+    assert max(scanned, default=0) < 100
+
+
+def test_a_clean_file_is_lexed_in_bulk(monkeypatch):
+    pieces = count_calls(monkeypatch, hpdcalc.poly, "_line_pieces")
+    stepwise = count_calls(monkeypatch, hpdcalc.poly, "_lex_stepwise")
+    text = clean_library(300)
+    parse(text)
+    assert (pieces, stepwise) == ([], [])
+    # One line with a non-ASCII name is lexed on its own; only it.
+    parse(text.replace("symbol a, b;", "symbol a, b, \u00e9t\u00e9;"))
+    assert (len(pieces), len(stepwise)) == (0, 1)
+
+
 def test_a_long_line_of_names_parses_in_linear_time():
     # Names keep piece indexes; reading their spans lexes the line once, not once per name.
     names = [f"s{i}" for i in range(40_000)]
@@ -194,6 +284,59 @@ def test_a_long_line_of_names_parses_in_linear_time():
         (stmt,) = parse(src).statements
     assert stmt.names[0] == ("s0", (1, 8))
     assert stmt.names[-1] == (names[-1], pos(src, names[-1] + ";"))
+
+
+# -- the bulk lexer against the reference lexer -------------------------------------
+#
+# Lines of grammar words, blanks, comments (with non-ASCII text) and empty
+# lines, with a few irregular pieces put in: an integer running into a name, a
+# non-ASCII letter, and characters outside the grammar.
+
+LEX_WORDS = ["category", "over", "P", "a", "x1", "_b", "L12x3", "0", "12", "007", *",;[]()=+*-"]
+LEX_BLANKS = [" ", "\t", "\r", " \t "]
+LEX_COMMENTS = ["# note", "#", "# \u00e9t\u00e9 \u00b2 \x0c \ufeff 12ab"]
+LEX_IRREGULAR = ["12ab", "\u00e9", "\u00b2", "\x0c", "\ufeff"]
+
+
+@st.composite
+def lexer_files(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        pieces = draw(st.lists(st.sampled_from(LEX_WORDS + LEX_BLANKS), max_size=10))
+        if draw(st.booleans()):
+            pieces.append(draw(st.sampled_from(LEX_COMMENTS)))
+        lines.append(pieces)
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        pieces = lines[draw(st.integers(0, len(lines) - 1))]
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(LEX_IRREGULAR)))
+    return "\n".join("".join(pieces) for pieces in lines)
+
+
+def lexed_lines(text):
+    lexed = tokenize(text)
+    ends = lexed.starts[1:] + [len(lexed.words) - 1]
+    return [lexed.words[start:end] for start, end in zip(lexed.starts, ends)]
+
+
+def reference_lines(text):
+    lines = [[] for _ in text.split("\n")]
+    for token in ref_tokenize(text)[:-1]:
+        lines[token.span[0] - 1].append(token.text)
+    return lines
+
+
+def words_by_line(lines_of, text):
+    """Each line's words, or the message and span of the error raised."""
+    try:
+        return lines_of(text)
+    except DslSyntaxError as err:
+        return ("error", str(err), err.span)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexer_files())
+def test_bulk_lexing_gives_the_reference_words_line_by_line(text):
+    assert words_by_line(lexed_lines, text) == words_by_line(reference_lines, text)
 
 
 # -- spans the tree keeps, against the reference lexer -----------------------------
