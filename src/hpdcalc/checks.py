@@ -148,8 +148,6 @@ def check_n_hpd_center(
     joined dual is reported in the notes; it is only checkable against
     declared dual data.
     """
-    if not profiles:
-        raise ValueError("need at least one profile")
     names = [p.name for p in profiles]
     if len(profiles) > 1 and not workspace.are_disjoint(names):
         raise MissingDisjointness(
@@ -236,8 +234,6 @@ def check_join_linear(profiles: Sequence[LefschetzProfile]) -> CheckResult:
     space, in which every sub-collection is disjoint. So the check compares
     two sides only: the join's duality total, then the join of the small duals.
     """
-    if not profiles:
-        raise ValueError("need at least one profile")
     N = sum(p.ambient_rank_N for p in profiles)
     components = n_join_components([_over_ambient(p, N) for p in profiles])
     lhs = duality_total(N, components)

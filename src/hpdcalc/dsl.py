@@ -222,13 +222,6 @@ class Ast(NamedTuple):
 
 # -- parsing ----------------------------------------------------------------------
 
-# The fixed words of a category head, `category NAME over P(RANK) primitive [`,
-# around its name and rank; a dual head ends in the last two.
-_OVER_P = ["over", "P", "("]
-_PRIMITIVE_LIST = [")", "primitive", "["]
-_PRIMITIVE = _PRIMITIVE_LIST[1:]
-
-
 class _Parser(PolyParser):
     """The statement grammar on top of the shared polynomial grammar."""
 
@@ -301,18 +294,11 @@ class _Parser(PolyParser):
         return SymbolDecl(names, at, self.lexed)
 
     def _stmt_category(self, at: int) -> CategoryDecl:
-        words = self.words
-        if words[at + 2 : at + 5] == _OVER_P and words[at + 6 : at + 9] == _PRIMITIVE_LIST and (
-            words[at + 1].isidentifier() and words[at + 5].isdigit()
-        ):
-            name, rank = words[at + 1], self.int_value(at + 5)
-            self.pos = at + 9
-        else:  # the words one at a time, for the diagnostic of the first wrong one
-            name = words[self.expect_ident("category name")]
-            self.expect("over")
-            rank = self.parse_rank()
-            self.expect("primitive")
-            self.expect("[")
+        name = self.words[self.expect_ident("category name")]
+        self.expect("over")
+        rank = self.parse_rank()
+        self.expect("primitive")
+        self.expect("[")
         primitives = self.parse_poly_list()
         left = None
         if self.accept("left"):
@@ -340,14 +326,9 @@ class _Parser(PolyParser):
         return DisjointDecl(names, at, self.lexed)
 
     def _stmt_dual(self, at: int) -> DualDecl:
-        words = self.words
-        if words[at + 2 : at + 4] == _PRIMITIVE and words[at + 1].isidentifier():
-            name = words[at + 1]
-            self.pos = at + 4
-        else:  # the words one at a time, for the diagnostic of the first wrong one
-            name = words[self.expect_ident("category name")]
-            self.expect("primitive")
-            self.expect("[")
+        name = self.words[self.expect_ident("category name")]
+        self.expect("primitive")
+        self.expect("[")
         primitives = self.parse_poly_list()
         self.expect(";")
         return DualDecl(name, primitives, at, self.lexed)
@@ -499,23 +480,21 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
             category_decls[name].span,
         )
 
+    def profile(stmt: CategoryDecl | DualDecl, rank: int, left=None) -> LefschetzProfile:
+        """The profile a category or dual statement declares; an error gets its span."""
+        _check_poly_symbols(stmt.primitives + (left or ()), symbols)
+        right = [node.expr for node in stmt.primitives]
+        left = None if left is None else [node.expr for node in left]
+        try:
+            return build_profile(stmt.name, rank, right, left, allow_nonmoderate=allow_nonmoderate)
+        except HpdcalcError as err:
+            raise _with_span(err, stmt.span)
+
     categories: list[LefschetzProfile] = []
     for stmt in category_decls.values():
         if stmt.rank < 2:
             raise DslSyntaxError("ambient rank must be at least 2", stmt.span)
-        _check_poly_symbols(stmt.primitives + (stmt.left or ()), symbols)
-        try:
-            categories.append(
-                build_profile(
-                    stmt.name,
-                    stmt.rank,
-                    [node.expr for node in stmt.primitives],
-                    [node.expr for node in stmt.left] if stmt.left is not None else None,
-                    allow_nonmoderate=allow_nonmoderate,
-                )
-            )
-        except HpdcalcError as err:
-            raise _with_span(err, stmt.span)
+        categories.append(profile(stmt, stmt.rank, stmt.left))
 
     def require_category(name: str, src: Lexed, at: int) -> CategoryDecl:
         decl = category_decls.get(name)
@@ -563,16 +542,7 @@ def validate(ast: Ast, *, allow_nonmoderate: bool = False) -> Workspace:
             decl = require_category(stmt.name, stmt.src, stmt.at)
             if stmt.name in dual_profiles:
                 raise DuplicateDeclaration(f"dual of {stmt.name!r} declared twice", stmt.span)
-            _check_poly_symbols(stmt.primitives, symbols)
-            try:
-                dual_profiles[stmt.name] = build_profile(
-                    stmt.name,
-                    decl.rank,
-                    [node.expr for node in stmt.primitives],
-                    allow_nonmoderate=allow_nonmoderate,
-                )
-            except HpdcalcError as err:
-                raise _with_span(err, stmt.span)
+            dual_profiles[stmt.name] = profile(stmt, decl.rank)
         else:  # a check or a sod
             for i in stmt.args_at:
                 require_category(stmt.src.words[i], stmt.src, i)

@@ -241,8 +241,6 @@ def _hyperplanes(
     inside one disjoint group, and then every subset does too. So e is added
     to the full set's deep component alone.
     """
-    if not profiles:
-        raise ValueError("need at least one profile")
     N = same_ambient(*profiles)
     for p in profiles:
         _require_moderate(p)
@@ -320,8 +318,6 @@ def ruled_join_components(p: LefschetzProfile, q: LefschetzProfile) -> list[Inva
 
 def n_join_components(profiles: Sequence[LefschetzProfile]) -> list[InvariantExpr]:
     """Flat disjoint-join components: tuples with i_1 + ... + i_n >= i + 1 - n."""
-    if not profiles:
-        raise ValueError("need at least one profile")
     same_ambient(*profiles)
     # by_sum[s] sums the primitive products of the index tuples with sum s;
     # convolve one factor at a time.

@@ -98,11 +98,6 @@ class LefschetzProfile(_ProfileFields):
         return self._total
 
 
-def _coerced(values: Sequence[Coercible]) -> tuple[InvariantExpr, ...]:
-    """The values as invariant values; a value that is one already takes no call."""
-    return tuple([v if v.__class__ is InvariantExpr else InvariantExpr._coerce(v) for v in values])
-
-
 def build_profile(
     name: str,
     N: int,
@@ -114,10 +109,10 @@ def build_profile(
     """Validate and freeze a profile; left data defaults to the right data."""
     if N < 2:
         raise ValueError(f"ambient rank must be at least 2, got {N}")
-    right = _coerced(primitive_right)
+    right = tuple(map(InvariantExpr._coerce, primitive_right))
     if not right:
         raise ValueError("a profile needs at least one primitive block")
-    left = right if primitive_left is None else _coerced(primitive_left)
+    left = right if primitive_left is None else tuple(map(InvariantExpr._coerce, primitive_left))
     profile = LefschetzProfile(name, N, right, left)
     if len(right) >= N and not allow_nonmoderate:
         raise NonModerate(f"category {name!r} has length {len(right)} >= ambient rank {N}")
@@ -134,9 +129,9 @@ def build_profile(
                 f"{profile.total_invariant()}"
             )
     # The plausibility screen: each primitive's value at all-ones, the sum of
-    # its coefficients, read from its terms with no method call per primitive.
+    # its coefficients, must not be negative.
     for j, p in enumerate(right):
-        if sum(p._terms.values()) < 0:
+        if p.at_ones() < 0:
             raise ImplausibleProfile(
                 f"category {name!r}: primitive {j} is {p}, negative at all-ones"
             )
@@ -324,7 +319,9 @@ class Workspace(_WorkspaceFields):
 
 
 def same_ambient(*profiles: LefschetzProfile) -> int:
-    """The ambient rank the profiles share, or AmbientMismatch."""
+    """The ambient rank the profiles share, or AmbientMismatch; at least one is needed."""
+    if not profiles:
+        raise ValueError("need at least one profile")
     p = profiles[0]
     for q in profiles[1:]:
         if q.ambient_rank_N != p.ambient_rank_N:

@@ -754,6 +754,65 @@ MALFORMED = [
         DslSyntaxError,
         ("primitve", 1),
     ),
+    ("category-name-not-a-name", "category 3 over P(3) primitive [1];", DslSyntaxError, ("3", 1)),
+    ("category-rank-without-paren", "category A over P 3) primitive [1];", DslSyntaxError, ("3", 1)),
+    ("category-non-integer-rank", "category A over P(n) primitive [1];", DslSyntaxError, (1, 19)),
+    (
+        "category-rank-unclosed",
+        "category A over P(3 primitive [1];",
+        DslSyntaxError,
+        ("primitive", 1),
+    ),
+    ("category-list-without-bracket", "category A over P(3) primitive 1];", DslSyntaxError, ("1", 1)),
+    (
+        "dual-name-not-a-name",
+        "category A over P(3) primitive [1]; dual 3 primitive [1];",
+        DslSyntaxError,
+        ("3", 2),
+    ),
+    (
+        "dual-list-without-bracket",
+        "category A over P(3) primitive [1]; dual A primitive 1];",
+        DslSyntaxError,
+        ("1", 2),
+    ),
+    (
+        "intersect-second-name-not-a-name",
+        "category A over P(3) primitive [1]; intersect A, 3 over P(3) = 1;",
+        DslSyntaxError,
+        ("3", 2),
+    ),
+    (
+        "intersect-rank-without-paren",
+        "category A over P(3) primitive [1]; category B over P(3) primitive [1]; "
+        "intersect A, B over P 3) = 1;",
+        DslSyntaxError,
+        ("3", 3),
+    ),
+    (
+        "negative-dual-primitive",
+        "category A over P(3) primitive [1]; dual A primitive [0 - 1];",
+        ImplausibleProfile,
+        ("dual", 1),
+    ),
+    (
+        "undeclared-symbol-in-dual",
+        "category A over P(3) primitive [1]; dual A primitive [q];",
+        UnknownSymbol,
+        ("q", 1),
+    ),
+    (
+        "undeclared-symbol-in-left",
+        "symbol a; category A over P(3) primitive [1, a] left [1, q];",
+        UnknownSymbol,
+        ("q", 1),
+    ),
+    (
+        "nonmoderate-dual",
+        "category A over P(3) primitive [1]; dual A primitive [1, 1, 1];",
+        NonModerate,
+        ("dual", 1),
+    ),
     (
         "keyword-on-dual-profile",
         "category A over P(4) primitive [1]; check dual_profile(A, n2=2);",
@@ -842,6 +901,15 @@ DIAGNOSTIC_TEXT = {
     "truncated-rank": "1:16: expected 'P', found 'end of input'",
     "misspelt-primitive": "1:22: expected 'primitive', found 'primtive'",
     "misspelt-primitive-in-dual": "1:44: expected 'primitive', found 'primitve'",
+    "category-name-not-a-name": "1:10: expected category name, found '3'",
+    "category-rank-without-paren": "1:19: expected '(', found '3'",
+    "category-non-integer-rank": "1:19: expected integer, found 'n'",
+    "category-rank-unclosed": "1:21: expected ')', found 'primitive'",
+    "category-list-without-bracket": "1:32: expected '[', found '1'",
+    "dual-name-not-a-name": "1:42: expected category name, found '3'",
+    "dual-list-without-bracket": "1:54: expected '[', found '1'",
+    "intersect-second-name-not-a-name": "1:50: expected category name, found '3'",
+    "intersect-rank-without-paren": "1:95: expected '(', found '3'",
     "keyword-on-wrong-check": "1:128: check 'main_theorem' does not take keyword 'n2'",
     "keyword-on-dual-profile": "1:59: check 'dual_profile' does not take keyword 'n2'",
     "missing-n2": "1:37: check 'cone_part1' requires n2=<rank>",

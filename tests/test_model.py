@@ -14,7 +14,9 @@ from hpdcalc.errors import (
     UnresolvedIntersection,
 )
 from hpdcalc import model
-from hpdcalc.model import SodBlock, SodExpr, Workspace, build_profile
+from hpdcalc.checks import check_join_linear, check_n_hpd_center
+from hpdcalc.engine import deep_component, n_hyperplane_sod, n_join_components
+from hpdcalc.model import SodBlock, SodExpr, Workspace, build_profile, same_ambient
 from hpdcalc.poly import InvariantExpr, const, sym
 
 from support import (
@@ -239,6 +241,30 @@ def test_workspace_symbolic_conflict_warns_and_zeroes():
     assert ws.intersection("A", "B") == 0
     assert len(ws.warnings) == 1
     assert "disjoint" in ws.warnings[0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ws: same_ambient(),
+        lambda ws: n_join_components([]),
+        lambda ws: deep_component([], ws),
+        lambda ws: n_hyperplane_sod([], ws),
+        lambda ws: check_n_hpd_center([], ws),
+        lambda ws: check_join_linear([]),
+    ],
+    ids=[
+        "same_ambient",
+        "n_join_components",
+        "deep_component",
+        "n_hyperplane_sod",
+        "check_n_hpd_center",
+        "check_join_linear",
+    ],
+)
+def test_no_profiles_is_a_value_error(call):
+    with pytest.raises(ValueError, match="^need at least one profile$"):
+        call(Workspace.build())
 
 
 def test_workspace_unknown_references():

@@ -1,0 +1,133 @@
+"""Time two hpdcalc source trees against each other in one interpreter, alternated.
+
+    python3 tools/ab_inprocess.py PARENT_SRC CHANGE_SRC [--rounds N]
+
+PARENT_SRC and CHANGE_SRC are directories that hold an `hpdcalc` package,
+such as the `src` directories of two checkouts. Each package is copied under
+its own name (`hpdcalc_parent`, `hpdcalc_change`) into a temporary directory,
+so both load side by side; the package imports itself relatively.
+
+The inputs are the small and library declaration files of the first two
+cycles of perfbench's `decl-files` main stream at seed 1, read from this
+repository's `perfbench/workloads.py`, and `prop.run_suite` at 10 cases and
+seeds 1 to 3. Both sides must give byte-identical reports on every input,
+else the run stops with exit 1. Each round then times every measure once per
+side, the parent first in even rounds and the change first in odd ones, with
+a collection before each timing. Per measure it prints the median and the
+quartiles of each side (ms per call), the change's median minus the parent's,
+the parent's quartile distance, and the rounds in which the change was faster.
+
+perfbench normalizes every end-to-end time by a host-speed sample that moves
+by tens of percent between runs, so its rates cannot resolve a change of a
+few percent in one layer; two trees in one process, alternated, can. Stdlib
+only; nothing is written outside the temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import itertools
+import json
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+
+SIDES = ("parent", "change")
+PROP_SEEDS = (1, 2, 3)
+PROP_CASES = 10
+
+
+def _load(src: str, name: str, workdir: str):
+    """The (dsl, prop) modules of the package in `src`, copied as `name`."""
+    shutil.copytree(
+        os.path.join(src, "hpdcalc"),
+        os.path.join(workdir, name),
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return importlib.import_module(f"{name}.dsl"), importlib.import_module(f"{name}.prop")
+
+
+def _sources() -> dict[str, list[str]]:
+    """The small and library file sources of two decl-files cycles at seed 1."""
+    perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+    sys.path.insert(0, perfbench)
+    import workloads
+
+    stream = workloads.jobs("decl-files", 1, "main")
+    jobs = list(itertools.islice(stream, 2 * workloads.cycle_length("decl-files")))
+    return {label: [j.source for j in jobs if j.label == label] for label in ("small", "library")}
+
+
+def _measures(dsl, prop, sources) -> dict:
+    """Name -> (calls per timing, a function making those calls and returning their results)."""
+
+    def files(texts):
+        return lambda: [dsl.check_file(text) for text in texts]
+
+    def suites():
+        return [prop.run_suite(seed, PROP_CASES).check_rows() for seed in PROP_SEEDS]
+
+    return {
+        "check_file small": (len(sources["small"]), files(sources["small"])),
+        "check_file library": (len(sources["library"]), files(sources["library"])),
+        f"prop.run_suite {PROP_CASES} cases": (len(PROP_SEEDS), suites),
+    }
+
+
+def _timed(calls: int, run) -> float:
+    gc.collect()
+    start = time.perf_counter()
+    run()
+    return (time.perf_counter() - start) * 1000 / calls
+
+
+def main(argv: list | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", help="directory holding the parent's hpdcalc package")
+    parser.add_argument("change_src", help="directory holding the change's hpdcalc package")
+    parser.add_argument("--rounds", type=int, default=20, help="timed rounds, at least 2")
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+    sys.dont_write_bytecode = True
+    sources = _sources()
+    with tempfile.TemporaryDirectory() as workdir:
+        sys.path.insert(0, workdir)
+        loaded = {
+            side: _load(src, f"hpdcalc_{side}", workdir)
+            for side, src in zip(SIDES, (args.parent_src, args.change_src))
+        }
+        measures = {side: _measures(*loaded[side], sources) for side in SIDES}
+        for name, (_, run) in measures["parent"].items():
+            if json.dumps(run()) != json.dumps(measures["change"][name][1]()):
+                print(f"error: the two trees give different reports on {name}", file=sys.stderr)
+                return 1
+        times = {(name, side): [] for name in measures["parent"] for side in SIDES}
+        for r in range(args.rounds):
+            for name in measures["parent"]:
+                for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                    times[name, side].append(_timed(*measures[side][name]))
+
+    print(f"{args.rounds} rounds; reports identical on every input")
+    print(f"{'measure':<28}{'parent p50 [q1, q3] ms':<30}{'change p50 [q1, q3] ms':<30}"
+          f"{'delta p50':>10}{'parent IQR':>12}  change faster")
+    for name in measures["parent"]:
+        cells, medians = [], {}
+        for side in SIDES:
+            q1, q2, q3 = statistics.quantiles(times[name, side], n=4, method="inclusive")
+            cells.append(f"{q2:.3f} [{q1:.3f}, {q3:.3f}]")
+            medians[side] = (q2, q3 - q1)
+        wins = sum(c < p for p, c in zip(times[name, "parent"], times[name, "change"]))
+        delta = medians["change"][0] - medians["parent"][0]
+        print(f"{name:<28}{cells[0]:<30}{cells[1]:<30}{delta:>+10.3f}"
+              f"{medians['parent'][1]:>12.3f}  {wins} of {args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
