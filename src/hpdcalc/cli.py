@@ -4,7 +4,8 @@ Exit codes partition outcomes: 0 all checks pass, 1 any check fails, 2 the
 input cannot be parsed or validated (or usage is wrong), 3 at least one check
 is underdetermined by the declared data (with no outright failure), 4 file
 I/O failed, the input file is not valid UTF-8, or standard output was closed,
-5 an internal error: an unexpected exception, reported with its traceback.
+5 an internal error: an unexpected exception, reported with its traceback,
+or running out of memory, reported in one line.
 """
 
 from __future__ import annotations
@@ -104,17 +105,16 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_prop(args) -> int:
+    bounds = {"max_length": args.max_length, "max_rank": args.max_rank_v}
     try:
-        suite = prop.run_suite(
-            args.seed,
-            args.cases,
-            max_length=args.max_length,
-            max_rank=args.max_rank_v,
-            mutate_join_bound=args.mutate_join_bound,
-        )
+        # Zero cases, or a negative count that is refused: only the arguments are checked.
+        prop.run_suite(args.seed, min(args.cases, 0), **bounds)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
+    suite = prop.run_suite(
+        args.seed, args.cases, mutate_join_bound=args.mutate_join_bound, **bounds
+    )
     parameters = (
         f"prop seed={args.seed} cases={args.cases} max_length={args.max_length} "
         f"max_rank_v={args.max_rank_v} mutate_join_bound={args.mutate_join_bound}"
@@ -179,12 +179,18 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         print(f"error: cannot write to standard output: {err}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        # Reported once this block is left, which frees the frames that filled memory.
+        code = None
     except Exception as err:
         # A bug, not a verdict: exit 1 would read as "a check failed".
         print(f"error: internal error: {err!r}", file=sys.stderr)
         import traceback
 
         traceback.print_exc()
+        return EXIT_INTERNAL
+    if code is None:
+        print("error: internal error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
     return code
 

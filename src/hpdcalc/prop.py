@@ -1,9 +1,10 @@
 """Seeded property suites over randomly drawn profiles.
 
 Each suite replays deterministically from its seed: one `random.Random`
-stream drives every draw, each case verifies a family of exact polynomial
-identities, and the first violated identity is reported together with an
-integer witness separating the two sides.
+stream drives every draw, and each case yields a family of exact polynomial
+identities as (label, lhs, rhs). `run_property` compares them in order, stops
+the case at the first violation and reports it with an integer witness
+separating the two sides.
 """
 
 from __future__ import annotations
@@ -153,10 +154,6 @@ def _draw_profile(
     return build_profile(name, rank, primitives)
 
 
-def _padded_eq(a: Sequence[InvariantExpr], b: Sequence[InvariantExpr]) -> bool:
-    return all(x == y for x, y in itertools.zip_longest(a, b, fillvalue=_ZERO))
-
-
 # -- the conservation suite ----------------------------------------------------------
 
 # Every SOD-producing operation must reproduce its closed-form total, and the
@@ -169,52 +166,36 @@ def _conservation_case(rng: random.Random, bounds: _Bounds):
 
     fiber_rank = rng.randint(1, 4)
     bundle = projective_bundle_sod("P", p.total_invariant(), fiber_rank)
-    expected = fiber_rank * p.total_invariant()
-    if bundle.total() != expected:
-        return ("projective bundle total", bundle.total(), expected)
+    yield ("projective bundle total", bundle.total(), fiber_rank * p.total_invariant())
 
     cat_inv = _draw_invariant(rng, symbols)
     center_inv = _draw_invariant(rng, symbols)
     codim = rng.randint(2, 5)
     blow = blowup_sod(cat_inv, center_inv, codim)
-    expected = cat_inv + (codim - 1) * center_inv
-    if blow.total() != expected:
-        return ("blow-up total", blow.total(), expected)
-
+    yield ("blow-up total", blow.total(), cat_inv + (codim - 1) * center_inv)
     section = hyperplane_sod(cat_inv, center_inv, codim)
-    expected = center_inv + (codim - 1) * cat_inv
-    if section.total() != expected:
-        return ("hyperplane section total", section.total(), expected)
+    yield ("hyperplane section total", section.total(), center_inv + (codim - 1) * cat_inv)
 
     universal = universal_hyperplane_sod(p)
     expected = (p.ambient_rank_N - 1) * p.total_invariant()
-    if universal.total() != expected:
-        return ("universal hyperplane total", universal.total(), expected)
-    if universal.blocks[0].invariant != hpd_total(p):
-        return ("dual block of the universal hyperplane", universal.blocks[0].invariant, hpd_total(p))
+    yield ("universal hyperplane total", universal.total(), expected)
+    yield ("dual block of the universal hyperplane", universal.blocks[0].invariant, hpd_total(p))
 
     rank = rng.randint(2, bounds.max_rank)
     a = _draw_profile(rng, symbols, bounds, "A", rank=rank)
     b = _draw_profile(rng, symbols, bounds, "B", rank=rank)
-    ruled = ruled_join_components(a, b)
     expected = a.total_invariant() * b.component_rank(0) + a.component_rank(0) * b.total_invariant()
-    if sum(ruled, _ZERO) != expected:
-        return ("ruled join total", sum(ruled, _ZERO), expected)
+    yield ("ruled join total", sum(ruled_join_components(a, b), _ZERO), expected)
 
     e = _draw_invariant(rng, symbols)
     join = join_components(a, b, e, include_boundary_pairs=bounds.mutate_join_bound)
-    if join.total != join.conserved_total():
-        return ("join conservation", join.total, join.conserved_total())
+    yield ("join conservation", join.total, join.conserved_total())
 
     ws = Workspace.build(categories=[a, b], disjoint_sets=[["A", "B"]])
     pair = n_hyperplane_sod([a, b], ws)
     expected = (rank - 2) * a.total_invariant() * b.total_invariant()
-    if pair.h_total != expected:
-        return ("disjoint double-hyperplane total", pair.h_total, expected)
-    if pair.sod.total() != pair.h_total:
-        return ("double-hyperplane block sum", pair.sod.total(), pair.h_total)
-
-    return None
+    yield ("disjoint double-hyperplane total", pair.h_total, expected)
+    yield ("double-hyperplane block sum", pair.sod.total(), pair.h_total)
 
 
 # -- the join-law suite ---------------------------------------------------------------
@@ -259,25 +240,16 @@ def _join_laws_case(rng: random.Random, bounds: _Bounds):
     ]
 
     flat = n_join_components(triple)
-    oracle = _oracle_flat_join(triple)
-    if not _padded_eq(flat, oracle):
-        return ("flat triple join vs index-walk oracle", sum(flat, _ZERO), sum(oracle, _ZERO))
+    yield ("flat triple join vs index-walk oracle", flat, _oracle_flat_join(triple))
 
     shuffled = list(triple)
     rng.shuffle(shuffled)
-    reordered = n_join_components(shuffled)
-    if not _padded_eq(flat, reordered):
-        return ("triple join commutativity", sum(flat, _ZERO), sum(reordered, _ZERO))
+    yield ("triple join commutativity", flat, n_join_components(shuffled))
 
     left = ruled_join_components(_nested_pair(triple[0], triple[1]), triple[2])
-    if not _padded_eq(flat, left):
-        return ("left nesting vs flat join", sum(flat, _ZERO), sum(left, _ZERO))
-
+    yield ("left nesting vs flat join", flat, left)
     right = ruled_join_components(triple[0], _nested_pair(triple[1], triple[2]))
-    if not _padded_eq(flat, right):
-        return ("right nesting vs flat join", sum(flat, _ZERO), sum(right, _ZERO))
-
-    return None
+    yield ("right nesting vs flat join", flat, right)
 
 
 # -- the splitting suite ---------------------------------------------------------------
@@ -295,12 +267,9 @@ def _splitting_case(rng: random.Random, bounds: _Bounds):
     added = rng.randint(1, 5)
 
     cone_one = check_thm_cone_part1(p, added, ws)
-    if cone_one.status != "pass":
-        return ("ambient enlargement, dual side", cone_one.lhs, cone_one.rhs)
-
+    yield ("ambient enlargement, dual side", cone_one.lhs, cone_one.rhs)
     cone_two = check_thm_cone_part2(p, added)
-    if cone_two.status != "pass":
-        return ("ambient enlargement, join side", cone_two.lhs, cone_two.rhs)
+    yield ("ambient enlargement, join side", cone_two.lhs, cone_two.rhs)
 
     count = rng.randint(1, 3)
     parts = []
@@ -310,10 +279,7 @@ def _splitting_case(rng: random.Random, bounds: _Bounds):
             _draw_profile(rng, symbols, bounds, f"S{index}", rank=sub_rank, max_length=3)
         )
     linear = check_join_linear(parts)
-    if linear.status != "pass":
-        return ("join of complementary subspaces", linear.lhs, linear.rhs)
-
-    return None
+    yield ("join of complementary subspaces", linear.lhs, linear.rhs)
 
 
 _RUNNERS: dict[str, Callable] = {
@@ -326,6 +292,19 @@ PROPERTY_NAMES = tuple(_RUNNERS)
 
 
 # -- drivers ---------------------------------------------------------------------------
+
+
+def _first_violation(identities) -> tuple[str, InvariantExpr, InvariantExpr] | None:
+    """The first identity whose sides differ, as (detail, lhs, rhs), or None. A list
+    compares entry by entry, a missing entry read as 0; its first differing
+    component is named, with those two entries as the sides, so a witness exists."""
+    for label, lhs, rhs in identities:
+        listed = isinstance(lhs, list)
+        pairs = itertools.zip_longest(lhs, rhs, fillvalue=_ZERO) if listed else [(lhs, rhs)]
+        for i, (x, y) in enumerate(pairs):
+            if x != y:
+                return (f"{label}, component {i}" if listed else label), x, y
+    return None
 
 
 def run_property(
@@ -356,11 +335,10 @@ def run_property(
     passes = 0
     failure = None
     for index in range(cases):
-        violation = runner(rng, bounds)
+        violation = _first_violation(runner(rng, bounds))
         if violation is None:
             passes += 1
-            continue
-        if failure is None:
+        elif failure is None:
             detail, lhs, rhs = violation
             failure = CaseFailure(index, detail, lhs, rhs, find_witness(lhs, rhs))
     return PropertyOutcome(name, seed, cases, passes, failure)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hpdcalc
-from hpdcalc import catalog, cli, poly
+from hpdcalc import catalog, cli, poly, prop
 from hpdcalc.cli import main
 from hpdcalc.checks import SUBSET_READING_NOTE
 from hpdcalc.dsl import MAX_N2
@@ -554,6 +554,49 @@ def test_prop_zero_cases_and_bad_bounds(capsys):
     assert main(["prop", "--cases", "0"]) == 0
     assert main(["prop", "--max-length", "9"]) == 2
     capsys.readouterr()
+
+
+def test_an_error_inside_a_prop_case_exits_five(monkeypatch, capsys):
+    # Exit 2 is for out-of-range arguments only; a ValueError raised while a
+    # case runs is a bug, so it takes the internal-error path.
+    def broken(rng, bounds):
+        raise ValueError("inside a case")
+
+    monkeypatch.setitem(prop._RUNNERS, "splitting", broken)
+    assert main(["prop", "--cases", "1"]) == 5
+    assert capsys.readouterr().err.startswith(
+        "error: internal error: ValueError('inside a case')\nTraceback"
+    )
+    assert main(["prop", "--max-length", "9"]) == 2
+    assert capsys.readouterr().err == "error: max_length must be in 1..6, got 9\n"
+
+
+def test_running_out_of_memory_exits_five_with_one_line(tmp_path):
+    # join_linear over 50 categories [s_i, 2] builds a product with 2^50 terms.
+    # The address-space limit is set in the child only.
+    import resource
+
+    names = ", ".join(f"A{i}" for i in range(50))
+    source = (
+        "symbol " + ", ".join(f"s{i}" for i in range(50)) + ";\n"
+        + "".join(f"category A{i} over P(3) primitive [s{i}, 2];\n" for i in range(50))
+        + f"disjoint {names};\ncheck join_linear({names});\n"
+    )
+    path = write(tmp_path, "join-linear-50.hpd", source)
+    limit = 300 * 1024 * 1024
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "hpdcalc.cli", "check", path],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+        timeout=120,
+    )
+    assert done.returncode == 5
+    assert done.stderr == "error: internal error: out of memory\n"
 
 
 def test_console_script_is_installed():

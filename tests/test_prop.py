@@ -3,13 +3,16 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from support import assignments, primitive_values, profile_st, ref_flat_join
 
+from hpdcalc import prop
 from hpdcalc.cli import main
 from hpdcalc.model import build_profile
+from hpdcalc.poly import parse_expr
 from hpdcalc.prop import (
     MAX_LENGTH_CAP,
     MAX_RANK_CAP,
@@ -67,6 +70,29 @@ def test_flipped_join_bound_fails_conservation_with_witness():
     assert row["status"] == "fail"
     assert row["witness"] == failure.witness
     assert any("first counterexample" in note for note in row["notes"])
+
+
+def test_a_swapped_join_component_fails_join_laws_with_a_witness(tmp_path, capsys, monkeypatch):
+    # Swapping the last two components of a three-input join keeps their sum,
+    # so only a component-by-component comparison can name a witness.
+    real = prop.n_join_components
+
+    def swapped(profiles):
+        components = real(profiles)
+        if len(profiles) == 3:
+            components[-2], components[-1] = components[-1], components[-2]
+        return components
+
+    monkeypatch.setattr(prop, "n_join_components", swapped)
+    report_path = tmp_path / "swapped.json"
+    assert main(["prop", "--seed", "1", "--cases", "20", "--json", str(report_path)]) == 1
+    assert capsys.readouterr().err == ""
+    row = json.loads(report_path.read_text())["checks"][1]
+    assert row["name"] == "prop:join-laws"
+    assert row["status"] == "fail"
+    assert re.search(r"first counterexample at case \d+: .*, component \d+$", row["notes"][-1])
+    lhs, rhs = parse_expr(row["lhs"]), parse_expr(row["rhs"])
+    assert lhs.evaluate(row["witness"]) != rhs.evaluate(row["witness"])
 
 
 def test_prop_report_bytes_are_pinned(tmp_path, capsys):
