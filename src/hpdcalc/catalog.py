@@ -55,6 +55,10 @@ def golden_report(name: str) -> dict:
     return json.loads(_golden_resource(name).read_text(encoding="utf-8"))
 
 
+class GoldenWriteError(OSError):
+    """A golden file that could not be written, worded with its case name."""
+
+
 def write_golden(name: str, report: dict | None = None) -> None:
     """Regenerate one stored golden file; only ever invoked explicitly."""
     report = run_case(name) if report is None else report
@@ -63,7 +67,7 @@ def write_golden(name: str, report: dict | None = None) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(stable_json(report), encoding="utf-8")
     except OSError as err:
-        raise OSError(f"cannot write golden {name!r}: {err}") from err
+        raise GoldenWriteError(f"cannot write golden {name!r}: {err}") from err
 
 
 def compare_case(name: str, report: dict | None = None) -> tuple[dict, bool, list[str]]:

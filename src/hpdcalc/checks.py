@@ -22,7 +22,7 @@ from .engine import (
 )
 from .errors import JoinNotModerate, MissingDisjointness
 from .model import LefschetzProfile, Workspace, build_profile, same_ambient
-from .poly import InvariantExpr
+from .poly import InvariantExpr, _prime
 from .report import check_row
 
 __all__ = [
@@ -84,11 +84,14 @@ def find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
     bound = max([5] + [diff.degree_in(name) for name in diff_names])
     terms = diff._terms
     for name in diff_names:
+        p = _prime(name)  # a monomial is a product of symbol primes
         for value in range(bound + 1):
-            fixed: dict[tuple[str, ...], int] = {}
+            fixed: dict[int, int] = {}
             for mono, coeff in terms.items():
-                rest = tuple(other for other in mono if other != name)
-                fixed[rest] = fixed.get(rest, 0) + coeff * value ** (len(mono) - len(rest))
+                while mono % p == 0:
+                    mono //= p
+                    coeff *= value
+                fixed[mono] = fixed.get(mono, 0) + coeff
             fixed = {mono: coeff for mono, coeff in fixed.items() if coeff}
             if fixed:
                 break

@@ -91,14 +91,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    # An unknown case name is refused before any case runs, and only a golden
+    # that cannot be written is an I/O error: an error raised while a case
+    # runs is a bug, so it takes the internal-error path.
+    if args.name:
+        try:
+            catalog.case_source(args.name)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_INVALID
     try:
         report, ok = catalog.run_catalog(
             [args.name] if args.name else None, update_golden=args.update_golden
         )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as err:
+    except catalog.GoldenWriteError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     return _finish(report, args.json, EXIT_PASS if ok else EXIT_FAIL)

@@ -2,25 +2,34 @@
 
 Values are immutable and kept in canonical form, so structural equality decides
 polynomial equality and printing is byte-stable. The canonical form is a term
-dict from monomial to coefficient with:
+dict from monomial to coefficient with no zero coefficient (zero is the empty
+dict). A monomial is one int: the product, with repeats, of one prime per
+symbol it mentions. One registry per process (`_prime`) gives the k-th name it
+meets the k-th prime, and never reassigns one, so the constant monomial is 1
+and the product of two monomials is the product of their ints, with no sort
+and no branch for a constant. By unique factorization two monomials that
+differ in any symbol's multiplicity are different ints, at any degree, so no
+two can merge and no field width or degree cap is needed. Which prime a name
+has is known to its process alone, so a value's term dict must not leave it.
 
-- each monomial's symbol names in sorted order, so a monomial is one key;
-- no zero coefficient (zero is the empty dict).
-
-The order of a dict's terms is not part of the value. Graded lexicographic
-order of the monomials (`_term_key`) is applied only at the print boundary, by
-the `terms` property and so by `__str__`; arithmetic finds each term by its
-hash and sorts no terms.
+The order of a dict's terms, and which prime a symbol got, are not part of
+the value. Monomials are decoded to sorted name tuples (`_names`, by trial
+division through a bounded cache) only where names are read: `terms`,
+`symbols`, `degree_in` and `evaluate`. Graded lexicographic order of the
+decoded monomials (`_term_key`) is applied only at the print boundary, by the
+`terms` property and so by `__str__`; arithmetic finds each term by its hash
+and sorts no terms.
 
 `InvariantExpr(mapping)` normalizes arbitrary input into that form. The
 arithmetic operators instead build results with `InvariantExpr._canonical`,
 which trusts its caller: their operands are canonical already, so a sum copies
 one term dict, adds the other's terms into it and deletes each term that
 cancels; a negation or a scaling maps the coefficients, and an `int` factor
-scales them with no wrapper value; a product sorts each new monomial and drops
-the zero coefficients once (`_collected`). `_convolve` fills every entry of a
-convolution in one flat loop over term pairs, and `_combine` adds the terms
-of a sum of scaled values (and of `-`) into one dict; each is collected once.
+scales them with no wrapper value; a product multiplies the monomials of each
+pair of terms and drops the zero coefficients once (`_collected`). `_convolve`
+fills every entry of a convolution in one flat loop over term pairs, and
+`_combine` adds the terms of a sum of scaled values (and of `-`) into one
+dict; each is collected once.
 A result shares no term dict with an operand, unless it is that operand.
 
 The text front end does the same. `PolyParser` accumulates each polynomial
@@ -42,7 +51,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, takewhile
+from math import prod
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DslSyntaxError, Span
@@ -58,8 +69,10 @@ __all__ = [
     "MAX_INT_DIGITS",
 ]
 
-# A monomial is the multiset of symbol names it mentions, stored sorted.
-Monomial = tuple[str, ...]
+# A monomial is the product of the primes of the symbols it mentions, with repeats.
+Monomial = int
+# What `terms` and `InvariantExpr(mapping)` use for one: its symbol names, with repeats.
+Names = tuple[str, ...]
 
 Coercible = Union["InvariantExpr", int]
 
@@ -82,18 +95,54 @@ class Symbol(_SymbolName):
         return self.name
 
 
-def _term_key(term: tuple[Monomial, int]) -> tuple[int, Monomial]:
+# The symbol registry: each name's prime, and each prime's name, in the order
+# the names were met, which is ascending order of the primes.
+_PRIMES: dict[str, int] = {}
+_NAMES: dict[int, str] = {}
+
+
+def _prime(name: str) -> int:
+    """The prime of symbol `name`; a name not met before gets the least prime
+    that no name has, found by trial division by the primes below its root."""
+    p = _PRIMES.get(name)
+    if p is None:
+        p = next(reversed(_NAMES), 1) + 1
+        while not all(p % q for q in takewhile(lambda q: q * q <= p, _NAMES)):
+            p += 1
+        _PRIMES[name] = p
+        _NAMES[p] = name
+    return p
+
+
+@lru_cache(maxsize=1 << 16)
+def _names(mono: Monomial) -> Names:
+    """The sorted symbol names of a monomial, with repeats, by trial division
+    by the registered primes in ascending order. Once no prime up to its root
+    is left to divide, the rest is 1 or one registered prime."""
+    names = []
+    for p in _NAMES:
+        if p * p > mono:
+            break
+        while mono % p == 0:
+            names.append(_NAMES[p])
+            mono //= p
+    if mono != 1:
+        names.append(_NAMES[mono])
+    return tuple(sorted(names))
+
+
+def _term_key(term: tuple[Names, int]) -> tuple[int, Names]:
     # Graded lex on the monomial: higher total degree first, ties by name tuple.
     return (-len(term[0]), term[0])
 
 
 def _constant_terms(value: int) -> dict[Monomial, int]:
-    return {(): value} if value else {}
+    return {1: value} if value else {}
 
 
 def _collected(acc: dict[Monomial, int]) -> dict[Monomial, int]:
-    """The canonical terms of a fresh dict keyed by sorted monomials: its
-    nonzero ones. Without a zero coefficient the dict itself is returned."""
+    """The canonical terms of a fresh dict keyed by monomials: its nonzero
+    ones. Without a zero coefficient the dict itself is returned."""
     if 0 in acc.values():
         return {mono: coeff for mono, coeff in acc.items() if coeff}
     return acc
@@ -104,13 +153,10 @@ def _multiply_into(
     xs: Iterable[tuple[Monomial, int]],
     ys: Collection[tuple[Monomial, int]],
 ) -> None:
-    """Add the product of two term lists into `acc`. Each monomial is sorted
-    already, so only a merge of two nonconstant monomials needs a sort."""
+    """Add the product of two term lists into `acc`."""
     for mono_a, coeff_a in xs:
         for mono_b, coeff_b in ys:
-            mono = mono_a + mono_b
-            if mono_a and mono_b:
-                mono = tuple(sorted(mono))
+            mono = mono_a * mono_b
             acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
 
 
@@ -134,27 +180,30 @@ def _decimal(value: int) -> str:
 class InvariantExpr:
     """An integer polynomial over named symbols, canonical by construction.
 
-    `_terms` is a zero-free dict from sorted monomial to coefficient, in no
+    `_terms` is a zero-free dict from monomial to coefficient, in no
     particular order, and no operation mutates it once a value holds it.
-    `terms` lists it in graded lexicographic order, the order values print in.
+    `terms` lists it with each monomial as its sorted symbol names, in graded
+    lexicographic order, the order values print in.
     """
 
     __slots__ = ("_terms",)
 
     _terms: dict[Monomial, int]
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None) -> None:
+    def __init__(self, terms: Mapping[Names, int] | None = None) -> None:
+        """The value of a mapping from symbol-name tuples, in any order and
+        with repeats for powers, to integer coefficients."""
         cleaned = {}
         if terms:
-            for mono, coeff in terms.items():
-                key = tuple(sorted(mono))
+            for names, coeff in terms.items():
+                key = prod(map(_prime, names))
                 cleaned[key] = cleaned.get(key, 0) + coeff
         self._terms = _collected(cleaned)
 
     @staticmethod
     def _canonical(terms: dict[Monomial, int]) -> InvariantExpr:
-        """Wrap a zero-free dict keyed by sorted monomials, which the new value
-        then owns, with no filter. Internal to the package."""
+        """Wrap a zero-free dict keyed by monomials, which the new value then
+        owns, with no filter. Internal to the package."""
         expr = object.__new__(InvariantExpr)
         expr._terms = terms
         return expr
@@ -180,35 +229,36 @@ class InvariantExpr:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> tuple[tuple[Monomial, int], ...]:
-        """The (monomial, coefficient) pairs in graded lexicographic order."""
-        return tuple(sorted(self._terms.items(), key=_term_key))
+    def terms(self) -> tuple[tuple[Names, int], ...]:
+        """The (sorted symbol names, coefficient) pairs in graded lexicographic order."""
+        terms = self._terms
+        return tuple(sorted(zip(map(_names, terms), terms.values()), key=_term_key))
 
     def symbols(self) -> frozenset[str]:
-        return frozenset(name for mono in self._terms for name in mono)
+        return frozenset(name for mono in self._terms for name in _names(mono))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
         terms = self._terms
-        return not terms or (len(terms) == 1 and () in terms)
+        return not terms or (len(terms) == 1 and 1 in terms)
 
     def constant_value(self) -> int:
         """The value of a constant polynomial; raises otherwise."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self._terms.get((), 0)
+        return self._terms.get(1, 0)
 
     def degree_in(self, name: str) -> int:
-        return max((mono.count(name) for mono in self._terms), default=0)
+        return max((_names(mono).count(name) for mono in self._terms), default=0)
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Integer value at the given symbol assignment; all symbols must be covered."""
         value = 0
         for mono, coeff in self._terms.items():
             term = coeff
-            for name in mono:
+            for name in _names(mono):
                 term *= assignment[name]
             value += term
         return value
@@ -262,9 +312,9 @@ class InvariantExpr:
             other = InvariantExpr._coerce(other)
         # A constant factor, zero included, scales the other operand's terms.
         if other.is_constant():
-            return self._scaled(other._terms.get((), 0))
+            return self._scaled(other._terms.get(1, 0))
         if self.is_constant():
-            return other._scaled(self._terms.get((), 0))
+            return other._scaled(self._terms.get(1, 0))
         acc: dict[Monomial, int] = {}
         _multiply_into(acc, self._terms.items(), other._terms.items())
         return InvariantExpr._canonical(_collected(acc))
@@ -282,9 +332,7 @@ class InvariantExpr:
         for i, x in enumerate(xs):
             for mono_a, coeff_a in x._terms.items():
                 for j, mono_b, coeff_b in flat:
-                    mono = mono_a or mono_b  # either one, if the other is constant
-                    if mono_a and mono_b:
-                        mono = tuple(sorted(mono_a + mono_b))
+                    mono = mono_a * mono_b
                     acc = accs[i + j]
                     acc[mono] = acc.get(mono, 0) + coeff_a * coeff_b
         return [InvariantExpr._canonical(_collected(acc)) for acc in accs]
@@ -514,7 +562,7 @@ class PolyParser:
     one to (line, column) only for an error. Errors are DslSyntaxError with
     the offending piece's span; the declaration parser extends this class
     with its statements. A polynomial accumulates in raw term dicts keyed by
-    sorted monomials, and becomes a canonical value once, when it is read.
+    monomials, and becomes a canonical value once, when it is read.
     `_sum` is the grammar's one loop: it reads a sum, or a comma-separated
     list of sums, with every integer, name and sign of each product, and only
     a parenthesized factor takes a call (`_factor`, which reads its sum with
@@ -576,8 +624,9 @@ class PolyParser:
         acc: dict[Monomial, int] = {}
         words = self.words
         ints = self.ints
+        primes = _PRIMES
         i = at = self.pos
-        coeff, names, factors = 1, [], None
+        coeff, mono, factors = 1, 1, None
         while True:
             word = words[i]
             i += 1
@@ -586,7 +635,7 @@ class PolyParser:
                 coeff *= self.int_value(i - 1) if value is None else value
             elif word.isidentifier():
                 uses.append(i - 1)
-                names.append(word)
+                mono *= primes.get(word) or _prime(word)
             elif word == "-" or word == "+":
                 # A sign binds to the factor after it, so no '*' may follow yet.
                 coeff = -coeff if word == "-" else coeff
@@ -605,8 +654,6 @@ class PolyParser:
                 i += 1
                 continue
             # The product ends: add it into the sum.
-            names.sort()
-            mono = tuple(names)
             if factors is None:
                 acc[mono] = acc.get(mono, 0) + coeff
             else:
@@ -625,7 +672,7 @@ class PolyParser:
                     return acc
                 acc, uses, at, coeff = {}, [], i + 1, 1
             i += 1
-            names, factors = [], None
+            mono, factors = 1, None
 
     def _factor(self, uses: list[int]) -> dict[Monomial, int]:
         """The parenthesized factor; `_sum` reads every other one."""

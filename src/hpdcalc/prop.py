@@ -32,7 +32,7 @@ from .engine import (
     universal_hyperplane_sod,
 )
 from .model import LefschetzProfile, Workspace, build_profile
-from .poly import InvariantExpr
+from .poly import InvariantExpr, _prime
 from .report import check_row
 
 __all__ = [
@@ -120,15 +120,15 @@ def _draw_invariant(
     rng: random.Random, symbols: Sequence[str], *, nonzero: bool = False
 ) -> InvariantExpr:
     # Nonnegative coefficients keep every profile plausible by construction.
-    # The pool names are identifiers, so each drawn term is canonical already.
+    # The pool names are distinct, so each drawn term is canonical already.
     constant = rng.randint(1 if nonzero and not symbols else 0, 3)
-    terms = {(): constant} if constant else {}
+    terms = {1: constant} if constant else {}
     for name in symbols:
         coeff = rng.randint(0, 3)
         if coeff:
-            terms[(name,)] = coeff
+            terms[_prime(name)] = coeff
     if nonzero and not terms:
-        terms[()] = 1
+        terms[1] = 1
     return InvariantExpr._canonical(terms)
 
 

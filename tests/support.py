@@ -380,6 +380,33 @@ def ref_find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
     raise AssertionError("distinct polynomials with no point in the box")
 
 
+# -- reference term arithmetic ---------------------------------------------------
+#
+# A monomial here is a sorted tuple of symbol names with repeats, the form
+# `InvariantExpr.terms` shows, and a product merges two tuples and sorts them.
+
+
+def ref_terms(pairs) -> dict[tuple[str, ...], int]:
+    """The (monomial, coefficient) pairs summed into one dict, zero terms dropped."""
+    out: dict[tuple[str, ...], int] = {}
+    for mono, coeff in pairs:
+        out[mono] = out.get(mono, 0) + coeff
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+def ref_product(xs: dict, ys: dict) -> dict[tuple[str, ...], int]:
+    """The product of two term dicts keyed by sorted name tuples."""
+    return ref_terms(
+        (tuple(sorted(a + b)), ca * cb) for a, ca in xs.items() for b, cb in ys.items()
+    )
+
+
+def ref_ordered(terms: dict) -> tuple:
+    """A term dict as `InvariantExpr.terms` lists it: higher degree first,
+    ties by name tuple."""
+    return tuple(sorted(terms.items(), key=lambda term: (-len(term[0]), term[0])))
+
+
 # -- reference lexer ------------------------------------------------------------
 
 _DIGITS = frozenset("0123456789")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hpdcalc
-from hpdcalc import catalog, cli, poly, prop
+from hpdcalc import catalog, cli, dsl, poly, prop
 from hpdcalc.cli import main
 from hpdcalc.checks import SUBSET_READING_NOTE
 from hpdcalc.dsl import MAX_N2
@@ -493,7 +493,32 @@ def test_catalog_golden_that_cannot_be_written_exits_four(tmp_path, capsys, monk
 
 def test_catalog_unknown_name_exits_two(capsys):
     assert main(["catalog", "bogus"]) == 2
-    assert "unknown catalog case" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "",
+        "error: unknown catalog case 'bogus'; available: "
+        + ", ".join(catalog.case_names())
+        + "\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "error", [ValueError("inside a check"), OSError("inside a check")], ids=["ValueError", "OSError"]
+)
+@pytest.mark.parametrize("command", ["check", "catalog"])
+def test_an_error_inside_a_check_exits_five_under_every_command(command, error, monkeypatch, capsys):
+    # Exit 2 and 4 are for an unknown case name and a golden that cannot be
+    # written; the same error raised while a check runs is a bug, whichever
+    # command ran the check.
+    def broken(stmt, ws):
+        raise error
+
+    monkeypatch.setattr(dsl, "run_check_row", broken)
+    argv = ["check", str(CATALOG_FILES[0])] if command == "check" else ["catalog", "points-line"]
+    assert main(argv) == 5
+    first, rest = capsys.readouterr().err.split("\n", 1)
+    assert first == f"error: internal error: {error!r}"
+    assert rest.startswith("Traceback (most recent call last):\n")
+    assert "error: internal error" not in rest
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Invariant arithmetic: canonical form, decidable equality, shared text syntax."""
 
+import contextlib
 import itertools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from support import count_calls, ref_tokenize, token_tuples
+from support import count_calls, ref_ordered, ref_product, ref_terms, ref_tokenize, token_tuples
 
 from hpdcalc import poly
 from hpdcalc.dsl import _Parser, parse
@@ -399,6 +400,72 @@ def test_arithmetic_and_parsing_order_no_terms(monkeypatch):
     assert ordered == []
     assert str(a) == "a*c*c + 3*a*b - c*c - 2*b + 3"
     assert ordered  # printing orders the terms
+
+
+# -- the monomial encoding ------------------------------------------------------
+#
+# A monomial is the product of its symbols' primes, and the registry gives
+# primes in the order it meets names. Products must match a reference that
+# merges sorted name tuples, and nothing shown may depend on that order.
+
+# Ten names whose sorted order differs from any order of first use drawn below.
+ENCODED_NAMES = ("a", "b", "B", "x1", "x10", "x2", "e_1", "zeta", "_u", "c")
+
+
+@contextlib.contextmanager
+def registry_meeting(order):
+    """A fresh symbol registry that has met the names of `order` in that
+    order; the process's registry and decodings are back once it is left."""
+    saved = poly._PRIMES, poly._NAMES
+    poly._PRIMES, poly._NAMES = {}, {}
+    poly._names.cache_clear()
+    try:
+        for name in order:
+            sym(name)
+        yield
+    finally:
+        poly._PRIMES, poly._NAMES = saved
+        poly._names.cache_clear()
+
+
+@st.composite
+def named_term_dicts(draw, names):
+    """A term dict keyed by sorted name tuples, with repeats, no zero coefficient."""
+    monos = st.lists(st.sampled_from(names), max_size=4).map(lambda m: tuple(sorted(m)))
+    return draw(st.dictionaries(monos, st.integers(-5, 5).filter(bool), max_size=5))
+
+
+def term_text(terms):
+    """A term dict as text, each monomial's names in reverse order."""
+    return " + ".join("*".join([str(c), *reversed(mono)]) for mono, c in terms.items()) or "0"
+
+
+@given(st.data())
+def test_products_match_the_reference_in_any_registry_order(data):
+    names = data.draw(st.lists(st.sampled_from(ENCODED_NAMES), min_size=1, max_size=10, unique=True))
+    xs = data.draw(st.lists(named_term_dicts(names), min_size=1, max_size=3))
+    ys = data.draw(st.lists(named_term_dicts(names), min_size=1, max_size=3))
+    expected = [ref_product(xs[0], ys[0])] * 2 + [
+        ref_terms(
+            term
+            for i, x in enumerate(xs)
+            for j, y in enumerate(ys)
+            if i + j == s
+            for term in ref_product(x, y).items()
+        )
+        for s in range(len(xs) + len(ys) - 1)
+    ]
+    seen = []
+    for order in (data.draw(st.permutations(names)), sorted(names, reverse=True)):
+        with registry_meeting(order):
+            values = [
+                InvariantExpr(xs[0]) * InvariantExpr(ys[0]),
+                parse_expr(f"({term_text(xs[0])}) * ({term_text(ys[0])})"),
+                *InvariantExpr._convolve(list(map(InvariantExpr, xs)), list(map(InvariantExpr, ys))),
+            ]
+            seen.append([(value.terms, str(value)) for value in values])
+    assert [terms for terms, _ in seen[0]] == [ref_ordered(terms) for terms in expected]
+    assert seen[0] == seen[1]
 
 
 # -- evaluation helpers -------------------------------------------------------

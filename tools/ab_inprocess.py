@@ -8,12 +8,13 @@ its own name (`hpdcalc_parent`, `hpdcalc_change`) into a temporary directory,
 so both load side by side; the package imports itself relatively.
 
 The inputs are the small and library declaration files of the first two
-cycles of perfbench's `decl-files` main stream at seed 1, read from this
-repository's `perfbench/workloads.py`, and `prop.run_suite` at 10 cases and
-seeds 1 to 3. Both sides must give byte-identical reports on every input,
-else the run stops with exit 1. Each round then times every measure once per
-side, the parent first in even rounds and the change first in odd ones, with
-a collection before each timing. Per measure it prints the median and the
+cycles of perfbench's `decl-files` main stream at seed 1, and `prop.run_suite`
+at 10 cases and the ten seeds of the first cycle of its `prop-suites` main
+stream at seed 1, each read from this repository's `perfbench/workloads.py`.
+Both sides must give byte-identical reports on every input, else the run
+stops with exit 1. Each round then times every measure once per side, the
+parent first in even rounds and the change first in odd ones, with a
+collection before each timing. Per measure it prints the median and the
 quartiles of each side (ms per call), the change's median minus the parent's,
 the parent's quartile distance, and the rounds in which the change was faster.
 
@@ -38,8 +39,7 @@ import tempfile
 import time
 
 SIDES = ("parent", "change")
-PROP_SEEDS = (1, 2, 3)
-PROP_CASES = 10
+PROP_CASES = 10  # as in perfbench's prop-suites jobs
 
 
 def _load(src: str, name: str, workdir: str):
@@ -52,30 +52,35 @@ def _load(src: str, name: str, workdir: str):
     return importlib.import_module(f"{name}.dsl"), importlib.import_module(f"{name}.prop")
 
 
-def _sources() -> dict[str, list[str]]:
-    """The small and library file sources of two decl-files cycles at seed 1."""
+def _inputs() -> dict[str, list]:
+    """The small and library file sources of two decl-files cycles at seed 1,
+    and the `prop --seed` values of one prop-suites cycle at seed 1."""
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
     sys.path.insert(0, perfbench)
     import workloads
 
     stream = workloads.jobs("decl-files", 1, "main")
     jobs = list(itertools.islice(stream, 2 * workloads.cycle_length("decl-files")))
-    return {label: [j.source for j in jobs if j.label == label] for label in ("small", "library")}
+    inputs = {label: [j.source for j in jobs if j.label == label] for label in ("small", "library")}
+    stream = workloads.jobs("prop-suites", 1, "main")
+    jobs = itertools.islice(stream, workloads.cycle_length("prop-suites"))
+    inputs["prop"] = [int(j.args[j.args.index("--seed") + 1]) for j in jobs]
+    return inputs
 
 
-def _measures(dsl, prop, sources) -> dict:
+def _measures(dsl, prop, inputs) -> dict:
     """Name -> (calls per timing, a function making those calls and returning their results)."""
 
     def files(texts):
         return lambda: [dsl.check_file(text) for text in texts]
 
     def suites():
-        return [prop.run_suite(seed, PROP_CASES).check_rows() for seed in PROP_SEEDS]
+        return [prop.run_suite(seed, PROP_CASES).check_rows() for seed in inputs["prop"]]
 
     return {
-        "check_file small": (len(sources["small"]), files(sources["small"])),
-        "check_file library": (len(sources["library"]), files(sources["library"])),
-        f"prop.run_suite {PROP_CASES} cases": (len(PROP_SEEDS), suites),
+        "check_file small": (len(inputs["small"]), files(inputs["small"])),
+        "check_file library": (len(inputs["library"]), files(inputs["library"])),
+        f"prop.run_suite {PROP_CASES} cases": (len(inputs["prop"]), suites),
     }
 
 
@@ -95,14 +100,14 @@ def main(argv: list | None = None) -> int:
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
     sys.dont_write_bytecode = True
-    sources = _sources()
+    inputs = _inputs()
     with tempfile.TemporaryDirectory() as workdir:
         sys.path.insert(0, workdir)
         loaded = {
             side: _load(src, f"hpdcalc_{side}", workdir)
             for side, src in zip(SIDES, (args.parent_src, args.change_src))
         }
-        measures = {side: _measures(*loaded[side], sources) for side in SIDES}
+        measures = {side: _measures(*loaded[side], inputs) for side in SIDES}
         for name, (_, run) in measures["parent"].items():
             if json.dumps(run()) != json.dumps(measures["change"][name][1]()):
                 print(f"error: the two trees give different reports on {name}", file=sys.stderr)
