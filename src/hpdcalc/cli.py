@@ -6,6 +6,10 @@ is underdetermined by the declared data (with no outright failure), 4 file
 I/O failed, the input file is not valid UTF-8, or standard output was closed,
 5 an internal error: an unexpected exception, reported with its traceback,
 or running out of memory, reported in one line.
+
+A call that names a known command first has the rest of argv read by that
+command's own parser. Help, a missing or unknown command, and any leftover
+argument take the full parse, so every usage message is argparse's own.
 """
 
 from __future__ import annotations
@@ -167,11 +171,26 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="flip the refined-pair bound (negative control; must fail)",
     )
+    for name, command in sub.choices.items():
+        command.set_defaults(command=name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace `_parser().parse_args(argv)` gives, its errors included."""
+    parser = _parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = sub.choices.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    # A leftover argument is the top-level parser's usage error.
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     # Looked up per call, so a rebound handler takes effect.
     handler = {"check": cmd_check, "catalog": cmd_catalog, "prop": cmd_prop}[args.command]
     try:

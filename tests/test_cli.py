@@ -547,6 +547,48 @@ def test_usage_error_leaves_later_calls_unchanged(bad_argv, tmp_path, capsys):
     assert cli._parser() is cli._parser()
 
 
+CATALOG_FILE = str(CATALOG_FILES[0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["bogus"], ["chec"], ["--", "check"], ["check"], ["check", "-h"],
+        ["check", CATALOG_FILE, "--bogus"],
+        ["check", CATALOG_FILE, "extra"],
+        ["prop", "--cases", "many"],
+        ["prop", "--se", "3", "--cases", "0"],
+        ["catalog", "--json"],
+        ["catalog", "a", "b"],
+        ["check", CATALOG_FILE, "--js", "r.json", "--allow"],
+        ["check", "--", CATALOG_FILE],
+        ["catalog"],
+        ["prop"],
+    ],
+)
+def test_main_parses_as_the_full_parser_does(argv, monkeypatch, capsys):
+    # A known command's parser reads argv itself; exit codes, usage messages
+    # and namespaces must still be those of the full parse, which argparse
+    # words differently from one Python version to the next.
+    def outcome(call):
+        try:
+            result = call(argv)
+        except SystemExit as stop:
+            result = ("exit", stop.code)
+        return (result, *capsys.readouterr())
+
+    seen = []
+    for name in ("cmd_check", "cmd_catalog", "cmd_prop"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    want = outcome(cli._parser().parse_args)
+    got = outcome(main)
+    if isinstance(want[0], tuple):
+        assert got == want
+    else:
+        assert got == (0, "", "")
+        assert seen == [want[0]]
+
+
 def test_prop_defaults_pass_and_reports_are_stable(tmp_path, capsys):
     first = tmp_path / "p1.json"
     second = tmp_path / "p2.json"

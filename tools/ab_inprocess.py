@@ -11,12 +11,19 @@ The inputs are the small and library declaration files of the first two
 cycles of perfbench's `decl-files` main stream at seed 1, and `prop.run_suite`
 at 10 cases and the ten seeds of the first cycle of its `prop-suites` main
 stream at seed 1, each read from this repository's `perfbench/workloads.py`.
-Both sides must give byte-identical reports on every input, else the run
-stops with exit 1. Each round then times every measure once per side, the
-parent first in even rounds and the change first in odd ones, with a
-collection before each timing. Per measure it prints the median and the
-quartiles of each side (ms per call), the change's median minus the parent's,
-the parent's quartile distance, and the rounds in which the change was faster.
+They are timed as `dsl.check_file` and `prop.run_suite` calls. The files of the
+first two cycles of the `refutations` and `deep-constructions` main streams at
+seed 1 are timed as whole `cli.main` calls, as perfbench's `Runner` makes them:
+before each call its input file is written to the temporary directory and the
+report the previous call left is removed, then `check FILE --json PATH` runs
+with its output captured; only the calls are timed. Both sides must give
+byte-identical reports on every input (and, for `cli.main`, the same exit
+codes and output), else the run stops with exit 1. Each round then times
+every measure once per side, the parent first in even rounds and the change
+first in odd ones, with a collection before each timing. Per measure it
+prints the median and the quartiles of each side (ms per call), the change's
+median minus the parent's, the parent's quartile distance, and the rounds in
+which the change was faster.
 
 perfbench normalizes every end-to-end time by a host-speed sample that moves
 by tens of percent between runs, so its rates cannot resolve a change of a
@@ -27,8 +34,10 @@ only; nothing is written outside the temporary directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
+import io
 import itertools
 import json
 import os
@@ -40,21 +49,24 @@ import time
 
 SIDES = ("parent", "change")
 PROP_CASES = 10  # as in perfbench's prop-suites jobs
+CLI_WORKLOADS = ("refutations", "deep-constructions")
+REPORT = "report.json"
 
 
 def _load(src: str, name: str, workdir: str):
-    """The (dsl, prop) modules of the package in `src`, copied as `name`."""
+    """The (dsl, prop, cli) modules of the package in `src`, copied as `name`."""
     shutil.copytree(
         os.path.join(src, "hpdcalc"),
         os.path.join(workdir, name),
         ignore=shutil.ignore_patterns("__pycache__"),
     )
-    return importlib.import_module(f"{name}.dsl"), importlib.import_module(f"{name}.prop")
+    return tuple(importlib.import_module(f"{name}.{module}") for module in ("dsl", "prop", "cli"))
 
 
 def _inputs() -> dict[str, list]:
     """The small and library file sources of two decl-files cycles at seed 1,
-    and the `prop --seed` values of one prop-suites cycle at seed 1."""
+    the `prop --seed` values of one prop-suites cycle at seed 1, and the file
+    sources of two cycles of each of CLI_WORKLOADS at seed 1."""
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
     sys.path.insert(0, perfbench)
     import workloads
@@ -65,30 +77,66 @@ def _inputs() -> dict[str, list]:
     stream = workloads.jobs("prop-suites", 1, "main")
     jobs = itertools.islice(stream, workloads.cycle_length("prop-suites"))
     inputs["prop"] = [int(j.args[j.args.index("--seed") + 1]) for j in jobs]
+    for workload in CLI_WORKLOADS:
+        stream = workloads.jobs(workload, 1, "main")
+        inputs[workload] = [
+            j.source for j in itertools.islice(stream, 2 * workloads.cycle_length(workload))
+        ]
     return inputs
 
 
-def _measures(dsl, prop, inputs) -> dict:
-    """Name -> (calls per timing, a function making those calls and returning their results)."""
+def _measures(dsl, prop, cli, inputs, workdir: str) -> dict:
+    """Name -> (inputs, the call timed on each, a step run before each call
+    outside the clock, or None). A `cli.main` call's report file is `REPORT`
+    in `workdir`."""
+    infile = os.path.join(workdir, "job.hpd")
 
-    def files(texts):
-        return lambda: [dsl.check_file(text) for text in texts]
+    def stage(text):
+        with open(infile, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(workdir, REPORT))
 
-    def suites():
-        return [prop.run_suite(seed, PROP_CASES).check_rows() for seed in inputs["prop"]]
+    def check(text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["check", infile, "--json", os.path.join(workdir, REPORT)])
+        return code, out.getvalue(), err.getvalue()
 
     return {
-        "check_file small": (len(inputs["small"]), files(inputs["small"])),
-        "check_file library": (len(inputs["library"]), files(inputs["library"])),
-        f"prop.run_suite {PROP_CASES} cases": (len(inputs["prop"]), suites),
+        "check_file small": (inputs["small"], dsl.check_file, None),
+        "check_file library": (inputs["library"], dsl.check_file, None),
+        f"prop.run_suite {PROP_CASES} cases": (
+            inputs["prop"], lambda seed: prop.run_suite(seed, PROP_CASES).check_rows(), None
+        ),
+        **{f"cli.main {w}": (inputs[w], check, stage) for w in CLI_WORKLOADS},
     }
 
 
-def _timed(calls: int, run) -> float:
+def _outputs(workdir: str, inputs, call, stage) -> str:
+    """What the calls give, with each report a `cli.main` call wrote, as JSON."""
+    results = []
+    for x in inputs:
+        if stage is not None:
+            stage(x)
+        results.append(call(x))
+        if stage is not None:
+            with open(os.path.join(workdir, REPORT), encoding="utf-8") as handle:
+                results.append(handle.read())
+    return json.dumps(results)
+
+
+def _timed(inputs, call, stage) -> float:
+    """Milliseconds per call, counting the calls only, as perfbench's `Runner` does."""
     gc.collect()
-    start = time.perf_counter()
-    run()
-    return (time.perf_counter() - start) * 1000 / calls
+    spent = 0.0
+    for x in inputs:
+        if stage is not None:
+            stage(x)
+        start = time.perf_counter()
+        call(x)
+        spent += time.perf_counter() - start
+    return spent * 1000 / len(inputs)
 
 
 def main(argv: list | None = None) -> int:
@@ -107,9 +155,9 @@ def main(argv: list | None = None) -> int:
             side: _load(src, f"hpdcalc_{side}", workdir)
             for side, src in zip(SIDES, (args.parent_src, args.change_src))
         }
-        measures = {side: _measures(*loaded[side], inputs) for side in SIDES}
-        for name, (_, run) in measures["parent"].items():
-            if json.dumps(run()) != json.dumps(measures["change"][name][1]()):
+        measures = {side: _measures(*loaded[side], inputs, workdir) for side in SIDES}
+        for name, measure in measures["parent"].items():
+            if _outputs(workdir, *measure) != _outputs(workdir, *measures["change"][name]):
                 print(f"error: the two trees give different reports on {name}", file=sys.stderr)
                 return 1
         times = {(name, side): [] for name in measures["parent"] for side in SIDES}
