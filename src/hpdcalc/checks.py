@@ -1,13 +1,15 @@
 """Duality identities evaluated as named checks.
 
-Each check derives its two sides through independent construction chains and
-compares them as exact polynomials. A failing check always carries an integer
-witness assignment separating the sides. All results are invariant-level
-statements about additive data, never claims about the categories themselves.
+Each check states exact identities (label, lhs, rhs) whose sides come from
+independent construction chains. One rule, `_first_violation`, decides every
+identity, here and in the property suites; a failure carries an integer witness
+separating the sides. All results are invariant-level statements about
+additive data, never claims about the categories themselves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -21,7 +23,7 @@ from .engine import (
     ruled_join_components,
 )
 from .errors import JoinNotModerate, MissingDisjointness
-from .model import LefschetzProfile, Workspace, build_profile, same_ambient
+from .model import _ZERO, LefschetzProfile, Workspace, build_profile, same_ambient
 from .poly import InvariantExpr, _prime
 from .report import check_row
 
@@ -103,9 +105,26 @@ def find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
     return witness
 
 
-def _result(name: str, lhs, rhs, notes: Sequence[str] = ()) -> CheckResult:
-    if lhs == rhs:
+def _first_violation(identities) -> tuple[str, InvariantExpr, InvariantExpr] | None:
+    """The first identity whose sides differ, as (detail, lhs, rhs), or None. A list
+    compares entry by entry, a missing entry read as 0; its first differing
+    component is named, with those two entries as the sides, so a witness exists."""
+    for label, lhs, rhs in identities:
+        listed = isinstance(lhs, list)
+        pairs = itertools.zip_longest(lhs, rhs, fillvalue=_ZERO) if listed else [(lhs, rhs)]
+        for i, (x, y) in enumerate(pairs):
+            if x != y:
+                return (f"{label}, component {i}" if listed else label), x, y
+    return None
+
+
+def _result(name: str, identities: Sequence[tuple], notes: Sequence[str] = ()) -> CheckResult:
+    violation = _first_violation(identities)
+    detail, lhs, rhs = violation or identities[0]
+    if violation is None:
         return CheckResult(name, lhs, rhs, "pass", None, tuple(notes))
+    if all(detail != label for label, _, _ in identities):  # the sides are list entries
+        notes = (*notes, f"first violation: {detail}")
     return CheckResult(name, lhs, rhs, "fail", find_witness(lhs, rhs), tuple(notes))
 
 
@@ -137,7 +156,7 @@ def check_main_theorem(
         f"derived invariant of the fiber product of the two duals: {lhs}",
         SUBSET_READING_NOTE,
     ]
-    return _result("main_theorem", lhs, deep, notes)
+    return _result("main_theorem", [("main_theorem", lhs, deep)], notes)
 
 
 def check_n_hpd_center(
@@ -152,7 +171,7 @@ def check_n_hpd_center(
     declared dual data.
     """
     names = [p.name for p in profiles]
-    if len(profiles) > 1 and not workspace.are_disjoint(names):
+    if not workspace.are_disjoint(names):
         raise MissingDisjointness(
             f"center check for {', '.join(names)} needs a declared disjointness group"
         )
@@ -182,7 +201,7 @@ def check_n_hpd_center(
             "no declared dual profiles: dual centers derived via the center "
             "equivalence; length claim underdetermined"
         )
-    return _result("n_hpd_center", lhs, rhs, notes)
+    return _result("n_hpd_center", [("n_hpd_center", lhs, rhs)], notes)
 
 
 def check_thm_cone_part1(
@@ -204,7 +223,7 @@ def check_thm_cone_part1(
         dual_total, dual_center = hpd_total(p), p.component_rank(0)
         notes.append("dual side derived: duality total and center equivalence")
     rhs = dual_total + dual_center * N2
-    return _result("cone_part1", lhs, rhs, notes)
+    return _result("cone_part1", [("cone_part1", lhs, rhs)], notes)
 
 
 def check_thm_cone_part2(p: LefschetzProfile, N2: int) -> CheckResult:
@@ -222,7 +241,7 @@ def check_thm_cone_part2(p: LefschetzProfile, N2: int) -> CheckResult:
     jbar = ruled_join_components(_over_ambient(p, N), subspace)
     lhs = duality_total(N, jbar)
     rhs = hpd_total(p)
-    return _result("cone_part2", lhs, rhs, (INVARIANT_LEVEL_NOTE,))
+    return _result("cone_part2", [("cone_part2", lhs, rhs)], (INVARIANT_LEVEL_NOTE,))
 
 
 def check_join_linear(profiles: Sequence[LefschetzProfile]) -> CheckResult:
@@ -251,7 +270,7 @@ def check_join_linear(profiles: Sequence[LefschetzProfile]) -> CheckResult:
     ]
     if len(profiles) >= 2:
         notes.append(SUBSET_READING_NOTE)
-    return _result("join_linear", lhs, rhs, notes)
+    return _result("join_linear", [("join_linear", lhs, rhs)], notes)
 
 
 def check_dual_profile(
@@ -260,18 +279,13 @@ def check_dual_profile(
     """Validate a declared dual profile: its total, its center, and the
     double-dual total must all match the values derived from the original."""
     same_ambient(p, declared_dual)
-    subchecks = [
+    identities = [
         ("dual total", declared_dual.total_invariant(), hpd_total(p)),
         ("center", declared_dual.component_rank(0), p.component_rank(0)),
         ("double-dual total", hpd_total(declared_dual), p.total_invariant()),
     ]
     notes = [INVARIANT_LEVEL_NOTE]
-    failing = None
-    for label, lhs, rhs in subchecks:
-        ok = lhs == rhs
-        notes.append(f"{label}: {'pass' if ok else 'fail'} ({lhs} vs {rhs})")
-        if not ok and failing is None:
-            failing = (lhs, rhs)
-    if failing is not None:
-        return _result("dual_profile", failing[0], failing[1], notes)
-    return _result("dual_profile", subchecks[0][1], subchecks[0][2], notes)
+    for label, lhs, rhs in identities:
+        verdict = "fail" if _first_violation([(label, lhs, rhs)]) else "pass"
+        notes.append(f"{label}: {verdict} ({lhs} vs {rhs})")
+    return _result("dual_profile", identities, notes)

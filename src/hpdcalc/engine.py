@@ -334,7 +334,7 @@ def n_join_profile(
 ) -> list[InvariantExpr]:
     """Workspace-checked flat join: the inputs must carry a disjointness declaration."""
     names = [p.name for p in profiles]
-    if len(profiles) > 1 and not workspace.are_disjoint(names):
+    if not workspace.are_disjoint(names):
         raise MissingDisjointness(
             f"flat join of {', '.join(names)} needs a declared disjointness group"
         )

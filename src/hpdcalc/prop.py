@@ -2,18 +2,18 @@
 
 Each suite replays deterministically from its seed: one `random.Random`
 stream drives every draw, and each case yields a family of exact polynomial
-identities as (label, lhs, rhs). `run_property` compares them in order, stops
-the case at the first violation and reports it with an integer witness
-separating the two sides.
+identities as (label, lhs, rhs). `run_property` decides them in order with
+`checks._first_violation`, as every check row is decided, stops the case at the
+first violation and reports it with an integer witness separating the sides.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Callable, NamedTuple, Sequence
 
 from .checks import (
+    _first_violation,
     check_join_linear,
     check_thm_cone_part1,
     check_thm_cone_part2,
@@ -31,7 +31,7 @@ from .engine import (
     ruled_join_components,
     universal_hyperplane_sod,
 )
-from .model import LefschetzProfile, Workspace, build_profile
+from .model import _ZERO, LefschetzProfile, Workspace, build_profile
 from .poly import InvariantExpr, _prime
 from .report import check_row
 
@@ -53,7 +53,6 @@ MAX_RANK_CAP = 9
 MAX_SYMBOLS_CAP = 3
 
 _SYMBOL_POOL = ("e", "x", "y")
-_ZERO = InvariantExpr.const(0)
 
 
 class CaseFailure(NamedTuple):
@@ -292,19 +291,6 @@ PROPERTY_NAMES = tuple(_RUNNERS)
 
 
 # -- drivers ---------------------------------------------------------------------------
-
-
-def _first_violation(identities) -> tuple[str, InvariantExpr, InvariantExpr] | None:
-    """The first identity whose sides differ, as (detail, lhs, rhs), or None. A list
-    compares entry by entry, a missing entry read as 0; its first differing
-    component is named, with those two entries as the sides, so a witness exists."""
-    for label, lhs, rhs in identities:
-        listed = isinstance(lhs, list)
-        pairs = itertools.zip_longest(lhs, rhs, fillvalue=_ZERO) if listed else [(lhs, rhs)]
-        for i, (x, y) in enumerate(pairs):
-            if x != y:
-                return (f"{label}, component {i}" if listed else label), x, y
-    return None
 
 
 def run_property(

@@ -127,6 +127,36 @@ def test_find_witness_matches_the_box_scan(lhs, rhs):
     assert list(w) == sorted(w)
 
 
+# -- the comparison rule -----------------------------------------------------------
+
+
+def test_first_violation_reads_no_identity_past_the_first_violation():
+    # prop's cases draw from their random stream between yields, so reading on
+    # past a violation would shift every later draw of the run.
+    def identities():
+        yield ("holds", const(1), const(1))
+        yield ("violated", const(1), const(2))
+        raise AssertionError("read past the first violation")
+
+    assert checks._first_violation(identities()) == ("violated", const(1), const(2))
+
+
+def test_result_of_a_list_identity_names_its_first_differing_component():
+    x = sym("x")
+    identities = [("scalar", x, x), ("components", [x, 2 * x], [x, x, 1])]
+    result = checks._result("demo", identities, ["a note"])
+    assert (result.lhs, result.rhs, result.status) == (2 * x, x, "fail")
+    assert result.witness == {"x": 1}
+    assert result.notes == ("a note", "first violation: components, component 1")
+
+
+def test_result_of_holding_identities_shows_the_first_identitys_sides():
+    x = sym("x")
+    result = checks._result("demo", [("first", x, x), ("second", [x], [x, 0])], ["a note"])
+    assert (result.lhs, result.rhs, result.status, result.witness) == (x, x, "pass", None)
+    assert result.notes == ("a note",)
+
+
 # -- main theorem ----------------------------------------------------------------
 
 
@@ -372,6 +402,22 @@ def test_dual_profile_corrupted_center():
     assert result.status == "fail"
     assert result.witness == {}
     assert any("fail" in note for note in result.notes)
+
+
+@pytest.mark.parametrize(
+    "scale, witness", [(1, {}), (sym("x"), {"x": 1})], ids=["constant", "symbolic"]
+)
+def test_dual_profile_reports_its_first_failing_sub_identity(scale, witness):
+    # The total holds and center and double-dual fail: the row shows the
+    # center's sides, while the notes give a verdict for each sub-identity.
+    p = build_profile("Gr25", 10, [0, 0, 0, 0, 2 * scale])
+    declared = build_profile("D", 10, [scale, 0, 0, scale, scale])
+    result = check_dual_profile(p, declared)
+    assert (result.lhs, result.rhs) == (3 * scale, 2 * scale)
+    assert result.status == "fail"
+    assert result.witness == witness
+    verdicts = [note.split(": ")[1].split(" ")[0] for note in result.notes[1:]]
+    assert verdicts == ["pass", "fail", "fail"]
 
 
 @given(st.data())

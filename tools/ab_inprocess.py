@@ -12,11 +12,12 @@ cycles of perfbench's `decl-files` main stream at seed 1, and `prop.run_suite`
 at 10 cases and the ten seeds of the first cycle of its `prop-suites` main
 stream at seed 1, each read from this repository's `perfbench/workloads.py`.
 They are timed as `dsl.check_file` and `prop.run_suite` calls. The files of the
-first two cycles of the `refutations` and `deep-constructions` main streams at
-seed 1 are timed as whole `cli.main` calls, as perfbench's `Runner` makes them:
-before each call its input file is written to the temporary directory and the
-report the previous call left is removed, then `check FILE --json PATH` runs
-with its output captured; only the calls are timed. Both sides must give
+first five cycles (`CLI_CYCLES`) of the `refutations` and `deep-constructions`
+main streams at seed 1 are timed as whole `cli.main` calls, as perfbench's
+`Runner` makes them: before each call its input file is written to the
+temporary directory and the report the previous call left is removed, then
+`check FILE --json PATH` runs with its output captured; only the calls are
+timed. Both sides must give
 byte-identical reports on every input (and, for `cli.main`, the same exit
 codes and output), else the run stops with exit 1. Each round then times
 every measure once per side, the parent first in even rounds and the change
@@ -50,6 +51,9 @@ import time
 SIDES = ("parent", "change")
 PROP_CASES = 10  # as in perfbench's prop-suites jobs
 CLI_WORKLOADS = ("refutations", "deep-constructions")
+# Cycles of each CLI workload read: 25 and 55 calls per round. With two cycles
+# (10 and 22 calls) the parent's quartile distance was as wide as a 10% gain.
+CLI_CYCLES = 5
 REPORT = "report.json"
 
 
@@ -66,7 +70,7 @@ def _load(src: str, name: str, workdir: str):
 def _inputs() -> dict[str, list]:
     """The small and library file sources of two decl-files cycles at seed 1,
     the `prop --seed` values of one prop-suites cycle at seed 1, and the file
-    sources of two cycles of each of CLI_WORKLOADS at seed 1."""
+    sources of CLI_CYCLES cycles of each of CLI_WORKLOADS at seed 1."""
     perfbench = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
     sys.path.insert(0, perfbench)
     import workloads
@@ -80,7 +84,8 @@ def _inputs() -> dict[str, list]:
     for workload in CLI_WORKLOADS:
         stream = workloads.jobs(workload, 1, "main")
         inputs[workload] = [
-            j.source for j in itertools.islice(stream, 2 * workloads.cycle_length(workload))
+            j.source
+            for j in itertools.islice(stream, CLI_CYCLES * workloads.cycle_length(workload))
         ]
     return inputs
 
