@@ -24,7 +24,7 @@ from .engine import (
 )
 from .errors import JoinNotModerate, MissingDisjointness
 from .model import _ZERO, LefschetzProfile, Workspace, build_profile, same_ambient
-from .poly import InvariantExpr, _prime
+from .poly import InvariantExpr
 from .report import check_row
 
 __all__ = [
@@ -73,8 +73,8 @@ def find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
     the difference are 0. On the k symbols of the difference the witness is
     the lexicographically first point of {0..B}^k at which the sides differ,
     B = max(5, largest per-symbol degree). Each symbol in turn takes the least
-    value in 0..B that leaves the difference nonzero in the symbols still
-    free. One exists, since a nonzero polynomial of degree at most B in each
+    value that leaves the difference nonzero in the symbols still free. That
+    value is at most B, since a nonzero polynomial of degree at most B in each
     symbol does not vanish on a grid of B + 1 points per axis, so the cost is
     polynomial in the size of the difference, not exponential in k.
     """
@@ -82,23 +82,13 @@ def find_witness(lhs: InvariantExpr, rhs: InvariantExpr) -> dict[str, int]:
     if diff.is_zero():
         raise ValueError("polynomials are equal; no witness exists")
     witness = {name: 0 for name in sorted(lhs.symbols() | rhs.symbols())}
-    diff_names = sorted(diff.symbols())
-    bound = max([5] + [diff.degree_in(name) for name in diff_names])
-    terms = diff._terms
-    for name in diff_names:
-        p = _prime(name)  # a monomial is a product of symbol primes
-        for value in range(bound + 1):
-            fixed: dict[int, int] = {}
-            for mono, coeff in terms.items():
-                while mono % p == 0:
-                    mono //= p
-                    coeff *= value
-                fixed[mono] = fixed.get(mono, 0) + coeff
-            fixed = {mono: coeff for mono, coeff in fixed.items() if coeff}
-            if fixed:
-                break
+    rest = diff
+    for name in sorted(diff.symbols()):
+        value = 0
+        while not (fixed := rest.substitute(name, value)):
+            value += 1
         witness[name] = value
-        terms = fixed
+        rest = fixed
     # One exact evaluation confirms what the construction guarantees.
     if diff.evaluate(witness) == 0:
         raise AssertionError("distinct polynomials with no witness in the search box")

@@ -13,12 +13,12 @@ two can merge and no field width or degree cap is needed. Which prime a name
 has is known to its process alone, so a value's term dict must not leave it.
 
 The order of a dict's terms, and which prime a symbol got, are not part of
-the value. Monomials are decoded to sorted name tuples (`_names`, by trial
-division through a bounded cache) only where names are read: `terms`,
-`symbols`, `degree_in` and `evaluate`. Graded lexicographic order of the
-decoded monomials (`_term_key`) is applied only at the print boundary, by the
-`terms` property and so by `__str__`; arithmetic finds each term by its hash
-and sorts no terms.
+the value. Monomials are decoded to sorted name tuples only where names are
+read (`terms`, `symbols`, `degree_in`, `evaluate`), through one bounded cache;
+`_decode` decodes a value's missing monomials against the value's own primes,
+found in one walk of the registry. Graded lexicographic order of the decoded
+monomials (`_term_key`) is applied only at the print boundary, by `terms` and
+so by `__str__`; arithmetic finds each term by its hash and sorts no terms.
 
 `InvariantExpr(mapping)` normalizes arbitrary input into that form. The
 arithmetic operators instead build results with `InvariantExpr._canonical`,
@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import accumulate, takewhile
-from math import prod
+from math import isqrt, lcm, prod
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import DslSyntaxError, Span
@@ -96,9 +95,12 @@ class Symbol(_SymbolName):
 
 
 # The symbol registry: each name's prime, and each prime's name, in the order
-# the names were met, which is ascending order of the primes.
+# the names were met, which is ascending order of the primes; and the sorted
+# names of each monomial decoded so far, at most _MAX_DECODED of them.
 _PRIMES: dict[str, int] = {}
 _NAMES: dict[int, str] = {}
+_DECODED: dict[Monomial, Names] = {}
+_MAX_DECODED = 1 << 16
 
 
 def _prime(name: str) -> int:
@@ -106,29 +108,49 @@ def _prime(name: str) -> int:
     that no name has, found by trial division by the primes below its root."""
     p = _PRIMES.get(name)
     if p is None:
+        Symbol(name)  # only an identifier enters the registry
         p = next(reversed(_NAMES), 1) + 1
-        while not all(p % q for q in takewhile(lambda q: q * q <= p, _NAMES)):
+        while not all(map(p.__mod__, takewhile(isqrt(p).__ge__, _NAMES))):
             p += 1
         _PRIMES[name] = p
         _NAMES[p] = name
     return p
 
 
-@lru_cache(maxsize=1 << 16)
-def _names(mono: Monomial) -> Names:
-    """The sorted symbol names of a monomial, with repeats, by trial division
-    by the registered primes in ascending order. Once no prime up to its root
-    is left to divide, the rest is 1 or one registered prime."""
-    names = []
+def _decode(terms: Collection[Monomial]) -> list[Names]:
+    """The sorted symbol names of each monomial of `terms`, in its order. The
+    ones `_DECODED` lacks are divided, in name order, by their own primes: the
+    factors of their lcm, by trial division by the registered primes in
+    ascending order until what is left is 1 or a registered prime. A cache that
+    cannot take all of `terms` is emptied; a value it cannot hold gets a table
+    of its own."""
+    decoded = _DECODED
+    try:
+        return list(map(decoded.__getitem__, terms))
+    except KeyError:
+        if len(decoded) + len(terms) > _MAX_DECODED:
+            decoded.clear()
+            if len(terms) > _MAX_DECODED:
+                decoded = {}
+        missing = [mono for mono in terms if mono not in decoded]
+    rest = lcm(*missing)
+    own = []
     for p in _NAMES:
-        if p * p > mono:
+        if rest == 1 or rest in _NAMES:
             break
-        while mono % p == 0:
-            names.append(_NAMES[p])
-            mono //= p
-    if mono != 1:
-        names.append(_NAMES[mono])
-    return tuple(sorted(names))
+        while rest % p == 0:
+            own.append(p)
+            rest //= p
+    own = sorted({(_NAMES[p], p) for p in [*own, rest] if p != 1})
+    for mono in missing:
+        names = []
+        rest = mono
+        for name, p in own:
+            while rest % p == 0:
+                names.append(name)
+                rest //= p
+        decoded[mono] = tuple(names)
+    return list(map(decoded.__getitem__, terms))
 
 
 def _term_key(term: tuple[Names, int]) -> tuple[int, Names]:
@@ -216,7 +238,15 @@ class InvariantExpr:
 
     @staticmethod
     def symbol(name: str) -> InvariantExpr:
-        return InvariantExpr({(Symbol(name).name,): 1})
+        return InvariantExpr({(name,): 1})
+
+    @staticmethod
+    def _linear(constant: int, coeffs: Iterable[tuple[str, int]]) -> InvariantExpr:
+        """constant + the sum of coeff * name over (name, coeff) pairs of distinct names."""
+        terms = {_prime(name): coeff for name, coeff in coeffs if coeff}
+        if constant:
+            terms[1] = constant
+        return InvariantExpr._canonical(terms)
 
     @staticmethod
     def _coerce(value: Coercible) -> InvariantExpr:
@@ -232,10 +262,10 @@ class InvariantExpr:
     def terms(self) -> tuple[tuple[Names, int], ...]:
         """The (sorted symbol names, coefficient) pairs in graded lexicographic order."""
         terms = self._terms
-        return tuple(sorted(zip(map(_names, terms), terms.values()), key=_term_key))
+        return tuple(sorted(zip(_decode(terms), terms.values()), key=_term_key))
 
     def symbols(self) -> frozenset[str]:
-        return frozenset(name for mono in self._terms for name in _names(mono))
+        return frozenset(name for names in _decode(self._terms) for name in names)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -251,17 +281,27 @@ class InvariantExpr:
         return self._terms.get(1, 0)
 
     def degree_in(self, name: str) -> int:
-        return max((_names(mono).count(name) for mono in self._terms), default=0)
+        return max((names.count(name) for names in _decode(self._terms)), default=0)
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Integer value at the given symbol assignment; all symbols must be covered."""
         value = 0
-        for mono, coeff in self._terms.items():
-            term = coeff
-            for name in _names(mono):
-                term *= assignment[name]
-            value += term
+        for names, coeff in zip(_decode(self._terms), self._terms.values()):
+            for name in names:
+                coeff *= assignment[name]
+            value += coeff
         return value
+
+    def substitute(self, name: str, value: int) -> InvariantExpr:
+        """This value with symbol `name` set to the integer `value`."""
+        p = _prime(name)
+        acc: dict[Monomial, int] = {}
+        for mono, coeff in self._terms.items():
+            while mono % p == 0:
+                mono //= p
+                coeff *= value
+            acc[mono] = acc.get(mono, 0) + coeff
+        return InvariantExpr._canonical(_collected(acc))
 
     def at_ones(self) -> int:
         """Evaluation with every symbol set to 1, used for plausibility screening."""

@@ -32,7 +32,7 @@ from .engine import (
     universal_hyperplane_sod,
 )
 from .model import _ZERO, LefschetzProfile, Workspace, build_profile
-from .poly import InvariantExpr, _prime
+from .poly import InvariantExpr
 from .report import check_row
 
 __all__ = [
@@ -119,16 +119,9 @@ def _draw_invariant(
     rng: random.Random, symbols: Sequence[str], *, nonzero: bool = False
 ) -> InvariantExpr:
     # Nonnegative coefficients keep every profile plausible by construction.
-    # The pool names are distinct, so each drawn term is canonical already.
     constant = rng.randint(1 if nonzero and not symbols else 0, 3)
-    terms = {1: constant} if constant else {}
-    for name in symbols:
-        coeff = rng.randint(0, 3)
-        if coeff:
-            terms[_prime(name)] = coeff
-    if nonzero and not terms:
-        terms[1] = 1
-    return InvariantExpr._canonical(terms)
+    value = InvariantExpr._linear(constant, [(name, rng.randint(0, 3)) for name in symbols])
+    return InvariantExpr.const(1) if nonzero and not value else value
 
 
 def _draw_profile(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from support import count_calls, ref_ordered, ref_product, ref_terms, ref_tokenize, token_tuples
 
 from hpdcalc import poly
+from hpdcalc.checks import find_witness
 from hpdcalc.dsl import _Parser, parse
 from hpdcalc.errors import DslSyntaxError
 from hpdcalc.poly import (
@@ -64,6 +65,16 @@ def test_symbol_requires_identifier():
     with pytest.raises(ValueError):
         Symbol("2x")
     assert Symbol("e_1").name == "e_1"
+
+
+@pytest.mark.parametrize("name", ["1", "x+y", "x y", ""])
+def test_a_term_dict_names_identifiers_only(name):
+    # Else "2*1" would print for 2*<1> and parse back as the constant 2.
+    with pytest.raises(ValueError, match="symbol name must be an identifier"):
+        InvariantExpr({(name,): 2})
+    with pytest.raises(ValueError, match="symbol name must be an identifier"):
+        sym(name)
+    assert name not in poly._PRIMES
 
 
 # -- worked examples ---------------------------------------------------------
@@ -413,19 +424,18 @@ ENCODED_NAMES = ("a", "b", "B", "x1", "x10", "x2", "e_1", "zeta", "_u", "c")
 
 
 @contextlib.contextmanager
-def registry_meeting(order):
-    """A fresh symbol registry that has met the names of `order` in that
-    order; the process's registry and decodings are back once it is left."""
-    saved = poly._PRIMES, poly._NAMES
-    poly._PRIMES, poly._NAMES = {}, {}
-    poly._names.cache_clear()
+def registry_meeting(order, primes=dict):
+    """A fresh symbol registry, whose prime-to-name table is a new `primes`,
+    that has met the names of `order` in that order, and an empty decoding
+    cache; the process's registry and decodings are back once it is left."""
+    saved = poly._PRIMES, poly._NAMES, poly._DECODED
+    poly._PRIMES, poly._NAMES, poly._DECODED = {}, primes(), {}
     try:
         for name in order:
             sym(name)
         yield
     finally:
-        poly._PRIMES, poly._NAMES = saved
-        poly._names.cache_clear()
+        poly._PRIMES, poly._NAMES, poly._DECODED = saved
 
 
 @st.composite
@@ -455,6 +465,7 @@ def test_products_match_the_reference_in_any_registry_order(data):
         )
         for s in range(len(xs) + len(ys) - 1)
     ]
+    point = {name: data.draw(st.integers(-3, 3)) for name in names}
     seen = []
     for order in (data.draw(st.permutations(names)), sorted(names, reverse=True)):
         with registry_meeting(order):
@@ -463,9 +474,66 @@ def test_products_match_the_reference_in_any_registry_order(data):
                 parse_expr(f"({term_text(xs[0])}) * ({term_text(ys[0])})"),
                 *InvariantExpr._convolve(list(map(InvariantExpr, xs)), list(map(InvariantExpr, ys))),
             ]
-            seen.append([(value.terms, str(value)) for value in values])
-    assert [terms for terms, _ in seen[0]] == [ref_ordered(terms) for terms in expected]
-    assert seen[0] == seen[1]
+            seen.append([
+                (
+                    value.terms,
+                    str(value),
+                    value.symbols(),
+                    [value.degree_in(name) for name in names],
+                    value.evaluate(point),
+                    [value.substitute(name, k).terms for name in names for k in range(3)],
+                )
+                for value in values
+            ])
+            x, y = InvariantExpr(xs[0]), InvariantExpr(ys[0])
+            seen.append(find_witness(x, y) if x != y else None)
+    assert [row[0] for row in seen[0]] == [ref_ordered(terms) for terms in expected]
+    assert seen[:2] == seen[2:]
+
+
+# Every prime the registry is asked for while a value decodes is one trial division.
+class CountedPrimes(dict):
+    tried = 0
+
+    def __iter__(self):
+        for p in super().__iter__():
+            CountedPrimes.tried += 1
+            yield p
+
+
+def primes_tried(value):
+    """How many registered primes decoding `value` tries, with an empty cache."""
+    poly._DECODED.clear()
+    CountedPrimes.tried = 0
+    value.terms
+    return CountedPrimes.tried
+
+
+def test_a_decode_walks_the_registry_at_most_once_per_value():
+    others = [f"s{i}" for i in range(3000)]
+    letters = list("abcdefgh")
+    with registry_meeting(others + letters, CountedPrimes):
+        cube = parse_expr("*".join(["(a+b+c+d+e+f+g+h)"] * 3))
+        assert len(cube.terms) == 120
+        assert primes_tried(cube) <= len(poly._NAMES)
+        # Trial division stops once what is left is 1 or a registered prime, so a
+        # value of the symbol met 3000th is not divided by the primes before it.
+        assert primes_tried(sym(others[-1])) < 50
+        assert str(cube).startswith("a*a*a + 3*a*a*b + 3*a*a*c")
+
+
+def test_the_decode_cache_holds_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(poly, "_MAX_DECODED", 4)
+    with registry_meeting("abc"):
+        assert str(parse_expr("a + b + 1")) == "a + b + 1"
+        assert len(poly._DECODED) == 3
+        # Six monomials do not fit: the cache is emptied and the value decoded apart.
+        square = parse_expr("(a + b + c) * (a + b + c)")
+        assert str(square) == "a*a + 2*a*b + 2*a*c + b*b + 2*b*c + c*c"
+        assert poly._DECODED == {}
+        assert str(parse_expr("c + a*b")) == "a*b + c"
+        a, b, c = (poly._PRIMES[name] for name in "abc")
+        assert poly._DECODED == {a * b: ("a", "b"), c: ("c",)}
 
 
 # -- evaluation helpers -------------------------------------------------------
